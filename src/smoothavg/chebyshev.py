@@ -43,6 +43,12 @@ __all__ = [
 _CONVERSION_WARN_DEGREE = 32
 _CONVERSION_MAX_DEGREE = 64
 
+# Newton on p' converges quadratically at a simple root of p' but only
+# linearly at a multiple one, and seeds there run to this cap.  Such roots
+# are common here: the triangle's M(u) is the sup of (1-x)g_n^2, whose
+# zeros have order four, and the -1,3,-3,1 stencil's |s|^2 = (2-2x)^3 has
+# a triple zero at x = 1.  All seeds iterate together, so these few seeds
+# set the length, and most of the cost, of an extrema pass.
 _NEWTON_MAX_ITER = 40
 
 
@@ -132,30 +138,20 @@ def _cheb_points(n_points: int) -> np.ndarray:
     return np.cos(np.linspace(np.pi, 0.0, n_points))
 
 
-def _newton_refine(dc: np.ndarray, ddc: np.ndarray, x0: float, lo: float, hi: float) -> float:
-    """Polish a stationary point: Newton on p' from x0, confined to [lo, hi]."""
-    x = x0
-    for _ in range(_NEWTON_MAX_ITER):
-        d1 = npcheb.chebval(x, dc)
-        d2 = npcheb.chebval(x, ddc)
-        if d2 == 0.0:
-            break
-        step = d1 / d2
-        x_new = x - step
-        if not (lo <= x_new <= hi):
-            break
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
-
-
 def extreme_points(p: ChebPoly) -> np.ndarray:
     """Candidate extremum locations of p on [-1, 1].
 
-    Seeds a dense Chebyshev-point grid of 32*(deg+2) points, refines every
-    interior grid extremum of p with Newton iteration on p' (derivative
-    taken in the Chebyshev basis), and always includes both endpoints.
+    Seeds a dense Chebyshev-point grid of 32*(deg+2) points and refines
+    every interior grid extremum of p by Newton iteration on p' (derivative
+    taken in the Chebyshev basis), confined to the seed's two grid
+    neighbours.  All seeds are refined together in one array-wide pass:
+    each iteration evaluates p' and p'' at every live seed in a single
+    Clenshaw sweep.  A seed leaves the live set when p'' vanishes or a step
+    would leave its bracket (it keeps its current point), when a step is at
+    most 1e-16*max(1, |x|) (it takes that step), or after
+    ``_NEWTON_MAX_ITER`` iterations.  The result holds both endpoints, the
+    refined points and the grid seeds themselves.  It depends on p only up
+    to sign: the points of -p are bitwise the points of p.
     """
     c = p.coeffs
     if c.size <= 1:
@@ -163,19 +159,44 @@ def extreme_points(p: ChebPoly) -> np.ndarray:
     xs = _cheb_points(32 * (p.degree + 2))
     vals = npcheb.chebval(xs, c)
     dc = npcheb.chebder(c)
+    # p' and p'' as the two columns of one coefficient array; the zero that
+    # pads p'' to the length of p' leaves its Clenshaw values unchanged
     ddc = npcheb.chebder(dc)
+    d12 = np.zeros((dc.size, 2))
+    d12[:, 0] = dc
+    d12[: ddc.size, 1] = ddc
 
     interior = np.arange(1, xs.size - 1)
     is_max = (vals[interior] >= vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
     is_min = (vals[interior] <= vals[interior - 1]) & (vals[interior] <= vals[interior + 1])
     seeds = interior[is_max | is_min]
 
-    pts = [-1.0, 1.0]
-    for i in seeds:
-        pts.append(_newton_refine(dc, ddc, xs[i], xs[i - 1], xs[i + 1]))
+    refined = xs[seeds]
+    live = np.arange(seeds.size)
+    x, lo, hi = refined.copy(), xs[seeds - 1], xs[seeds + 1]
+    for _ in range(_NEWTON_MAX_ITER):
+        if not live.size:
+            break
+        d1, d2 = npcheb.chebval(x, d12)
+        moving = d2 != 0.0
+        step = d1 / np.where(moving, d2, 1.0)
+        x_new = x - step
+        moving &= (lo <= x_new) & (x_new <= hi)
+        refined[live[moving]] = x_new[moving]
+        # x stays in [-1, 1], where the tolerance 1e-16*max(1, |x|) is 1e-16
+        going = moving & (np.abs(step) > 1e-16)
+        live, x, lo, hi = live[going], x_new[going], lo[going], hi[going]
     # keep grid points too in case Newton walked away from a flat extremum
-    pts.extend(xs[seeds])
-    return np.clip(np.asarray(pts), -1.0, 1.0)
+    pts = np.concatenate(([-1.0, 1.0], refined, xs[seeds]))
+    return np.clip(pts, -1.0, 1.0)
+
+
+def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """(max of vals, the largest x among its near-ties)."""
+    vmax = float(np.max(vals))
+    tie = vals >= vmax - 1e-13 * max(1.0, abs(vmax))
+    i = int(np.argmax(np.where(tie, xs, -np.inf)))
+    return vmax, float(xs[i])
 
 
 def signed_max(p: ChebPoly) -> tuple[float, float]:
@@ -185,29 +206,30 @@ def signed_max(p: ChebPoly) -> tuple[float, float]:
     near-ties the one with the largest x is reported.
     """
     xs = extreme_points(p)
-    vals = npcheb.chebval(xs, p.coeffs)
-    vmax = float(np.max(vals))
-    tie = vals >= vmax - 1e-13 * max(1.0, abs(vmax))
-    i = int(np.argmax(np.where(tie, xs, -np.inf)))
-    return vmax, float(xs[i])
+    return _top(xs, npcheb.chebval(xs, p.coeffs))
 
 
 def signed_min(p: ChebPoly) -> tuple[float, float]:
-    """(min of p on [-1, 1], one minimizer)."""
-    v, x = signed_max(ChebPoly(-p.coeffs))
+    """(min of p on [-1, 1], one minimizer); near-ties go to the largest x."""
+    xs = extreme_points(p)
+    v, x = _top(xs, -npcheb.chebval(xs, p.coeffs))
     return -v, x
 
 
 def sup_abs(p: ChebPoly) -> tuple[float, float]:
     """(max of |p| on [-1, 1], one maximizer).
 
-    Grid seeding plus Newton refinement on p'; falls back to the grid
-    maximum whenever Newton fails to improve.
+    One extrema pass serves both signs.  Its candidates are the Newton
+    refined stationary points, the grid seeds they started from and the
+    endpoints, so the result is never below the best grid seed.  On a tie
+    between the two signs the maximum of p wins.
     """
-    vmax, xmax = signed_max(p)
-    vmin, xmin = signed_min(p)
-    if -vmin > vmax:
-        return -vmin, xmin
+    xs = extreme_points(p)
+    vals = npcheb.chebval(xs, p.coeffs)
+    vmax, xmax = _top(xs, vals)
+    vneg, xneg = _top(xs, -vals)
+    if vneg > vmax:
+        return vneg, xneg
     return vmax, xmax
 
 

@@ -436,11 +436,14 @@ def _read_series(path: str) -> np.ndarray:
             if not cell:
                 continue
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 if row_no == 1 and not values:
                     continue  # header
                 raise KernelFileError(f"row {row_no}: cannot parse {cell!r}") from None
+            if not math.isfinite(value):
+                raise KernelFileError(f"row {row_no}: value {cell!r} is not finite")
+            values.append(value)
     if not values:
         raise KernelFileError("no numeric rows found")
     return np.asarray(values)

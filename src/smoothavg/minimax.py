@@ -127,12 +127,15 @@ def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> n
     return w * np.abs(vals)
 
 
-def _signed_max_candidates(q: ChebPoly):
-    xs = extreme_points(q)
-    vals = npcheb.chebval(xs, q.coeffs)
+def _near_maxima(xs: np.ndarray, vals: np.ndarray):
     vmax = float(np.max(vals))
     keep = vals >= vmax - max(1e-12, 1e-9 * abs(vmax))
     return vmax, xs[keep]
+
+
+def _signed_max_candidates(q: ChebPoly):
+    xs = extreme_points(q)
+    return _near_maxima(xs, npcheb.chebval(xs, q.coeffs))
 
 
 def _continuum_max(problem: MinimaxProblem, p: ChebPoly):
@@ -141,9 +144,12 @@ def _continuum_max(problem: MinimaxProblem, p: ChebPoly):
     if kind is WeightKind.ONE_MINUS_X_SIGNED_NONNEG:
         return _signed_max_candidates(mul_one_minus_x(p))
     if kind is WeightKind.ONE_MINUS_X_TIMES_ABS:
+        # one extrema pass serves q and -q: their candidate points coincide
         q = mul_one_minus_x(p)
-        vplus, xplus = _signed_max_candidates(q)
-        vminus, xminus = _signed_max_candidates(ChebPoly(-q.coeffs))
+        xs = extreme_points(q)
+        vals = npcheb.chebval(xs, q.coeffs)
+        vplus, xplus = _near_maxima(xs, vals)
+        vminus, xminus = _near_maxima(xs, -vals)
         if vminus > vplus:
             return vminus, xminus
         if vplus > vminus:

@@ -176,6 +176,16 @@ class TestSmooth:
         assert run(["smooth", src, tmp_path / "out.csv", "--box", 1]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_row_rejected(self, tmp_path, capsys, bad):
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        src.write_text(f"1.0\n2.0\n{bad}\n4.0\n5.0\n")
+        assert run(["smooth", src, dst, "--box", 1]) == 2
+        err = capsys.readouterr().err
+        assert "row 3" in err and "not finite" in err
+        assert not dst.exists()
+
     def test_too_short_series(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("1.0\n2.0\n3.0\n")
