@@ -55,7 +55,7 @@ from .kernel import (
     triangle_kernel,
     write_kernel_file,
 )
-from .minimax import MinimaxProblem, Stalled, WeightKind
+from .minimax import Infeasible, MinimaxProblem, Stalled, WeightKind
 from .smoothness import (
     HypothesisViolated,
     OperatorSymbol,
@@ -226,6 +226,9 @@ def cmd_optimize(args) -> int:
         sol = exc.solution
         code = EXIT_STALL
         print(f"solver stalled: {exc}", file=sys.stderr)
+    except Infeasible as exc:  # the first LP failed: there is no iterate to report
+        print(f"solver stalled: {exc}", file=sys.stderr)
+        return EXIT_STALL
 
     payload = {
         "problem": {

@@ -10,6 +10,10 @@ pivoting is delegated to scipy's HiGHS backend.  HiGHS certifies its
 vertex only to ~1e-9, while the cutting-plane loop wants to certify gaps
 of that same order, so the vertex is re-solved exactly from the rows its
 dual multipliers mark active.
+
+HiGHS dual simplex runs first.  When it fails, or returns a point that
+fails the feasibility check, the LP is solved once more with the HiGHS
+interior-point method; Infeasible is raised only when both have failed.
 """
 
 from __future__ import annotations
@@ -41,35 +45,34 @@ def solve_origin_feasible(cost, G, h):
     if np.any(h < 0):
         raise ValueError("h must be nonnegative so the origin is feasible")
 
-    # equilibrated rows keep solver tolerances meaningful across the
-    # near-vanishing constraints next to x = 1
-    row_scale = np.max(np.abs(G), axis=1)
+    # rows are scaled up to unit max-norm, never down: that keeps solver
+    # tolerances meaningful for the near-vanishing constraints next to
+    # x = 1, and a row of a large weight keeps the 1e-10 tolerance in the
+    # units of h (the objective's), where scaling it down by 16 let dual
+    # simplex stop 1e-9 outside a stencil problem's feasible set
+    row_scale = np.minimum(np.max(np.abs(G), axis=1), 1.0)
     row_scale[row_scale == 0.0] = 1.0
     Gs = G / row_scale[:, None]
     hs = h / row_scale
     # default feasibility tolerances (1e-7) let the solver confuse the
     # near-duplicate rows that the cutting-plane endgame produces; 1e-10
     # is the tightest setting HiGHS accepts
-    result = linprog(
-        cost,
-        A_ub=Gs,
-        b_ub=hs,
-        bounds=[(None, None)] * d,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not result.success:
-        raise Infeasible(f"LP solve failed: {result.message}")
-    y = np.asarray(result.x, dtype=float)
-    duals = np.asarray(result.ineqlin.marginals, dtype=float)
-    y = _refine_vertex(Gs, hs, G, h, cost, y, duals)
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     scale = 1.0 + float(np.max(np.abs(h)))
-    if float(np.max(G @ y - h)) > 1e-8 * scale:
-        raise Infeasible("LP returned an infeasible point")
-    return y, float(cost @ y)
+    for method in ("highs-ds", "highs-ipm"):
+        result = linprog(
+            cost, A_ub=Gs, b_ub=hs, bounds=[(None, None)] * d, method=method, options=options
+        )
+        if not result.success:
+            failure = f"LP solve failed ({method}): {result.message}"
+            continue
+        y = np.asarray(result.x, dtype=float)
+        duals = np.asarray(result.ineqlin.marginals, dtype=float)
+        y = _refine_vertex(Gs, hs, G, h, cost, y, duals)
+        if float(np.max(G @ y - h)) <= 1e-8 * scale:
+            return y, float(cost @ y)
+        failure = f"LP returned an infeasible point ({method})"
+    raise Infeasible(failure)
 
 
 def _refine_vertex(Gs, hs, G, h, cost, y, duals):
@@ -79,8 +82,10 @@ def _refine_vertex(Gs, hs, G, h, cost, y, duals):
     those as a least-squares system reproduces the vertex to machine
     precision instead of the backend's ~1e-9.  Rows with near-zero slack
     are added as backup when degeneracy leaves too few multipliers.  The
-    polished point is kept only if it is feasible and agrees with the
-    backend on the objective.
+    polished point is kept only if it agrees with the backend on the
+    objective and is no less feasible than the backend's point, up to
+    roundoff: a least-squares fit through near-duplicate tight rows can
+    miss all of them by ~1e-9.
     """
     m, d = Gs.shape
     dual_scale = 1.0 + float(np.max(np.abs(duals))) if duals.size else 1.0
@@ -92,6 +97,7 @@ def _refine_vertex(Gs, hs, G, h, cost, y, duals):
     if rank < d:
         return y
     full_scale = 1.0 + float(np.max(np.abs(h))) + float(np.max(np.abs(refined)))
-    feasible = float(np.max(G @ refined - h)) <= 1e-10 * full_scale
+    raw_viol = float(np.max(G @ y - h))
+    feasible = float(np.max(G @ refined - h)) <= max(raw_viol, 1e-12 * full_scale)
     sane = abs(float(cost @ (refined - y))) <= 1e-6 * full_scale
     return refined if (feasible and sane) else y

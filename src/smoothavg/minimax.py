@@ -1,9 +1,16 @@
 """Weighted Chebyshev minimax problems and recovery of the extremal kernels.
 
 Minimizes max over [-1, 1] of a weighted polynomial objective over
-polynomials with p(1) = 1, by a cutting-plane scheme: a linear program on
-a finite active set of points, audited against the true continuum
-maximum, which is added as a new constraint until the two agree.
+polynomials with p(1) = 1 by a multi-cut exchange, the Remez multi-point
+exchange (Pachon & Trefethen, BIT 49 (2009)) carried out with a linear
+program so that a positivity constraint fits in too.  The active set starts
+as the degree+2 Chebyshev extreme points.  Each round solves the LP on the
+active set, finds every local maximizer of the objective above the LP level
+(and under positivity every local minimizer of p below zero) in one extrema
+pass per polynomial, drops the active points outside a 1e-6 band of the
+level, and adds all violators at once.  The same pass gives the certified
+continuum maximum, so the reported certificate gap is the sup of the
+objective above the level, not a sampled estimate.
 
 The two theorem problems are
 
@@ -42,8 +49,7 @@ __all__ = [
 ]
 
 _MAX_ROUNDS = 200
-_AUDIT_GRID = 10**5
-_ACTIVE_TOL = 1e-6  # classification window for near-equioscillation points
+_ACTIVE_TOL = 1e-6  # band of the rows kept between rounds and reported as active
 
 
 class WeightKind(Enum):
@@ -97,9 +103,10 @@ class MinimaxSolution:
 
 
 class Stalled(RuntimeError):
-    """Active set stopped improving before the tolerance was met.
+    """Active set stopped improving before the tolerance was met, or an LP
+    after the first failed (its Infeasible is the ``__cause__``).
 
-    The best iterate is attached as ``solution`` (flagged unconverged).
+    The last audited iterate is attached as ``solution`` (unconverged).
     """
 
     def __init__(self, solution: MinimaxSolution):
@@ -127,45 +134,26 @@ def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> n
     return w * np.abs(vals)
 
 
-def _near_maxima(xs: np.ndarray, vals: np.ndarray):
-    vmax = float(np.max(vals))
-    keep = vals >= vmax - max(1e-12, 1e-9 * abs(vmax))
-    return vmax, xs[keep]
-
-
-def _signed_max_candidates(q: ChebPoly):
-    xs = extreme_points(q)
-    return _near_maxima(xs, npcheb.chebval(xs, q.coeffs))
-
-
-def _continuum_max(problem: MinimaxProblem, p: ChebPoly):
-    """True max of the weighted objective, with all near-maximizers."""
+def _objective_candidates(problem: MinimaxProblem, p: ChebPoly) -> np.ndarray:
+    """Points holding every local maximum of the weighted objective: the
+    extreme points of (1-x)p, or of the squared objective for the sqrt
+    weights, from one extrema pass."""
     kind = problem.weight_kind
-    if kind is WeightKind.ONE_MINUS_X_SIGNED_NONNEG:
-        return _signed_max_candidates(mul_one_minus_x(p))
-    if kind is WeightKind.ONE_MINUS_X_TIMES_ABS:
-        # one extrema pass serves q and -q: their candidate points coincide
-        q = mul_one_minus_x(p)
-        xs = extreme_points(q)
-        vals = npcheb.chebval(xs, q.coeffs)
-        vplus, xplus = _near_maxima(xs, vals)
-        vminus, xminus = _near_maxima(xs, -vals)
-        if vminus > vplus:
-            return vminus, xminus
-        if vplus > vminus:
-            return vplus, xplus
-        return vplus, np.concatenate([xplus, xminus])
+    if kind in (WeightKind.ONE_MINUS_X_TIMES_ABS, WeightKind.ONE_MINUS_X_SIGNED_NONNEG):
+        return extreme_points(mul_one_minus_x(p))
     if kind is WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS:
-        sq = mul_one_minus_x(cheb_mul(p, p))
-    else:
-        sq = cheb_mul(problem.magnitude_squared, cheb_mul(p, p))
-    vmax, xs = _signed_max_candidates(sq)
-    return math.sqrt(max(vmax, 0.0)), xs
+        return extreme_points(mul_one_minus_x(cheb_mul(p, p)))
+    return extreme_points(cheb_mul(problem.magnitude_squared, cheb_mul(p, p)))
 
 
-def _continuum_min(p: ChebPoly):
-    vmax, xs = _signed_max_candidates(ChebPoly(-p.coeffs))
-    return -vmax, xs
+def _peaks_above(xs: np.ndarray, vals: np.ndarray, floor: float) -> np.ndarray:
+    """Points where vals has a local maximum in x order that exceeds floor;
+    of a run of equal values only the leftmost point counts."""
+    order = np.argsort(xs, kind="stable")
+    xs, vals = xs[order], vals[order]
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    peak = (vals > padded[:-2]) & (vals >= padded[2:]) & (vals > floor)
+    return xs[peak]
 
 
 def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
@@ -173,6 +161,7 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
 
     p(x) = 1 + sum_{k>=1} c_k (T_k(x) - 1) keeps the normalization exact;
     shifting t by the largest active weight makes the origin feasible.
+    Returns (level, p, number of LP rows).
     """
     n = problem.degree
     w = _weight_values(problem, xs)
@@ -197,63 +186,83 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
     c_tail = y[:-1]
     level = y[-1] + shift
     coeffs = np.concatenate([[1.0 - c_tail.sum()], c_tail])
-    return float(level), ChebPoly(coeffs)
+    return float(level), ChebPoly(coeffs), G.shape[0]
 
 
-def _farthest_from(candidates: np.ndarray, active: np.ndarray):
-    if candidates.size == 0:
-        return None
-    dists = np.min(np.abs(candidates[:, None] - active[None, :]), axis=1)
-    i = int(np.argmax(dists))
-    if dists[i] < 1e-13:
-        return None
-    return float(candidates[i])
-
-
-def _active_points(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray, level: float):
-    """Near-equioscillation set: active-set points where the weighted
-    objective is within 1e-6 of the level or of zero."""
+def _band(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray, level: float) -> np.ndarray:
+    """Mask of the points whose rows can bind at the LP vertex: the weighted
+    objective within _ACTIVE_TOL (relative above 1) of the level or of zero,
+    and under positivity p within _ACTIVE_TOL of zero."""
     phi = _objective_values(problem, p, xs)
-    keep = (phi >= level - _ACTIVE_TOL) | (phi <= _ACTIVE_TOL)
-    pts = np.sort(xs[keep])
+    keep = (phi >= level - _ACTIVE_TOL * max(1.0, level)) | (phi <= _ACTIVE_TOL)
+    if problem.positivity:
+        keep |= npcheb.chebval(xs, p.coeffs) <= _ACTIVE_TOL
+    return keep
+
+
+def _solution(problem, level, p, xs, gap, trace, converged) -> MinimaxSolution:
+    """The iterate (level, p) of the active set xs; its band points, merged
+    within 1e-8, are reported as the active points."""
+    pts = np.sort(xs[_band(problem, p, xs, level)])
     merged: list[float] = []
     for x in pts:
         if not merged or x - merged[-1] > 1e-8:
             merged.append(float(x))
-    return merged
-
-
-def _certificate_gap(problem: MinimaxProblem, p: ChebPoly, level: float) -> float:
-    xs = np.linspace(-1.0, 1.0, _AUDIT_GRID)
-    viol = float(np.max(_objective_values(problem, p, xs))) - level
-    if problem.positivity:
-        viol = max(viol, -float(np.min(npcheb.chebval(xs, p.coeffs))))
-    return max(0.0, viol)
+    return MinimaxSolution(
+        coeffs=p,
+        value=level,
+        active_points=merged,
+        iterations=len(trace),
+        certificate_gap=gap,
+        trace=trace,
+        converged=converged,
+    )
 
 
 def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
-    """Cutting-plane solve of the weighted minimax problem.
+    """Multi-cut exchange solve of the weighted minimax problem.
 
-    Starts from a Chebyshev-point grid of 16(degree+2) points; each round
-    solves the active-set LP, locates the true continuum maximizer (and,
-    under the positivity constraint, the minimizer of p), and adds the
-    worst violator until the continuum max exceeds the LP level by less
-    than tol.  The LP level is a lower bound and the audited continuum max
-    an upper bound on the true optimal value.
+    Starts from the degree+2 Chebyshev extreme points cos(pi j/(degree+1)).
+    Each round solves the LP on the active set and makes one extrema pass
+    per polynomial (the objective's, and under positivity p's).  The pass
+    gives the certified continuum max and every local maximizer of the
+    objective above level + tol, and under positivity every local minimizer
+    of p below -tol.  The solve stops when neither the objective nor -p
+    exceeds its bound by more than tol; otherwise the active points outside
+    the _ACTIVE_TOL band are dropped and all violators are added at once.
+    The LP level is a lower bound and the certified continuum max an upper
+    bound on the true optimal value; certificate_gap is the final round's
+    max(0, continuum max - level, -min p).
+
+    Raises Stalled with the last audited iterate when no violator lies
+    farther than 1e-13 from the active set, when _MAX_ROUNDS pass, or when
+    an LP after the first fails; an Infeasible first LP propagates.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xs = np.unique(np.cos(np.linspace(np.pi, 0.0, 16 * (problem.degree + 2))))
+    xs = np.cos(np.pi * np.arange(problem.degree + 2) / (problem.degree + 1))
     trace: list[dict] = []
-    level, p = _solve_restricted(problem, xs)
+    best = None
     for round_no in range(1, _MAX_ROUNDS + 1):
-        cont_max, max_cands = _continuum_max(problem, p)
+        try:
+            level, p, lp_rows = _solve_restricted(problem, xs)
+        except Infeasible as exc:
+            if best is None:
+                raise
+            raise Stalled(_solution(problem, *best, trace, converged=False)) from exc
+        cands = _objective_candidates(problem, p)
+        phi = _objective_values(problem, p, cands)
+        cont_max = float(np.max(phi))
         obj_viol = cont_max - level
+        cuts = _peaks_above(cands, phi, level + tol)
+        pos_viol = -math.inf
         if problem.positivity:
-            pmin, min_cands = _continuum_min(p)
-            pos_viol = -pmin
-        else:
-            pos_viol, min_cands = -math.inf, np.empty(0)
+            cands = extreme_points(p)
+            neg_p = -npcheb.chebval(cands, p.coeffs)
+            pos_viol = float(np.max(neg_p))
+            cuts = np.concatenate([cuts, _peaks_above(cands, neg_p, tol)])
+        cuts = cuts[np.min(np.abs(cuts[:, None] - xs[None, :]), axis=1) > 1e-13]
+        done = obj_viol <= tol and pos_viol <= tol
         trace.append(
             {
                 "round": round_no,
@@ -261,34 +270,17 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
                 "continuum_max": cont_max,
                 "gap": obj_viol,
                 "positivity_violation": max(0.0, pos_viol),
+                "lp_rows": lp_rows,
+                "cuts": 0 if done else int(cuts.size),
             }
         )
-        if obj_viol <= tol and pos_viol <= tol:
-            return MinimaxSolution(
-                coeffs=p,
-                value=level,
-                active_points=_active_points(problem, p, xs, level),
-                iterations=round_no,
-                certificate_gap=_certificate_gap(problem, p, level),
-                trace=trace,
-                converged=True,
-            )
-        candidates = min_cands if pos_viol > obj_viol else max_cands
-        x_new = _farthest_from(np.asarray(candidates, dtype=float), xs)
-        if x_new is None:
+        best = (level, p, xs, max(0.0, obj_viol, pos_viol))
+        if done:
+            return _solution(problem, *best, trace, converged=True)
+        if not cuts.size:
             break
-        xs = np.sort(np.append(xs, x_new))
-        level, p = _solve_restricted(problem, xs)
-    solution = MinimaxSolution(
-        coeffs=p,
-        value=level,
-        active_points=_active_points(problem, p, xs, level),
-        iterations=len(trace),
-        certificate_gap=_certificate_gap(problem, p, level),
-        trace=trace,
-        converged=False,
-    )
-    raise Stalled(solution)
+        xs = np.union1d(xs[_band(problem, p, xs, level)], cuts)
+    raise Stalled(_solution(problem, *best, trace, converged=False))
 
 
 def recover_first_deriv_extremal(n: int, tol: float = 1e-9):

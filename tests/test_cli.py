@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothavg.minimax as mm
 from smoothavg.cli import main
 from smoothavg.kernel import box_kernel, triangle_kernel, write_kernel_file
 
@@ -111,6 +112,35 @@ class TestOptimize:
 
     def test_tol_range(self):
         assert run(["optimize", "first-deriv", "-n", 3, "--tol", "1"]) == 2
+
+    def test_first_lp_failure_exits_4_without_traceback(self, monkeypatch, tmp_path, capsys):
+        def fail(cost, G, h):
+            raise mm.Infeasible("LP solve failed (highs-ipm): stub")
+
+        monkeypatch.setattr(mm, "solve_origin_feasible", fail)
+        out = tmp_path / "sol.json"
+        assert run(["optimize", "first-deriv", "-n", 5, "-o", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver stalled: LP solve failed")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_later_lp_failure_exits_4_with_iterate(self, monkeypatch, tmp_path, capsys):
+        real, calls = mm.solve_origin_feasible, []
+
+        def fail_after_first(cost, G, h):
+            calls.append(len(h))
+            if len(calls) > 1:
+                raise mm.Infeasible("LP solve failed (highs-ipm): stub")
+            return real(cost, G, h)
+
+        monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
+        out = tmp_path / "sol.json"
+        assert run(["optimize", "first-deriv", "-n", 5, "-o", out]) == 4
+        assert "solver stalled" in capsys.readouterr().err
+        data = json.loads(out.read_text())
+        assert data["solution"]["converged"] is False
+        assert data["solution"]["iterations"] == 1
 
 
 class TestVerify:

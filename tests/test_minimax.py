@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 import smoothavg.minimax as mm
 from smoothavg.chebyshev import cheb_eval, make_g, make_h
+from smoothavg.cli import N_CAP
 from smoothavg.kernel import box_kernel, triangle_kernel
 from smoothavg.minimax import (
     MinimaxProblem,
@@ -18,6 +20,7 @@ from smoothavg.minimax import (
     recover_laplacian_extremal,
     solve,
 )
+from smoothavg.smoothness import OperatorSymbol
 
 
 def pad_to(coeffs, length):
@@ -180,11 +183,137 @@ class TestStalled:
     def test_stall_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(mm, "_MAX_ROUNDS", 1)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem(6, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-13)
+            solve(MinimaxProblem(6, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS), 1e-13)
         sol = exc.value.solution
         assert isinstance(sol, MinimaxSolution)
         assert not sol.converged
         assert sol.value > 0
+
+
+    def test_lp_failure_after_round_one_stalls_with_iterate(self, monkeypatch):
+        real, calls = mm.solve_origin_feasible, []
+
+        def fail_after_first(cost, G, h):
+            calls.append(len(h))
+            if len(calls) > 1:
+                raise mm.Infeasible("stub")
+            return real(cost, G, h)
+
+        monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
+        with pytest.raises(Stalled) as exc:
+            solve(MinimaxProblem(6, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS), 1e-9)
+        sol = exc.value.solution
+        assert isinstance(exc.value.__cause__, mm.Infeasible)
+        assert not sol.converged
+        assert sol.iterations == len(sol.trace) == 1
+        assert sol.value == sol.trace[0]["lp_value"]
+
+    def test_first_lp_failure_propagates(self, monkeypatch):
+        def fail(cost, G, h):
+            raise mm.Infeasible("stub")
+
+        monkeypatch.setattr(mm, "solve_origin_feasible", fail)
+        with pytest.raises(mm.Infeasible):
+            solve(MinimaxProblem(6, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS), 1e-9)
+
+
+class TestTrace:
+    @pytest.mark.parametrize("kind", [WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS,
+                                      WeightKind.ONE_MINUS_X_TIMES_ABS])
+    def test_rows_carry_lp_size_and_cuts(self, kind):
+        n = 12
+        sol = solve(MinimaxProblem(n, kind), 1e-9)
+        assert sol.iterations > 1
+        assert all({"lp_rows", "cuts"} <= set(row) for row in sol.trace)
+        # start set: the n+2 Chebyshev extreme points, two rows each
+        assert sol.trace[0]["lp_rows"] == 2 * (n + 2)
+        assert all(row["cuts"] > 0 for row in sol.trace[:-1])
+        assert sol.trace[-1]["cuts"] == 0
+
+    def test_signed_rows_count_positivity(self):
+        n = 5
+        sol = solve(MinimaxProblem(n, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-9)
+        assert sol.trace[0]["lp_rows"] == 2 * (n + 2)  # objective row + positivity row
+
+
+# Exploratory (stencil, n) solves that raised Infeasible or stalled under the
+# single-cut solver; every one must converge now.
+FORMER_STENCIL_FAILURES = (
+    ("-3,2,2,-1", 15), ("-3,3,-2,2", 15), ("-2,0,0,2", 15), ("-2,1,0,1", 10),
+    ("-2,1,2,-1", 10), ("-2,2,-3,3", 15), ("-1,-3,3,1", 15), ("-1,0,-1,2", 10),
+    ("-1,1,-1,1", 15), ("-1,2,1,-2", 10), ("-1,2,2,-3", 15), ("1,-2,-2,3", 15),
+    ("1,-2,-1,2", 10), ("1,-1,1,-1", 15), ("1,0,1,-2", 10), ("1,3,-3,-1", 15),
+    ("2,-2,3,-3", 15), ("2,-1,-2,1", 10), ("2,-1,0,-1", 10), ("2,0,0,-2", 15),
+    ("3,-3,2,-2", 15), ("3,-2,-2,1", 15),
+    ("-3,1,3,-1", 15), ("-3,3,-2,2", 10), ("-2,2,-3,3", 10), ("-2,2,-2,2", 10),
+    ("-2,3,-3,2", 15), ("-1,3,1,-3", 15), ("1,-3,-1,3", 15), ("2,-3,3,-2", 15),
+    ("2,-2,2,-2", 10), ("2,-2,3,-3", 10), ("3,-3,2,-2", 10), ("3,-1,-3,1", 15),
+)
+
+THEOREM_KINDS = (
+    (WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS, False),
+    (WeightKind.ONE_MINUS_X_SIGNED_NONNEG, True),
+    (WeightKind.ONE_MINUS_X_TIMES_ABS, False),
+)
+
+
+def grid_gap(problem, sol):
+    """The sampled certificate: objective over level on 10^5 equispaced points."""
+    xs = np.linspace(-1.0, 1.0, 10**5)
+    p = npcheb.chebval(xs, sol.coeffs.coeffs)
+    kind = problem.weight_kind
+    if kind is WeightKind.ONE_MINUS_X_SIGNED_NONNEG:
+        phi = (1.0 - xs) * p
+    elif kind is WeightKind.ONE_MINUS_X_TIMES_ABS:
+        phi = (1.0 - xs) * np.abs(p)
+    elif kind is WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS:
+        phi = np.sqrt(np.clip(1.0 - xs, 0.0, None)) * np.abs(p)
+    else:
+        m2 = npcheb.chebval(xs, problem.magnitude_squared.coeffs)
+        phi = np.sqrt(np.clip(m2, 0.0, None)) * np.abs(p)
+    viol = float(np.max(phi)) - sol.value
+    if problem.positivity:
+        viol = max(viol, -float(np.min(p)))
+    return max(0.0, viol)
+
+
+@pytest.fixture(scope="module")
+def theorem_sweep():
+    return {
+        (kind, n): (problem, solve(problem, 1e-9))
+        for kind, positivity in THEOREM_KINDS
+        for n in range(N_CAP + 1)
+        for problem in [MinimaxProblem(n, kind, positivity=positivity)]
+    }
+
+
+class TestSweep:
+    def test_every_n_converges(self, theorem_sweep):
+        assert len(theorem_sweep) == 3 * (N_CAP + 1)
+        for (kind, n), (_, sol) in theorem_sweep.items():
+            assert sol.converged, (kind, n)
+            assert sol.certificate_gap <= 1e-9, (kind, n)
+
+    def test_box_and_triangle_values(self, theorem_sweep):
+        for n in range(N_CAP + 1):
+            _, box = theorem_sweep[WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS, n]
+            _, tri = theorem_sweep[WeightKind.ONE_MINUS_X_SIGNED_NONNEG, n]
+            assert abs(math.sqrt(2.0) * box.value - 2 / (2 * n + 1)) <= 1e-8, n
+            assert abs(2.0 * tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
+
+    def test_certificate_never_below_grid_audit(self, theorem_sweep):
+        for (kind, n), (problem, sol) in theorem_sweep.items():
+            assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15, (kind, n)
+
+    @pytest.mark.parametrize("stencil,n", FORMER_STENCIL_FAILURES)
+    def test_former_stencil_failures_converge(self, stencil, n):
+        taps = [float(t) for t in stencil.split(",")]
+        sol = explore_operator(n, taps, 1e-9)
+        assert sol.converged
+        assert sol.certificate_gap <= 1e-9
+        problem = MinimaxProblem(n, WeightKind.GENERAL,
+                                 magnitude_squared=OperatorSymbol(np.asarray(taps)).magnitude_squared_cheb)
+        assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15
 
 
 class TestSerialization:
