@@ -46,11 +46,12 @@ from .kernel import (
     Sequence,
     box_kernel,
     convolve,
-    from_full,
     grad,
     kernel_from_symbol,
     l2_norm,
     laplacian,
+    random_nonneg_fourier_kernel,
+    random_symmetric_kernel,
     read_kernel_file,
     triangle_kernel,
     write_kernel_file,
@@ -218,7 +219,6 @@ def cmd_optimize(args) -> int:
         )
         scale = 1.0
 
-    exploratory = args.problem == "operator" or (args.problem == "laplacian" and not args.nonneg)
     code = EXIT_OK
     try:
         sol = minimax.solve(problem, args.tol)
@@ -237,7 +237,7 @@ def cmd_optimize(args) -> int:
             "tol": args.tol,
             "nonneg": bool(args.nonneg),
             "stencil": args.stencil,
-            "exploratory": exploratory,
+            "exploratory": sol.exploratory,
         },
         "value": scale * sol.value,
         "kernel": _kernel_payload(kernel_from_symbol(sol.coeffs)),
@@ -259,20 +259,6 @@ def _tap(results) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 
 
-def _random_symmetric_kernel(rng, n: int) -> DiscreteKernel:
-    while True:
-        half = rng.uniform(-0.5, 1.0, n + 1)
-        s = half[0] + 2 * half[1:].sum()
-        if abs(s) > 0.2:
-            return DiscreteKernel(half / s)
-
-
-def _random_autocorrelation_kernel(rng, n: int) -> DiscreteKernel:
-    v = rng.uniform(0.1, 1.0, n + 1)
-    full = np.correlate(v, v, mode="full")
-    return from_full(full / full.sum(), tol=1e-9, renormalize=True)
-
-
 def _suite_thm1(n_max: int, rng) -> list:
     out = []
     for n in range(0, n_max + 1):
@@ -284,7 +270,7 @@ def _suite_thm1(n_max: int, rng) -> list:
     worst = ""
     for n in range(1, min(8, n_max) + 1):
         for _ in range(40):
-            u = _random_symmetric_kernel(rng, n)
+            u = random_symmetric_kernel(rng, n)
             rep = verify_theorem1(u)
             if rep.constant < rep.sharp_bound - 1e-10:
                 bound_ok = False
@@ -308,7 +294,7 @@ def _suite_thm2(n_max: int, rng) -> list:
     worst = ""
     for n in range(1, min(8, n_max) + 1):
         for _ in range(40):
-            u = _random_autocorrelation_kernel(rng, n)
+            u = random_nonneg_fourier_kernel(rng, n)
             rep = verify_theorem2(u)
             if rep.constant < rep.sharp_bound - 1e-10:
                 bound_ok = False

@@ -175,6 +175,26 @@ def from_full(
     return from_half(half, tol=tol, renormalize=renormalize)
 
 
+# random kernels for the verification batteries of ``verify`` and the tests;
+# not kernel API, so not in __all__
+
+
+def random_symmetric_kernel(rng, n: int) -> DiscreteKernel:
+    """Random normalized symmetric kernel (weights may be negative)."""
+    while True:
+        half = rng.uniform(-0.5, 1.0, n + 1)
+        s = half[0] + 2 * half[1:].sum()
+        if abs(s) > 0.2:
+            return DiscreteKernel(half / s)
+
+
+def random_nonneg_fourier_kernel(rng, n: int) -> DiscreteKernel:
+    """Normalized kernel with uhat >= 0, via autocorrelation of a random vector."""
+    v = rng.uniform(0.1, 1.0, n + 1)
+    full = np.correlate(v, v, mode="full")
+    return from_full(full / full.sum(), tol=1e-9, renormalize=True)
+
+
 def box_kernel(n: int) -> DiscreteKernel:
     """Constant kernel u(k) = 1/(2n+1)."""
     if n < 0:

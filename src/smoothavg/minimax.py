@@ -60,6 +60,8 @@ class WeightKind(Enum):
 
 
 _SIGNED_KINDS = {WeightKind.ONE_MINUS_X_SIGNED_NONNEG}
+# open problems: no closed-form optimum is known to check the solution against
+_EXPLORATORY_KINDS = {WeightKind.ONE_MINUS_X_TIMES_ABS, WeightKind.GENERAL}
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,7 @@ def _solution(problem, level, p, xs, gap, trace, converged) -> MinimaxSolution:
         certificate_gap=gap,
         trace=trace,
         converged=converged,
+        exploratory=problem.weight_kind in _EXPLORATORY_KINDS,
     )
 
 
@@ -233,6 +236,9 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     The LP level is a lower bound and the certified continuum max an upper
     bound on the true optimal value; certificate_gap is the final round's
     max(0, continuum max - level, -min p).
+
+    Solutions of the open problems (the absolute (1 - x) objective without
+    positivity, and general stencils) are marked exploratory.
 
     Raises Stalled with the last audited iterate when no violator lies
     farther than 1e-13 from the active set, when _MAX_ROUNDS pass, or when
@@ -321,14 +327,4 @@ def explore_operator(n: int, stencil, tol: float = 1e-9) -> MinimaxSolution:
     problem = MinimaxProblem(
         n, WeightKind.GENERAL, magnitude_squared=op.magnitude_squared_cheb
     )
-    sol = solve(problem, tol)
-    return MinimaxSolution(
-        coeffs=sol.coeffs,
-        value=sol.value,
-        active_points=sol.active_points,
-        iterations=sol.iterations,
-        certificate_gap=sol.certificate_gap,
-        trace=sol.trace,
-        converged=sol.converged,
-        exploratory=True,
-    )
+    return solve(problem, tol)

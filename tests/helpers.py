@@ -1,21 +1,5 @@
-"""Shared random-kernel builders for the test suite."""
+"""Shared random-kernel builders for the test suite (the package's own)."""
 
-import numpy as np
+from smoothavg.kernel import random_nonneg_fourier_kernel, random_symmetric_kernel
 
-from smoothavg.kernel import DiscreteKernel, from_full
-
-
-def random_symmetric_kernel(rng, n):
-    """Random normalized symmetric kernel (weights may be negative)."""
-    while True:
-        half = rng.uniform(-0.5, 1.0, n + 1)
-        s = half[0] + 2 * half[1:].sum()
-        if abs(s) > 0.2:
-            return DiscreteKernel(half / s)
-
-
-def random_nonneg_fourier_kernel(rng, n):
-    """Normalized kernel with uhat >= 0, via autocorrelation of a random vector."""
-    v = rng.uniform(0.1, 1.0, n + 1)
-    full = np.correlate(v, v, mode="full")
-    return from_full(full / full.sum(), tol=1e-9, renormalize=True)
+__all__ = ["random_nonneg_fourier_kernel", "random_symmetric_kernel"]

@@ -246,7 +246,7 @@ class TestCriterion8ContinuumValues:
             and eq_err <= 1e-10
             and strict_gap > 1e-6
             and cf_tri <= 1e-10
-            and slope_rel <= 0.10
+            and slope_rel <= 1e-6
         )
         report(8, ok, f"J {j_err:.1e}, flat {flat_err:.1e}, a {a_err:.1e}, "
                       f"equality {eq_err:.1e}, strict gap {strict_gap:.2e}, "

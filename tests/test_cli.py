@@ -107,6 +107,20 @@ class TestOptimize:
         # dropping positivity cannot beat the constrained optimum
         assert data["value"] <= 4 / 36 + 1e-9
 
+    @pytest.mark.parametrize("argv, exploratory", [
+        (["first-deriv"], False),
+        (["laplacian", "--nonneg"], False),
+        (["laplacian"], True),
+        (["operator", "--stencil", "1,-2,1"], True),
+    ], ids=["first-deriv", "laplacian-nonneg", "laplacian", "operator"])
+    def test_exploratory_reported_once(self, tmp_path, argv, exploratory):
+        # the problem header and the solver's own flag must agree
+        out = tmp_path / "sol.json"
+        assert run(["optimize", *argv, "-n", 4, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["problem"]["exploratory"] is exploratory
+        assert data["solution"]["exploratory"] is exploratory
+
     def test_operator_needs_stencil(self):
         assert run(["optimize", "operator", "-n", 3]) == 2
 

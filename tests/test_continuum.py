@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothavg import continuum
 from smoothavg.continuum import (
     PerturbationFunction,
     TailEstimateWarning,
@@ -164,7 +165,18 @@ class TestFiniteDiffSlope:
     def test_half_triangle_matches_analytic(self):
         slope = finite_diff_slope(half_triangle_profile(), (1e-2, 1e-3))
         analytic = c_f_analytic(half_triangle_profile(), 1000)
-        assert slope == pytest.approx(analytic, rel=0.10)
+        assert slope == pytest.approx(analytic, rel=1e-6)
+
+    @pytest.mark.parametrize("make", [
+        lambda: profile_from_table([0.2, 0.4, 0.6, 0.8], [0.5, 0.3, 0.9, 0.2]),
+        lambda: autoconvolution_profile(lambda t: np.cos(PI * t) ** 2),
+    ], ids=["table", "cos2_autoconvolution"])
+    def test_forward_difference_matches_right_derivative(self, make):
+        # J is a sup, so the analytic slope is the right derivative; a
+        # central difference averages in the left one and misses it here
+        f = make()
+        slope = finite_diff_slope(f, (1e-2, 1e-3))
+        assert slope == pytest.approx(c_f_analytic(f, 1000), rel=1e-4)
 
     def test_zero_direction(self):
         zero = PerturbationFunction(lambda x: np.zeros_like(x), linear_table=([0, 1], [0.0, 0.0]))
@@ -304,12 +316,54 @@ class TestProfiles:
             autoconvolution_profile(lambda t: t, half_support=0.7)
 
 
+class TestOneTransformPath:
+    """The closed form and the quadrature are two branches of one evaluator."""
+
+    TABLE = ([0.2, 0.4, 0.6, 0.8], [0.5, 0.3, 0.9, 0.2])
+
+    @staticmethod
+    def without_table(f):
+        return PerturbationFunction(f.half, f.breakpoints)
+
+    def test_closed_form_matches_quadrature(self):
+        table = profile_from_table(*self.TABLE)
+        quad = self.without_table(table)
+        xis = np.linspace(0.1, 60.0, 150)
+        closed = continuum._hat(table, xis, 64)  # the level is unused by a table
+        numeric = np.array([ct_fourier(quad, xi) for xi in xis])
+        assert np.max(np.abs(closed - numeric) * xis**2) <= 1e-10
+
+    @pytest.mark.parametrize("make", [
+        half_triangle_profile,
+        lambda: profile_from_table(*TestOneTransformPath.TABLE),
+    ], ids=["half_triangle", "table"])
+    def test_j_functional_agrees_across_paths(self, make):
+        f = make()
+        assert j_functional(self.without_table(f)) == pytest.approx(j_functional(f), rel=1e-12)
+
+    def test_report_scans_half_integers_once(self, monkeypatch):
+        # every scan up to n_max ends at xi = n_max + 1/2, and nothing else
+        # in the report samples the perturbation's transform there
+        n_max = 100
+        last_terms = []
+        inner = continuum.ct_fourier
+
+        def counting(f, xi):
+            if xi == n_max + 0.5:
+                last_terms.append(xi)
+            return inner(f, xi)
+
+        monkeypatch.setattr(continuum, "ct_fourier", counting)
+        perturbation_report(half_triangle_profile(), (1e-2, 1e-3), n_max=n_max)
+        assert len(last_terms) == 1
+
+
 class TestPerturbationReport:
     def test_report_fields(self):
         rep = perturbation_report(half_triangle_profile(), (1e-2, 1e-3), n_max=200)
         assert rep.J0 == pytest.approx(J0_EXACT, abs=1e-10)
         assert rep.c_f_analytic == pytest.approx(CF_HALF_EXACT, rel=1e-9)
-        assert rep.c_f_numeric == pytest.approx(rep.c_f_analytic, rel=0.10)
+        assert rep.c_f_numeric == pytest.approx(rep.c_f_analytic, rel=1e-6)
         assert rep.gamma == pytest.approx(1.0 / PI**2, abs=1e-12)
         assert rep.prop8_lhs > rep.prop8_rhs
         assert rep.epsilons_used == [1e-2, 1e-3]
