@@ -40,12 +40,10 @@ from .smoothness import (
     verify_theorem2,
 )
 from .minimax import (
+    PROBLEMS,
     MinimaxProblem,
     MinimaxSolution,
     WeightKind,
-    explore_operator,
-    recover_first_deriv_extremal,
-    recover_laplacian_extremal,
     solve,
 )
 from .continuum import (

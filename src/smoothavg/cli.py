@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .kernel import (
     box_kernel,
     convolve,
     grad,
-    kernel_from_symbol,
     l2_norm,
     laplacian,
     random_nonneg_fourier_kernel,
@@ -56,7 +54,7 @@ from .kernel import (
     triangle_kernel,
     write_kernel_file,
 )
-from .minimax import Infeasible, MinimaxProblem, Stalled, WeightKind
+from .minimax import Infeasible, MinimaxProblem, Stalled
 from .smoothness import (
     HypothesisViolated,
     OperatorSymbol,
@@ -75,27 +73,20 @@ EXIT_KERNEL = 3
 EXIT_STALL = 4
 
 N_CAP = 64
+VERIFY_N_MAX = 30
 TOL_RANGE = (1e-14, 1e-2)
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    subcommand: str
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    n: int | None = None
-    tol: float | None = None
-
-    def validate(self):
-        paths = [str(p) for p in (*self.inputs, *self.outputs) if p is not None]
-        if len(set(paths)) != len(paths):
-            raise ValueError("input and output paths must be distinct")
-        if self.n is not None and not 0 <= self.n <= N_CAP:
-            raise ValueError(f"n must lie in [0, {N_CAP}]")
-        if self.tol is not None and not TOL_RANGE[0] <= self.tol <= TOL_RANGE[1]:
-            raise ValueError(f"tolerance must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+def _check_args(paths, n=None, tol=None) -> None:
+    """Raise ValueError unless the given paths are distinct, n (a support
+    radius) lies in [0, N_CAP] and tol in TOL_RANGE; None is not checked."""
+    paths = [str(p) for p in paths if p is not None]
+    if len(set(paths)) != len(paths):
+        raise ValueError("input and output paths must be distinct")
+    if n is not None and not 0 <= n <= N_CAP:
+        raise ValueError(f"n must lie in [0, {N_CAP}]")
+    if tol is not None and not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise ValueError(f"tolerance must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
 
 
 def format_json(obj, indent: int = 0) -> str:
@@ -144,16 +135,13 @@ def _kernel_payload(u: DiscreteKernel) -> dict:
 
 def _parse_stencil(text: str) -> np.ndarray:
     try:
-        taps = np.array([float(t) for t in text.split(",")], dtype=float)
+        return np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ValueError(f"bad stencil {text!r}: {exc}") from exc
-    if taps.size == 0 or not np.any(taps):
-        raise ValueError("stencil must have a nonzero tap")
-    return taps
 
 
 def cmd_analyze(args) -> int:
-    RunConfig("analyze", inputs=[args.kernel], outputs=[args.output]).validate()
+    _check_args([args.kernel, args.output])
     try:
         u = read_kernel_file(args.kernel, symmetrize=args.symmetrize, renormalize=args.renormalize)
     except (AsymmetricKernel, NotNormalized) as exc:
@@ -171,11 +159,7 @@ def cmd_analyze(args) -> int:
         "nonneg_fourier": {"flag": flag, "witness_x": witness},
     }
     if args.operator:
-        try:
-            taps = _parse_stencil(args.operator)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_INPUT
+        taps = _parse_stencil(args.operator)
         rep = operator_constant(u, OperatorSymbol(taps))
         payload["operator"] = {"stencil": taps.tolist(), **rep.to_dict()}
     _emit(payload, args.output)
@@ -183,7 +167,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    RunConfig("generate", outputs=[args.output], n=args.n).validate()
+    _check_args([args.output], n=args.n)
     u = box_kernel(args.n) if args.kind == "box" else triangle_kernel(args.n)
     try:
         write_kernel_file(args.output, u)
@@ -194,30 +178,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    RunConfig("optimize", outputs=[args.output], n=args.n, tol=args.tol).validate()
-    if args.problem == "first-deriv":
-        problem = MinimaxProblem(args.n, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS)
-        scale = math.sqrt(2.0)
-    elif args.problem == "laplacian":
-        if args.nonneg:
-            problem = MinimaxProblem(args.n, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True)
-        else:
-            problem = MinimaxProblem(args.n, WeightKind.ONE_MINUS_X_TIMES_ABS)
-        scale = 2.0
-    else:
+    _check_args([args.output], n=args.n, tol=args.tol)
+    stencil = None
+    if args.problem == "operator":
         if not args.stencil:
             print("operator mode needs --stencil", file=sys.stderr)
             return EXIT_INPUT
-        try:
-            taps = _parse_stencil(args.stencil)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_INPUT
-        op = OperatorSymbol(taps)
-        problem = MinimaxProblem(
-            args.n, WeightKind.GENERAL, magnitude_squared=op.magnitude_squared_cheb
-        )
-        scale = 1.0
+        stencil = _parse_stencil(args.stencil)
+    name = "laplacian-nonneg" if args.problem == "laplacian" and args.nonneg else args.problem
+    problem = MinimaxProblem(name, args.n, stencil)
 
     code = EXIT_OK
     try:
@@ -239,8 +208,8 @@ def cmd_optimize(args) -> int:
             "stencil": args.stencil,
             "exploratory": sol.exploratory,
         },
-        "value": scale * sol.value,
-        "kernel": _kernel_payload(kernel_from_symbol(sol.coeffs)),
+        "value": sol.constant,
+        "kernel": _kernel_payload(sol.kernel),
         "solution": sol.to_dict(),
     }
     _emit(payload, args.output)
@@ -349,10 +318,11 @@ def _suite_thm4(n_max: int, rng) -> list:
         out.append((f"thm4: weighted extremal polynomial equioscillates at n={n}",
                     worst <= 1e-12, f"worst node error={worst!r}"))
     for n in (2, min(5, n_max)):
-        u, val = minimax.recover_laplacian_extremal(n, True, 1e-9)
-        ok = (abs(val - 4 / (n + 1) ** 2) <= 1e-8
-              and np.max(np.abs(u.half - triangle_kernel(n).half)) <= 1e-6)
-        out.append((f"thm4: optimizer recovers the triangle kernel at n={n}", ok, f"value={val!r}"))
+        sol = minimax.solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
+        ok = (abs(sol.constant - 4 / (n + 1) ** 2) <= 1e-8
+              and np.max(np.abs(sol.kernel.half - triangle_kernel(n).half)) <= 1e-6)
+        out.append((f"thm4: optimizer recovers the triangle kernel at n={n}", ok,
+                    f"value={sol.constant!r}"))
     return out
 
 
@@ -365,10 +335,11 @@ def _suite_thm5(n_max: int, rng) -> list:
     out.append((f"thm5: square identity h_n^2 = g_2n for n<={n_max}", worst <= 1e-13,
                 f"worst coeff error={worst!r}"))
     for n in (2, min(5, n_max)):
-        u, val = minimax.recover_first_deriv_extremal(n, 1e-9)
-        ok = (abs(val - 2 / (2 * n + 1)) <= 1e-8
-              and np.max(np.abs(u.half - box_kernel(n).half)) <= 1e-6)
-        out.append((f"thm5: optimizer recovers the box kernel at n={n}", ok, f"value={val!r}"))
+        sol = minimax.solve(MinimaxProblem("first-deriv", n), 1e-9)
+        ok = (abs(sol.constant - 2 / (2 * n + 1)) <= 1e-8
+              and np.max(np.abs(sol.kernel.half - box_kernel(n).half)) <= 1e-6)
+        out.append((f"thm5: optimizer recovers the box kernel at n={n}", ok,
+                    f"value={sol.constant!r}"))
     return out
 
 
@@ -396,8 +367,8 @@ def _suite_prop8(rng) -> list:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max > 30:
-        print("n-max must be at most 30", file=sys.stderr)
+    if not 0 <= args.n_max <= VERIFY_N_MAX:
+        print(f"n-max must lie in [0, {VERIFY_N_MAX}]", file=sys.stderr)
         return EXIT_INPUT
     rng = np.random.default_rng(args.seed)
     suites = {
@@ -439,7 +410,8 @@ def _read_series(path: str) -> np.ndarray:
 
 
 def cmd_smooth(args) -> int:
-    RunConfig("smooth", inputs=[args.input, args.kernel], outputs=[args.output]).validate()
+    radius = args.box if args.box is not None else args.triangle
+    _check_args([args.input, args.kernel, args.output], n=radius)
     sources = sum(1 for v in (args.kernel, args.box, args.triangle) if v is not None)
     if sources != 1:
         print("exactly one of --kernel, --box, --triangle is required", file=sys.stderr)
@@ -500,7 +472,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_continuum(args) -> int:
-    RunConfig("continuum", inputs=[args.profile], outputs=[args.output]).validate()
+    _check_args([args.profile, args.output])
     if (args.profile is None) == (args.builtin is None):
         print("exactly one of --profile, --builtin is required", file=sys.stderr)
         return EXIT_INPUT

@@ -12,14 +12,14 @@ level, and adds all violators at once.  The same pass gives the certified
 continuum maximum, so the reported certificate gap is the sup of the
 objective above the level, not a sampled estimate.
 
-The two theorem problems are
+``PROBLEMS`` names the four problems; the smoothness constant of the
+optimal kernel is scale * (optimal value):
 
-* signed, nonneg:  min max (1 - x) p(x) over p >= 0    -> g_n, 2/(n+1)^2
-* absolute:        min max sqrt(1-x) |p(x)|            -> h_n, with
-  (optimal value)^2 = 2/(2n+1)^2
-
-and the general-operator objective sqrt(|s|^2(x)) |p(x)| explores
-optimal kernels for other difference operators.
+* first-deriv:       min max sqrt(1-x) |p(x)|         -> h_n, 2/(2n+1)
+* laplacian-nonneg:  min max (1 - x) p(x) over p >= 0 -> g_n, 4/(n+1)^2
+* laplacian:         min max (1 - x) |p(x)|           (open problem)
+* operator:          min max sqrt(|s|^2(x)) |p(x)|    (open problem: the
+  optimal kernel for another difference stencil s)
 """
 
 from __future__ import annotations
@@ -32,20 +32,19 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .chebyshev import ChebPoly, cheb_mul, extreme_points, mul_one_minus_x
-from .kernel import kernel_from_symbol
+from .kernel import DiscreteKernel, kernel_from_symbol
 from .lp import Infeasible, solve_origin_feasible
 from .smoothness import OperatorSymbol
 
 __all__ = [
     "WeightKind",
+    "ProblemSpec",
+    "PROBLEMS",
     "MinimaxProblem",
     "MinimaxSolution",
     "Stalled",
     "Infeasible",
     "solve",
-    "recover_first_deriv_extremal",
-    "recover_laplacian_extremal",
-    "explore_operator",
 ]
 
 _MAX_ROUNDS = 200
@@ -53,37 +52,71 @@ _ACTIVE_TOL = 1e-6  # band of the rows kept between rounds and reported as activ
 
 
 class WeightKind(Enum):
-    ONE_MINUS_X_TIMES_ABS = "one_minus_x_times_abs"
-    ONE_MINUS_X_SIGNED_NONNEG = "one_minus_x_signed_nonneg"
-    SQRT_ONE_MINUS_X_TIMES_ABS = "sqrt_one_minus_x_times_abs"
-    GENERAL = "general"
-
-
-_SIGNED_KINDS = {WeightKind.ONE_MINUS_X_SIGNED_NONNEG}
-# open problems: no closed-form optimum is known to check the solution against
-_EXPLORATORY_KINDS = {WeightKind.ONE_MINUS_X_TIMES_ABS, WeightKind.GENERAL}
+    ONE_MINUS_X = "one_minus_x"
+    SQRT_ONE_MINUS_X = "sqrt_one_minus_x"
+    STENCIL = "stencil"  # sqrt(|s|^2(x)) of a difference stencil s
 
 
 @dataclass(frozen=True)
-class MinimaxProblem:
-    """Objective max over [-1,1] of weight * (p or |p|), p(1) = 1 fixed."""
+class ProblemSpec:
+    """One row of PROBLEMS.
 
+    The objective is weight * |p|, or weight * p under positivity (p >= 0),
+    where the two agree on the feasible set.  scale maps the optimal value
+    to the smoothness constant of the optimal kernel; exploratory marks the
+    open problems, with no closed-form optimum to check the solution against.
+    """
+
+    weight: WeightKind
+    positivity: bool
+    scale: float
+    exploratory: bool
+
+
+PROBLEMS = {
+    "first-deriv": ProblemSpec(WeightKind.SQRT_ONE_MINUS_X, False, math.sqrt(2.0), False),
+    "laplacian": ProblemSpec(WeightKind.ONE_MINUS_X, False, 2.0, True),
+    "laplacian-nonneg": ProblemSpec(WeightKind.ONE_MINUS_X, True, 2.0, False),
+    "operator": ProblemSpec(WeightKind.STENCIL, False, 1.0, True),
+}
+
+
+@dataclass(frozen=True, eq=False)  # no field-wise ==: the stencil may be an array
+class MinimaxProblem:
+    """The problem ``name`` of PROBLEMS over p of the given degree with
+    p(1) = 1; ``operator`` needs the difference stencil, the others take none."""
+
+    name: str
     degree: int
-    weight_kind: WeightKind
-    positivity: bool = False
-    magnitude_squared: ChebPoly | None = None
+    stencil: np.ndarray | list[float] | None = None
+    magnitude_squared: ChebPoly | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.name not in PROBLEMS:
+            raise ValueError(f"unknown problem {self.name!r}; expected one of {', '.join(PROBLEMS)}")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.weight_kind is WeightKind.GENERAL and self.magnitude_squared is None:
-            raise ValueError("general weight needs magnitude_squared")
+        if self.name == "operator" and self.stencil is None:
+            raise ValueError("operator needs a stencil")
+        if self.name != "operator" and self.stencil is not None:
+            raise ValueError(f"{self.name} takes no stencil")
+        mag = None if self.stencil is None else OperatorSymbol(self.stencil).magnitude_squared_cheb
+        object.__setattr__(self, "magnitude_squared", mag)
+
+    @property
+    def spec(self) -> ProblemSpec:
+        return PROBLEMS[self.name]
 
 
 @dataclass(frozen=True)
 class MinimaxSolution:
+    """An iterate of solve: p (``coeffs``) at the LP level ``value``, the
+    smoothness constant scale * value and the kernel whose symbol is p."""
+
     coeffs: ChebPoly
     value: float
+    constant: float
+    kernel: DiscreteKernel
     active_points: list[float]
     iterations: int
     certificate_gap: float
@@ -120,10 +153,10 @@ class Stalled(RuntimeError):
 
 
 def _weight_values(problem: MinimaxProblem, xs: np.ndarray) -> np.ndarray:
-    kind = problem.weight_kind
-    if kind in (WeightKind.ONE_MINUS_X_TIMES_ABS, WeightKind.ONE_MINUS_X_SIGNED_NONNEG):
+    weight = problem.spec.weight
+    if weight is WeightKind.ONE_MINUS_X:
         return 1.0 - xs
-    if kind is WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS:
+    if weight is WeightKind.SQRT_ONE_MINUS_X:
         return np.sqrt(np.clip(1.0 - xs, 0.0, None))
     return np.sqrt(np.clip(npcheb.chebval(xs, problem.magnitude_squared.coeffs), 0.0, None))
 
@@ -131,7 +164,7 @@ def _weight_values(problem: MinimaxProblem, xs: np.ndarray) -> np.ndarray:
 def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> np.ndarray:
     vals = npcheb.chebval(xs, p.coeffs)
     w = _weight_values(problem, xs)
-    if problem.weight_kind in _SIGNED_KINDS:
+    if problem.spec.positivity:
         return w * vals
     return w * np.abs(vals)
 
@@ -140,10 +173,10 @@ def _objective_candidates(problem: MinimaxProblem, p: ChebPoly) -> np.ndarray:
     """Points holding every local maximum of the weighted objective: the
     extreme points of (1-x)p, or of the squared objective for the sqrt
     weights, from one extrema pass."""
-    kind = problem.weight_kind
-    if kind in (WeightKind.ONE_MINUS_X_TIMES_ABS, WeightKind.ONE_MINUS_X_SIGNED_NONNEG):
+    weight = problem.spec.weight
+    if weight is WeightKind.ONE_MINUS_X:
         return extreme_points(mul_one_minus_x(p))
-    if kind is WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS:
+    if weight is WeightKind.SQRT_ONE_MINUS_X:
         return extreme_points(mul_one_minus_x(cheb_mul(p, p)))
     return extreme_points(cheb_mul(problem.magnitude_squared, cheb_mul(p, p)))
 
@@ -173,12 +206,12 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
 
     rows = [np.hstack([w[:, None] * basis, -np.ones((xs.size, 1))])]
     rhs = [shift - w]
-    if problem.weight_kind not in _SIGNED_KINDS:
-        rows.append(np.hstack([-w[:, None] * basis, -np.ones((xs.size, 1))]))
-        rhs.append(shift + w)
-    if problem.positivity:
+    if problem.spec.positivity:  # p >= 0 rows; the objective is signed, no lower row
         rows.append(np.hstack([-basis, np.zeros((xs.size, 1))]))
         rhs.append(np.ones(xs.size))
+    else:
+        rows.append(np.hstack([-w[:, None] * basis, -np.ones((xs.size, 1))]))
+        rhs.append(shift + w)
 
     G = np.vstack(rows)
     h = np.concatenate(rhs)
@@ -197,7 +230,7 @@ def _band(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray, level: float) ->
     and under positivity p within _ACTIVE_TOL of zero."""
     phi = _objective_values(problem, p, xs)
     keep = (phi >= level - _ACTIVE_TOL * max(1.0, level)) | (phi <= _ACTIVE_TOL)
-    if problem.positivity:
+    if problem.spec.positivity:
         keep |= npcheb.chebval(xs, p.coeffs) <= _ACTIVE_TOL
     return keep
 
@@ -213,12 +246,14 @@ def _solution(problem, level, p, xs, gap, trace, converged) -> MinimaxSolution:
     return MinimaxSolution(
         coeffs=p,
         value=level,
+        constant=problem.spec.scale * level,
+        kernel=kernel_from_symbol(p),
         active_points=merged,
         iterations=len(trace),
         certificate_gap=gap,
         trace=trace,
         converged=converged,
-        exploratory=problem.weight_kind in _EXPLORATORY_KINDS,
+        exploratory=problem.spec.exploratory,
     )
 
 
@@ -237,8 +272,8 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     bound on the true optimal value; certificate_gap is the final round's
     max(0, continuum max - level, -min p).
 
-    Solutions of the open problems (the absolute (1 - x) objective without
-    positivity, and general stencils) are marked exploratory.
+    Solutions of the open problems (``laplacian`` and ``operator``) are
+    marked exploratory.
 
     Raises Stalled with the last audited iterate when no violator lies
     farther than 1e-13 from the active set, when _MAX_ROUNDS pass, or when
@@ -262,7 +297,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         obj_viol = cont_max - level
         cuts = _peaks_above(cands, phi, level + tol)
         pos_viol = -math.inf
-        if problem.positivity:
+        if problem.spec.positivity:
             cands = extreme_points(p)
             neg_p = -npcheb.chebval(cands, p.coeffs)
             pos_viol = float(np.max(neg_p))
@@ -288,43 +323,3 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         xs = np.union1d(xs[_band(problem, p, xs, level)], cuts)
     raise Stalled(_solution(problem, *best, trace, converged=False))
 
-
-def recover_first_deriv_extremal(n: int, tol: float = 1e-9):
-    """Optimal kernel for the first-difference constant at radius n.
-
-    Solves the absolute sqrt(1-x) problem at degree n and maps the symbol
-    back to a kernel; the reported value carries the sqrt(2) scaling of
-    M(u), so the expected outcome is the box kernel at value 2/(2n+1).
-    """
-    problem = MinimaxProblem(n, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS)
-    sol = solve(problem, tol)
-    return kernel_from_symbol(sol.coeffs), math.sqrt(2.0) * sol.value
-
-
-def recover_laplacian_extremal(n: int, nonneg_constraint: bool = True, tol: float = 1e-9):
-    """Optimal kernel for the second-difference constant at radius n.
-
-    With the nonnegative-transform constraint the answer is the triangle
-    kernel at value 4/(n+1)^2.  Without it the positivity constraint is
-    dropped (an open problem); the LP result is reported with
-    equioscillation diagnostics and no claimed closed form.
-    """
-    if nonneg_constraint:
-        problem = MinimaxProblem(n, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True)
-    else:
-        problem = MinimaxProblem(n, WeightKind.ONE_MINUS_X_TIMES_ABS)
-    sol = solve(problem, tol)
-    return kernel_from_symbol(sol.coeffs), 2.0 * sol.value
-
-
-def explore_operator(n: int, stencil, tol: float = 1e-9) -> MinimaxSolution:
-    """Minimax kernel search for a general difference stencil (exploratory).
-
-    Minimizes max sqrt(|s|^2(x)) |p(x)| over p(1) = 1 of degree <= n; no
-    optimality is claimed beyond the audited equioscillation structure.
-    """
-    op = OperatorSymbol(np.asarray(stencil, dtype=float))
-    problem = MinimaxProblem(
-        n, WeightKind.GENERAL, magnitude_squared=op.magnitude_squared_cheb
-    )
-    return solve(problem, tol)

@@ -31,11 +31,7 @@ from smoothavg.continuum import (
     triangle_profile,
 )
 from smoothavg.kernel import box_kernel, fourier_symbol, triangle_kernel
-from smoothavg.minimax import (
-    explore_operator,
-    recover_first_deriv_extremal,
-    recover_laplacian_extremal,
-)
+from smoothavg.minimax import MinimaxProblem, solve
 from smoothavg.smoothness import (
     GRAD_STENCIL,
     LAPLACIAN_STENCIL,
@@ -131,12 +127,14 @@ class TestCriterion4MinimaxRecovery:
         worst_coeff = worst_val = slowest = 0.0
         for n in range(0, 11):
             t0 = time.time()
-            u, val = recover_first_deriv_extremal(n, 1e-9)
+            sol = solve(MinimaxProblem("first-deriv", n), 1e-9)
+            u, val = sol.kernel, sol.constant
             slowest = max(slowest, time.time() - t0)
             worst_coeff = max(worst_coeff, float(np.max(np.abs(u.half - box_kernel(n).half))))
             worst_val = max(worst_val, abs(val - 2 / (2 * n + 1)))
             t0 = time.time()
-            u, val = recover_laplacian_extremal(n, True, 1e-9)
+            sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
+            u, val = sol.kernel, sol.constant
             slowest = max(slowest, time.time() - t0)
             worst_coeff = max(worst_coeff, float(np.max(np.abs(u.half - triangle_kernel(n).half))))
             worst_val = max(worst_val, abs(val - 4 / (n + 1) ** 2))
@@ -258,8 +256,9 @@ class TestCriterion9ExploratoryMode:
         # the unconstrained second-difference problem and general stencils
         # are exercised in exploratory mode; outputs are recorded (below)
         # without asserting any closed form, which is not available
-        u, val = recover_laplacian_extremal(4, False, 1e-9)
-        sol = explore_operator(4, [-1.0, 3.0, -3.0, 1.0], 1e-9)
+        lap = solve(MinimaxProblem("laplacian", 4), 1e-9)
+        u, val = lap.kernel, lap.constant
+        sol = solve(MinimaxProblem("operator", 4, [-1.0, 3.0, -3.0, 1.0]), 1e-9)
         recorded = {
             "laplacian_unconstrained_n4": {"value": val, "half": u.half.tolist()},
             "third_difference_n4": {

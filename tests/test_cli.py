@@ -72,6 +72,15 @@ class TestGenerateAnalyze:
         assert data["operator"]["stencil"] == [-1.0, 3.0, -3.0, 1.0]
         assert data["operator"]["constant"] > 0
 
+    def test_zero_stencil_exit2(self, tmp_path, capsys):
+        kfile = tmp_path / "box.json"
+        write_kernel_file(kfile, box_kernel(2))
+        assert run(["analyze", kfile, "--operator=0,0"]) == 2
+        assert run(["optimize", "operator", "--stencil=0,-0", "-n", 3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("all stencil taps are zero") == 2
+
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         kfile = tmp_path / "box.json"
         write_kernel_file(kfile, box_kernel(3))
@@ -121,6 +130,20 @@ class TestOptimize:
         assert data["problem"]["exploratory"] is exploratory
         assert data["solution"]["exploratory"] is exploratory
 
+    @pytest.mark.parametrize("argv, name, stencil", [
+        (["first-deriv"], "first-deriv", None),
+        (["laplacian", "--nonneg"], "laplacian-nonneg", None),
+        (["laplacian"], "laplacian", None),
+        (["operator", "--stencil", "1,-2,1"], "operator", [1.0, -2.0, 1.0]),
+    ], ids=["first-deriv", "laplacian-nonneg", "laplacian", "operator"])
+    def test_report_matches_library(self, tmp_path, argv, name, stencil):
+        out = tmp_path / "sol.json"
+        assert run(["optimize", *argv, "-n", 4, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        sol = mm.solve(mm.MinimaxProblem(name, 4, stencil))
+        assert data["value"] == sol.constant
+        assert data["kernel"]["half"] == sol.kernel.half.tolist()
+
     def test_operator_needs_stencil(self):
         assert run(["optimize", "operator", "-n", 3]) == 2
 
@@ -169,8 +192,12 @@ class TestVerify:
         assert run(["verify", "all", "--n-max", 4]) == 0
         assert "not ok" not in capsys.readouterr().out
 
-    def test_n_max_cap(self):
-        assert run(["verify", "thm1", "--n-max", 31]) == 2
+    def test_n_max_cap(self, capsys):
+        for n_max in (-1, 31):
+            assert run(["verify", "thm1", "--n-max", n_max]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "n-max must lie in [0, 30]" in captured.err
 
 
 class TestSmooth:
@@ -234,6 +261,16 @@ class TestSmooth:
         src = tmp_path / "in.csv"
         src.write_text("1.0\n2.0\n3.0\n")
         assert run(["smooth", src, tmp_path / "out.csv", "--box", 2]) == 2
+
+    @pytest.mark.parametrize("flag", ["--box", "--triangle"])
+    @pytest.mark.parametrize("radius", [-1, 65])
+    def test_radius_cap(self, tmp_path, capsys, flag, radius):
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        src.write_text("".join("1.0\n" for _ in range(200)))
+        assert run(["smooth", src, dst, flag, radius]) == 2
+        assert "n must lie in [0, 64]" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_kernel_source_required(self, tmp_path):
         src = tmp_path / "in.csv"

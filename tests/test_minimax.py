@@ -9,18 +9,15 @@ from numpy.polynomial import chebyshev as npcheb
 import smoothavg.minimax as mm
 from smoothavg.chebyshev import cheb_eval, make_g, make_h
 from smoothavg.cli import N_CAP
-from smoothavg.kernel import box_kernel, triangle_kernel
+from smoothavg.kernel import box_kernel, kernel_from_symbol, triangle_kernel
 from smoothavg.minimax import (
+    PROBLEMS,
     MinimaxProblem,
     MinimaxSolution,
     Stalled,
     WeightKind,
-    explore_operator,
-    recover_first_deriv_extremal,
-    recover_laplacian_extremal,
     solve,
 )
-from smoothavg.smoothness import OperatorSymbol
 
 
 def pad_to(coeffs, length):
@@ -29,9 +26,38 @@ def pad_to(coeffs, length):
     return out
 
 
+def recover(name, n, stencil=None):
+    """The optimal kernel and the smoothness constant of a named problem."""
+    sol = solve(MinimaxProblem(name, n, stencil), 1e-9)
+    return sol.kernel, sol.constant
+
+
+class TestProblemTable:
+    @pytest.mark.parametrize("args,match", [
+        (("second-deriv", 3), "unknown problem"),
+        (("laplacian", 3, [1.0, -2.0, 1.0]), "takes no stencil"),
+        (("operator", 3), "needs a stencil"),
+        (("operator", 3, [0.0, 0.0]), "taps are zero"),
+        (("first-deriv", -1), "nonnegative"),
+    ], ids=["unknown-name", "stencil-on-laplacian", "operator-without-stencil",
+            "zero-stencil", "negative-degree"])
+    def test_rejects(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            MinimaxProblem(*args)
+
+    @pytest.mark.parametrize("name,stencil", [
+        ("first-deriv", None), ("laplacian", None), ("laplacian-nonneg", None),
+        ("operator", [-1.0, 3.0, -3.0, 1.0]),
+    ])
+    def test_solution_carries_constant_and_kernel(self, name, stencil):
+        sol = solve(MinimaxProblem(name, 4, stencil), 1e-9)
+        assert sol.constant == PROBLEMS[name].scale * sol.value
+        np.testing.assert_array_equal(sol.kernel.half, kernel_from_symbol(sol.coeffs).half)
+
+
 class TestSolveNamedProblems:
     def test_signed_degree4_recovers_g4(self):
-        prob = MinimaxProblem(4, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True)
+        prob = MinimaxProblem("laplacian-nonneg", 4)
         sol = solve(prob, 1e-9)
         assert sol.converged
         assert sol.value == pytest.approx(2 / 25, abs=1e-9)
@@ -39,31 +65,31 @@ class TestSolveNamedProblems:
         np.testing.assert_allclose(got, make_g(4).coeffs, atol=1e-7)
 
     def test_abs_degree3_recovers_h3(self):
-        prob = MinimaxProblem(3, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS)
+        prob = MinimaxProblem("first-deriv", 3)
         sol = solve(prob, 1e-9)
         assert sol.value**2 == pytest.approx(2 / 49, abs=1e-9)
         got = pad_to(sol.coeffs.coeffs, 4)
         np.testing.assert_allclose(got, make_h(3).coeffs, atol=1e-7)
 
     def test_degree0_signed(self):
-        prob = MinimaxProblem(0, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True)
+        prob = MinimaxProblem("laplacian-nonneg", 0)
         sol = solve(prob, 1e-9)
         assert sol.coeffs.coeffs.tolist() == [1.0]
         assert sol.value == pytest.approx(2.0, abs=1e-12)
 
     def test_normalization_invariant(self):
-        for kind in (WeightKind.ONE_MINUS_X_SIGNED_NONNEG, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS):
-            sol = solve(MinimaxProblem(4, kind, positivity=True), 1e-9)
+        for name in ("laplacian-nonneg", "first-deriv"):
+            sol = solve(MinimaxProblem(name, 4), 1e-9)
             assert cheb_eval(sol.coeffs, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_certificate_gap_within_tol(self):
-        sol = solve(MinimaxProblem(5, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-9)
+        sol = solve(MinimaxProblem("laplacian-nonneg", 5), 1e-9)
         assert sol.certificate_gap <= 1e-9
 
     def test_trace_brackets_value(self):
         # the LP level is a lower bound, the audited continuum max an upper
         # bound; they close to within tol at termination
-        sol = solve(MinimaxProblem(6, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-9)
+        sol = solve(MinimaxProblem("laplacian-nonneg", 6), 1e-9)
         last = sol.trace[-1]
         assert last["continuum_max"] >= last["lp_value"] - 1e-12
         assert last["continuum_max"] - last["lp_value"] <= 1e-9
@@ -73,13 +99,13 @@ class TestSolveNamedProblems:
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            solve(MinimaxProblem(2, WeightKind.ONE_MINUS_X_TIMES_ABS), 0.0)
+            solve(MinimaxProblem("laplacian", 2), 0.0)
 
 
 class TestEquioscillation:
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_signed_active_set_alternates(self, n):
-        sol = solve(MinimaxProblem(n, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-9)
+        sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
         pts = sorted(sol.active_points, reverse=True)  # walk x downward from 1
         assert len(pts) >= n + 2
         values = [(1 - x) * cheb_eval(sol.coeffs, x) for x in pts]
@@ -96,52 +122,52 @@ class TestEquioscillation:
 
 class TestRecovery:
     def test_first_deriv_n1(self):
-        u, val = recover_first_deriv_extremal(1, 1e-9)
+        u, val = recover("first-deriv", 1)
         assert val == pytest.approx(2 / 3, abs=1e-9)
         np.testing.assert_allclose(u.half, box_kernel(1).half, atol=1e-7)
 
     def test_first_deriv_n6(self):
-        u, val = recover_first_deriv_extremal(6, 1e-9)
+        u, val = recover("first-deriv", 6)
         assert val == pytest.approx(2 / 13, abs=1e-8)
         np.testing.assert_allclose(u.half, box_kernel(6).half, atol=1e-6)
 
     def test_first_deriv_n0(self):
-        u, val = recover_first_deriv_extremal(0, 1e-9)
+        u, val = recover("first-deriv", 0)
         assert u.half.tolist() == [1.0]
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_laplacian_n2(self):
-        u, val = recover_laplacian_extremal(2, True, 1e-9)
+        u, val = recover("laplacian-nonneg", 2)
         assert val == pytest.approx(4 / 9, abs=1e-9)
         np.testing.assert_allclose(u.half, triangle_kernel(2).half, atol=1e-7)
 
     def test_laplacian_n5(self):
-        u, val = recover_laplacian_extremal(5, True, 1e-9)
+        u, val = recover("laplacian-nonneg", 5)
         assert val == pytest.approx(1 / 9, abs=1e-8)
         np.testing.assert_allclose(u.half, triangle_kernel(5).half, atol=1e-6)
 
     def test_laplacian_unconstrained_relaxation(self):
         # dropping the positivity constraint cannot increase the optimum
-        _, val = recover_laplacian_extremal(2, False, 1e-9)
+        _, val = recover("laplacian", 2)
         assert val <= 4 / 9 + 1e-9
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_relaxation_monotone_in_n(self, n):
-        _, constrained = recover_laplacian_extremal(n, True, 1e-9)
-        _, relaxed = recover_laplacian_extremal(n, False, 1e-9)
+        _, constrained = recover("laplacian-nonneg", n)
+        _, relaxed = recover("laplacian", n)
         assert relaxed <= constrained + 1e-9
 
 
 class TestExploreOperator:
     def test_grad_stencil_consistency(self):
-        sol = explore_operator(3, [-1.0, 1.0], 1e-9)
-        _, val = recover_first_deriv_extremal(3, 1e-9)
+        sol = solve(MinimaxProblem("operator", 3, [-1.0, 1.0]), 1e-9)
+        _, val = recover("first-deriv", 3)
         assert sol.value == pytest.approx(val, abs=1e-8)
         assert sol.exploratory
 
     def test_laplacian_stencil_consistency(self):
-        sol = explore_operator(3, [1.0, -2.0, 1.0], 1e-9)
-        _, val = recover_laplacian_extremal(3, False, 1e-9)
+        sol = solve(MinimaxProblem("operator", 3, [1.0, -2.0, 1.0]), 1e-9)
+        _, val = recover("laplacian", 3)
         assert sol.value == pytest.approx(val, abs=1e-8)
 
     def test_third_difference_against_nelder_mead(self):
@@ -149,7 +175,7 @@ class TestExploreOperator:
 
         taps = np.array([-1.0, 3.0, -3.0, 1.0])
         n = 4
-        sol = explore_operator(n, taps, 1e-9)
+        sol = solve(MinimaxProblem("operator", n, taps), 1e-9)
         assert len(sol.active_points) >= 2
 
         # independent derivative-free search over kernel space: params are
@@ -183,11 +209,13 @@ class TestStalled:
     def test_stall_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(mm, "_MAX_ROUNDS", 1)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem(6, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS), 1e-13)
+            solve(MinimaxProblem("first-deriv", 6), 1e-13)
         sol = exc.value.solution
         assert isinstance(sol, MinimaxSolution)
         assert not sol.converged
         assert sol.value > 0
+        assert sol.constant == math.sqrt(2.0) * sol.value
+        np.testing.assert_array_equal(sol.kernel.half, kernel_from_symbol(sol.coeffs).half)
 
 
     def test_lp_failure_after_round_one_stalls_with_iterate(self, monkeypatch):
@@ -201,7 +229,7 @@ class TestStalled:
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem(6, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS), 1e-9)
+            solve(MinimaxProblem("first-deriv", 6), 1e-9)
         sol = exc.value.solution
         assert isinstance(exc.value.__cause__, mm.Infeasible)
         assert not sol.converged
@@ -214,15 +242,14 @@ class TestStalled:
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail)
         with pytest.raises(mm.Infeasible):
-            solve(MinimaxProblem(6, WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS), 1e-9)
+            solve(MinimaxProblem("first-deriv", 6), 1e-9)
 
 
 class TestTrace:
-    @pytest.mark.parametrize("kind", [WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS,
-                                      WeightKind.ONE_MINUS_X_TIMES_ABS])
-    def test_rows_carry_lp_size_and_cuts(self, kind):
+    @pytest.mark.parametrize("name", ["first-deriv", "laplacian"])
+    def test_rows_carry_lp_size_and_cuts(self, name):
         n = 12
-        sol = solve(MinimaxProblem(n, kind), 1e-9)
+        sol = solve(MinimaxProblem(name, n), 1e-9)
         assert sol.iterations > 1
         assert all({"lp_rows", "cuts"} <= set(row) for row in sol.trace)
         # start set: the n+2 Chebyshev extreme points, two rows each
@@ -232,7 +259,7 @@ class TestTrace:
 
     def test_signed_rows_count_positivity(self):
         n = 5
-        sol = solve(MinimaxProblem(n, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-9)
+        sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
         assert sol.trace[0]["lp_rows"] == 2 * (n + 2)  # objective row + positivity row
 
 
@@ -250,29 +277,24 @@ FORMER_STENCIL_FAILURES = (
     ("2,-2,2,-2", 10), ("2,-2,3,-3", 10), ("3,-3,2,-2", 10), ("3,-1,-3,1", 15),
 )
 
-THEOREM_KINDS = (
-    (WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS, False),
-    (WeightKind.ONE_MINUS_X_SIGNED_NONNEG, True),
-    (WeightKind.ONE_MINUS_X_TIMES_ABS, False),
-)
+THEOREM_PROBLEMS = ("first-deriv", "laplacian-nonneg", "laplacian")
 
 
 def grid_gap(problem, sol):
     """The sampled certificate: objective over level on 10^5 equispaced points."""
     xs = np.linspace(-1.0, 1.0, 10**5)
     p = npcheb.chebval(xs, sol.coeffs.coeffs)
-    kind = problem.weight_kind
-    if kind is WeightKind.ONE_MINUS_X_SIGNED_NONNEG:
-        phi = (1.0 - xs) * p
-    elif kind is WeightKind.ONE_MINUS_X_TIMES_ABS:
-        phi = (1.0 - xs) * np.abs(p)
-    elif kind is WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS:
-        phi = np.sqrt(np.clip(1.0 - xs, 0.0, None)) * np.abs(p)
+    weight = problem.spec.weight
+    if weight is WeightKind.ONE_MINUS_X:
+        w = 1.0 - xs
+    elif weight is WeightKind.SQRT_ONE_MINUS_X:
+        w = np.sqrt(np.clip(1.0 - xs, 0.0, None))
     else:
         m2 = npcheb.chebval(xs, problem.magnitude_squared.coeffs)
-        phi = np.sqrt(np.clip(m2, 0.0, None)) * np.abs(p)
+        w = np.sqrt(np.clip(m2, 0.0, None))
+    phi = w * p if problem.spec.positivity else w * np.abs(p)
     viol = float(np.max(phi)) - sol.value
-    if problem.positivity:
+    if problem.spec.positivity:
         viol = max(viol, -float(np.min(p)))
     return max(0.0, viol)
 
@@ -280,39 +302,38 @@ def grid_gap(problem, sol):
 @pytest.fixture(scope="module")
 def theorem_sweep():
     return {
-        (kind, n): (problem, solve(problem, 1e-9))
-        for kind, positivity in THEOREM_KINDS
+        (name, n): (problem, solve(problem, 1e-9))
+        for name in THEOREM_PROBLEMS
         for n in range(N_CAP + 1)
-        for problem in [MinimaxProblem(n, kind, positivity=positivity)]
+        for problem in [MinimaxProblem(name, n)]
     }
 
 
 class TestSweep:
     def test_every_n_converges(self, theorem_sweep):
         assert len(theorem_sweep) == 3 * (N_CAP + 1)
-        for (kind, n), (_, sol) in theorem_sweep.items():
-            assert sol.converged, (kind, n)
-            assert sol.certificate_gap <= 1e-9, (kind, n)
+        for (name, n), (_, sol) in theorem_sweep.items():
+            assert sol.converged, (name, n)
+            assert sol.certificate_gap <= 1e-9, (name, n)
 
     def test_box_and_triangle_values(self, theorem_sweep):
         for n in range(N_CAP + 1):
-            _, box = theorem_sweep[WeightKind.SQRT_ONE_MINUS_X_TIMES_ABS, n]
-            _, tri = theorem_sweep[WeightKind.ONE_MINUS_X_SIGNED_NONNEG, n]
+            _, box = theorem_sweep["first-deriv", n]
+            _, tri = theorem_sweep["laplacian-nonneg", n]
             assert abs(math.sqrt(2.0) * box.value - 2 / (2 * n + 1)) <= 1e-8, n
             assert abs(2.0 * tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
 
     def test_certificate_never_below_grid_audit(self, theorem_sweep):
-        for (kind, n), (problem, sol) in theorem_sweep.items():
-            assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15, (kind, n)
+        for (name, n), (problem, sol) in theorem_sweep.items():
+            assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15, (name, n)
 
     @pytest.mark.parametrize("stencil,n", FORMER_STENCIL_FAILURES)
     def test_former_stencil_failures_converge(self, stencil, n):
         taps = [float(t) for t in stencil.split(",")]
-        sol = explore_operator(n, taps, 1e-9)
+        problem = MinimaxProblem("operator", n, taps)
+        sol = solve(problem, 1e-9)
         assert sol.converged
         assert sol.certificate_gap <= 1e-9
-        problem = MinimaxProblem(n, WeightKind.GENERAL,
-                                 magnitude_squared=OperatorSymbol(np.asarray(taps)).magnitude_squared_cheb)
         assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15
 
 
@@ -320,7 +341,7 @@ class TestSerialization:
     def test_to_dict_round_trips_json(self):
         import json
 
-        sol = solve(MinimaxProblem(2, WeightKind.ONE_MINUS_X_SIGNED_NONNEG, positivity=True), 1e-9)
+        sol = solve(MinimaxProblem("laplacian-nonneg", 2), 1e-9)
         text = json.dumps(sol.to_dict())
         data = json.loads(text)
         assert data["converged"] is True
