@@ -179,6 +179,10 @@ def cmd_generate(args) -> int:
 
 def cmd_optimize(args) -> int:
     _check_args([args.output], n=args.n, tol=args.tol)
+    if args.stencil and args.problem != "operator":
+        raise ValueError("--stencil applies only to optimize operator")
+    if args.nonneg and args.problem != "laplacian":
+        raise ValueError("--nonneg applies only to optimize laplacian")
     stencil = None
     if args.problem == "operator":
         if not args.stencil:

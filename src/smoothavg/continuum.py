@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "PerturbationFunction",
@@ -50,10 +49,6 @@ _LEVELS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 # scans multiply transforms by xi^2 up to ~1e6, so the target sits just
 # above the summation roundoff floor
 _QUAD_TOL = 2e-14
-# (frequency, node) pairs per transform block: each double-double phase
-# temporary (256 KB) stays in cache; 2^15 ran the quadrature sweep of J
-# about 2x faster than 2^19 on a 2-vCPU Xeon with 2 MB of L2 per core
-_BLOCK_PAIRS = 1 << 15
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -69,21 +64,35 @@ class TailEstimateWarning(UserWarning):
 
 def _gl_nodes(level: int):
     if level not in _GL_CACHE:
-        x, w = roots_legendre(level)
-        _GL_CACHE[level] = (x, w)
+        from scipy.special import roots_legendre
+
+        _GL_CACHE[level] = roots_legendre(level)
     return _GL_CACHE[level]
 
 
-def _node_doubling(value_at, start: int = _LEVELS[0], floor: float = 0.0) -> float:
-    """value_at(level) over the doubling levels from ``start`` until two
-    successive values agree to _QUAD_TOL (relative) or ``floor``."""
-    prev = None
-    for level in _LEVELS[_LEVELS.index(start):]:
-        val = value_at(level)
-        if prev is not None and abs(val - prev) <= max(_QUAD_TOL * max(1.0, abs(val)), floor):
-            return val
-        prev = val
-    return prev
+def _node_doubling(value_at, start: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Node doubling for a row of items, one ``value_at`` call per level.
+
+    Item i runs over the doubling levels from start[i] until two
+    successive values agree to _QUAD_TOL (relative) or floor[i], and
+    keeps the value where they first agree, or the last level's.
+    value_at(level, lo, hi) gives items lo..hi-1 at ``level``: the run
+    from the first unconverged item to the last one that has started.
+    """
+    value = np.full(start.shape, np.nan)
+    done = np.zeros(start.shape, dtype=bool)
+    for level in _LEVELS:
+        fresh = (start <= level) & ~done
+        run = np.flatnonzero(fresh)
+        if run.size == 0:
+            continue
+        lo, hi = run[0], run[-1] + 1
+        val = value_at(level, lo, hi)
+        fresh = fresh[lo:hi]
+        tol = np.maximum(_QUAD_TOL * np.maximum(1.0, np.abs(val)), floor[lo:hi])
+        done[lo:hi] |= fresh & (np.abs(val - value[lo:hi]) <= tol)
+        value[lo:hi][fresh] = val[fresh]
+    return value
 
 
 class PerturbationFunction:
@@ -139,11 +148,11 @@ class PerturbationFunction:
     def integrate_half(self, weight=None) -> float:
         """integral over [0, 1] of f(x) * weight(x), node-doubling to _QUAD_TOL."""
 
-        def value_at(level):
+        def value_at(level, lo, hi):
             x, w, fx = self.samples(level)
-            return float(np.dot(w, fx if weight is None else fx * weight(x)))
+            return np.array([np.dot(w, fx if weight is None else fx * weight(x))])
 
-        return _node_doubling(value_at)
+        return float(_node_doubling(value_at, np.array([_LEVELS[0]]), np.zeros(1))[0])
 
 
 def triangle_profile() -> PerturbationFunction:
@@ -234,17 +243,16 @@ def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> 
     return PerturbationFunction(half, set(base.breakpoints) | set(f.breakpoints), linear_table=table)
 
 
-def _fourier_start_level(f: PerturbationFunction, xi: float) -> int:
+def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
+    """The first doubling level for each frequency of ``xis``."""
     # a table's closed form is exact at every level: one evaluation suffices
     if f.linear_table is not None:
-        return _LEVELS[-1]
+        return np.full(np.shape(xis), _LEVELS[-1])
     # 1.3x the oscillation count: levels that barely resolve the phase
     # leave ~1e-14 truncation, which the xi^2 weighting then amplifies
-    need = 1.3 * _PI * abs(xi) * f.max_panel_width + 48.0
-    for level in _LEVELS:
-        if level >= need:
-            return level
-    return _LEVELS[-1]
+    need = 1.3 * _PI * np.abs(xis) * f.max_panel_width + 48.0
+    levels = np.array(_LEVELS)
+    return levels[np.minimum(np.searchsorted(levels, need), levels.size - 1)]
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
@@ -290,51 +298,49 @@ def _hat_piecewise_linear(knots: np.ndarray, values: np.ndarray, xi: np.ndarray)
     return np.where(tiny[:, 0], mass, 2.0 * np.sum(upper - lower, axis=1))
 
 
-def _hat(f: PerturbationFunction, xis: np.ndarray, level: int) -> np.ndarray:
-    """fhat at every frequency of ``xis``, in blocks of _BLOCK_PAIRS pairs.
+def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) -> np.ndarray:
+    """fhat on the uniform grid xi0 + k h, k < count.
 
     Piecewise-linear profiles use the exact segment closed form (``level``
     is then unused); otherwise Gauss-Legendre with ``level`` nodes per
-    panel.  Both carry the phase in double-double.
+    panel.  The quadrature factorises the phase: with k = q m + r,
+    e^{2 pi i xi_k x} = e^{2 pi i (xi0 + q m h) x} e^{2 pi i r h x}, so
+    about 2 sqrt(count) double-double phase rows and the real part of one
+    complex matrix product (two real ones) give every frequency.
     """
-    xis = np.asarray(xis, dtype=float)
     if f.linear_table is not None:
         knots, values = f.linear_table
+        return _hat_piecewise_linear(knots, values, (xi0 + h * np.arange(count))[:, None])
+    x, w, fx = f.samples(level)
+    m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
+    sin_a, cos_a = _sincos_2pi_prod(xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
+    sin_b, cos_b = _sincos_2pi_prod(h * np.arange(m)[:, None], x)
+    wf = w * fx
+    return 2.0 * (cos_a @ (wf * cos_b).T - sin_a @ (wf * sin_b).T).ravel()[:count]
 
-        def block_hat(xi):
-            return _hat_piecewise_linear(knots, values, xi)
 
-        width = knots.size
-    else:
-        x, w, fx = f.samples(level)
-        weighted = w * fx
-
-        def block_hat(xi):
-            return 2.0 * (_sincos_2pi_prod(xi, x)[1] @ weighted)
-
-        width = x.size
-    out = np.empty(xis.size)
-    step = max(1, _BLOCK_PAIRS // width)
-    for i in range(0, xis.size, step):
-        out[i : i + step] = block_hat(xis[i : i + step, None])
-    return out
+def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:
+    """fhat on the uniform grid xi0 + k h, k < count, node-doubled per
+    frequency from a level high enough to resolve its oscillation until
+    two levels agree; each level is one ``_hat`` call."""
+    xis = xi0 + h * np.arange(count)
+    # O(eps) rounding of node positions perturbs the oscillatory integrand
+    # by O(eps * xi), an irreducible quadrature noise floor
+    return _node_doubling(
+        lambda level, lo, hi: _hat(f, xis[lo], h, hi - lo, level),
+        _fourier_start_level(f, xis),
+        1e-15 * (1.0 + np.abs(xis)),
+    )
 
 
 def ct_fourier(f: PerturbationFunction, xi: float) -> float:
     """fhat(xi) = integral of f(x) e^{-2 pi i xi x} dx = 2 int_0^1 f cos(2 pi xi x).
 
-    Real-valued because f is even.  Nodes double from a level high enough
-    to resolve the oscillation until two levels agree; piecewise-linear
-    profiles take one evaluation of their closed form.
+    Real-valued because f is even.  The one-frequency case of the
+    node-doubled transform; piecewise-linear profiles take one evaluation
+    of their closed form.
     """
-    xi = float(xi)
-    # O(eps) rounding of node positions perturbs the oscillatory integrand
-    # by O(eps * xi), an irreducible quadrature noise floor
-    return _node_doubling(
-        lambda level: float(_hat(f, [xi], level)[0]),
-        start=_fourier_start_level(f, xi),
-        floor=1e-15 * (1.0 + abs(xi)),
-    )
+    return float(_transform(f, float(xi), 1.0, 1)[0])
 
 
 def triangle_hat(xi) -> float:
@@ -401,7 +407,8 @@ def j_functional(u: PerturbationFunction, xi_cutoff: float = 60.0, grid: int | N
     second_moment = 2.0 * abs_u.integrate_half(weight=lambda x: x * x)
 
     xis = np.linspace(0.0, xi_cutoff, grid)
-    sweep = np.abs(_hat(u, xis, _fourier_start_level(u, xi_cutoff))) * xis**2
+    level = int(_fourier_start_level(u, xi_cutoff))
+    sweep = np.abs(_hat(u, 0.0, xi_cutoff / (grid - 1), grid, level)) * xis**2
     # near-ties (the triangle peaks equally at every half-integer) resolve
     # to the smallest frequency rather than to amplified roundoff far out
     peak = float(np.max(sweep))
@@ -433,14 +440,9 @@ def gamma_half_integer(f: PerturbationFunction, n_max: int) -> tuple[float, floa
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    best = -math.inf
-    last = 0.0
-    for n in range(0, n_max + 1):
-        xi = n + 0.5
-        last = ct_fourier(f, xi) * xi * xi
-        if last > best:
-            best = last
-    return best, last
+    xis = np.arange(n_max + 1) + 0.5
+    terms = _transform(f, 0.5, 1.0, n_max + 1) * xis * xis
+    return float(np.max(terms)), float(terms[-1])
 
 
 def _slope_gamma(f: PerturbationFunction, n_max: int) -> float:
@@ -513,9 +515,7 @@ def prop8_sides(f: PerturbationFunction, n_max: int = 1000) -> Prop8Sides:
     error.  Equality holds exactly for multiples of the triangle.
     """
     lhs, _ = gamma_half_integer(f, n_max)
-    min_hat = math.inf
-    for n in range(1, n_max + 1):
-        min_hat = min(min_hat, ct_fourier(f, float(n)))
+    min_hat = float(np.min(_transform(f, 1.0, 1.0, n_max)))
     return Prop8Sides(lhs, _prop8_rhs(f), min_hat)
 
 

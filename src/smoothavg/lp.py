@@ -19,7 +19,6 @@ interior-point method; Infeasible is raised only when both have failed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["Infeasible", "solve_origin_feasible"]
 
@@ -27,6 +26,14 @@ __all__ = ["Infeasible", "solve_origin_feasible"]
 class Infeasible(RuntimeError):
     """The LP could not be solved; for the minimax constraints this
     signals a solver bug rather than genuine infeasibility."""
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP: scipy.optimize is
+    the package's slowest import and only the minimax solver needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def solve_origin_feasible(cost, G, h):

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothavg
 import smoothavg.minimax as mm
 from smoothavg.cli import main
 from smoothavg.kernel import box_kernel, triangle_kernel, write_kernel_file
@@ -146,6 +151,19 @@ class TestOptimize:
 
     def test_operator_needs_stencil(self):
         assert run(["optimize", "operator", "-n", 3]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["first-deriv", "--stencil=1,-1"], "--stencil"),
+        (["laplacian", "--stencil=1,-1"], "--stencil"),
+        (["operator", "--nonneg", "--stencil=1,-1"], "--nonneg"),
+        (["first-deriv", "--nonneg"], "--nonneg"),
+    ], ids=["first-deriv-stencil", "laplacian-stencil", "operator-nonneg", "first-deriv-nonneg"])
+    def test_inapplicable_flag_exit2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "sol.json"
+        assert run(["optimize", *argv, "-n", 3, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(flag) and err.count("\n") == 1
+        assert not out.exists()
 
     def test_tol_range(self):
         assert run(["optimize", "first-deriv", "-n", 3, "--tol", "1"]) == 2
@@ -306,3 +324,14 @@ class TestContinuum:
 
     def test_source_required(self):
         assert run(["continuum"]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize and scipy.special load on the first LP or quadrature,
+    # so commands that need neither start without them
+    code = ("import smoothavg.cli, sys; "
+            "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

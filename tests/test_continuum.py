@@ -328,8 +328,9 @@ class TestOneTransformPath:
     def test_closed_form_matches_quadrature(self):
         table = profile_from_table(*self.TABLE)
         quad = self.without_table(table)
-        xis = np.linspace(0.1, 60.0, 150)
-        closed = continuum._hat(table, xis, 64)  # the level is unused by a table
+        xi0, h, count = 0.1, (60.0 - 0.1) / 149, 150  # the grid of np.linspace(0.1, 60.0, 150)
+        xis = xi0 + h * np.arange(count)
+        closed = continuum._hat(table, xi0, h, count, 64)  # the level is unused by a table
         numeric = np.array([ct_fourier(quad, xi) for xi in xis])
         assert np.max(np.abs(closed - numeric) * xis**2) <= 1e-10
 
@@ -345,17 +346,125 @@ class TestOneTransformPath:
         # every scan up to n_max ends at xi = n_max + 1/2, and nothing else
         # in the report samples the perturbation's transform there
         n_max = 100
-        last_terms = []
-        inner = continuum.ct_fourier
+        f = half_triangle_profile()
+        covering = []
+        inner = continuum._hat
 
-        def counting(f, xi):
-            if xi == n_max + 0.5:
-                last_terms.append(xi)
-            return inner(f, xi)
+        def counting(g, xi0, h, count, level):
+            k = (n_max + 0.5 - xi0) / h
+            if g is f and k == int(k) and 0 <= k < count:
+                covering.append(level)
+            return inner(g, xi0, h, count, level)
 
-        monkeypatch.setattr(continuum, "ct_fourier", counting)
-        perturbation_report(half_triangle_profile(), (1e-2, 1e-3), n_max=n_max)
-        assert len(last_terms) == 1
+        monkeypatch.setattr(continuum, "_hat", counting)
+        perturbation_report(f, (1e-2, 1e-3), n_max=n_max)
+        assert len(covering) == 1
+
+
+class TestLevelBatchedScans:
+    """Each level of a scan is one evaluation over many frequencies, yet
+    every frequency still stops where its own doubling would stop."""
+
+    @staticmethod
+    def one_item(value_at, start, floor):
+        # the per-item doubling loop, kept as the reference
+        prev = None
+        for level in continuum._LEVELS[continuum._LEVELS.index(start):]:
+            val = value_at(level)
+            if prev is not None and abs(val - prev) <= max(
+                    continuum._QUAD_TOL * max(1.0, abs(val)), floor):
+                return val
+            prev = val
+        return prev
+
+    def test_node_doubling_matches_per_item_loop(self):
+        rng = np.random.default_rng(5)
+        levels = continuum._LEVELS
+        count = 300
+        # item i settles (up to noise below its tolerance) from a random level on
+        settle = rng.integers(0, len(levels), count)
+        base = rng.uniform(-2.0, 2.0, count)
+        noise = rng.uniform(-1.0, 1.0, (count, len(levels)))
+        scale = np.where(np.arange(len(levels)) >= settle[:, None], 1e-15, 1e-9)
+        table = base[:, None] + scale * noise
+        start = np.array(levels)[rng.integers(0, len(levels), count)]
+        floor = np.where(rng.random(count) < 0.5, 0.0, 1e-12)
+        runs = []
+
+        def value_at(level, lo, hi):
+            runs.append((level, lo, hi))
+            return table[lo:hi, levels.index(level)]
+
+        batched = continuum._node_doubling(value_at, start, floor)
+        expect = [self.one_item(lambda level, i=i: table[i, levels.index(level)], int(start[i]),
+                                floor[i]) for i in range(count)]
+        assert batched.tolist() == expect
+        assert len(runs) <= len(levels)
+
+    # a table's closed form is bitwise the same; the quadrature sums in
+    # another order, within ct_fourier's noise floor 1e-15 (1 + xi)
+    @pytest.mark.parametrize("make, tol", [
+        (lambda: profile_from_table(*TestOneTransformPath.TABLE), 0.0),
+        (lambda: autoconvolution_profile(lambda t: np.cos(PI * t) ** 2), 1e-15),
+    ], ids=["table", "autoconvolution"])
+    def test_scans_match_per_frequency_transform(self, make, tol):
+        f = make()
+        xis = np.arange(201) + 0.5
+        batched = continuum._transform(f, 0.5, 1.0, xis.size)
+        single = np.array([ct_fourier(f, xi) for xi in xis])
+        assert np.all(np.abs(batched - single) <= tol * (1.0 + xis))
+        terms = batched * xis * xis
+        assert gamma_half_integer(f, 200) == (np.max(terms), terms[-1])
+        ints = np.arange(1.0, 201.0)
+        single = np.array([ct_fourier(f, xi) for xi in ints])
+        assert abs(prop8_sides(f, 200).min_integer_hat - np.min(single)) <= tol * 201.0
+
+
+class TestQuadratureOracle:
+    """The quadrature path against the closed form of an autoconvolution.
+
+    For g = cos^2(pi t) on [-1/2, 1/2], ghat(xi) = sinc(xi)/2 +
+    (sinc(xi - 1) + sinc(xi + 1))/4 with sinc(z) = sin(pi z)/(pi z), and
+    the autoconvolution f = g * g has fhat = ghat^2, evaluated here in
+    40-digit mpmath.
+    """
+
+    @staticmethod
+    def exact(xis):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            def ghat(xi):
+                xi = mpmath.mpf(float(xi))
+                return (mpmath.sincpi(xi) / 2
+                        + (mpmath.sincpi(xi - 1) + mpmath.sincpi(xi + 1)) / 4)
+
+            return np.array([float(ghat(xi) ** 2) for xi in np.atleast_1d(xis)])
+
+    @staticmethod
+    def assert_close(computed, xis):
+        bound = 1e-15 * (1.0 + xis) + 1e-14
+        assert np.all(np.abs(computed - TestQuadratureOracle.exact(xis)) <= bound)
+
+    @pytest.fixture(scope="class")
+    def f(self):
+        return autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
+
+    def test_ct_fourier(self, f):
+        xis = np.array([0.5, 10.5, 500.5, 1000.5])
+        self.assert_close(np.array([ct_fourier(f, xi) for xi in xis]), xis)
+
+    def test_j_functional_sweep(self, f):
+        # the grid and level j_functional sweeps at its defaults
+        grid, cutoff = 15361, 60.0
+        level = int(continuum._fourier_start_level(f, cutoff))
+        sweep = continuum._hat(f, 0.0, cutoff / (grid - 1), grid, level)
+        xis = np.linspace(0.0, cutoff, grid)
+        self.assert_close(sweep[::97], xis[::97])
+
+    def test_half_integer_scan(self, f):
+        n = np.array([0, 10, 500, 1000])
+        scan = continuum._transform(f, 0.5, 1.0, 1001)
+        self.assert_close(scan[n], n + 0.5)
 
 
 class TestPerturbationReport:
