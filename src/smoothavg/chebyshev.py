@@ -43,13 +43,11 @@ __all__ = [
 _CONVERSION_WARN_DEGREE = 32
 _CONVERSION_MAX_DEGREE = 64
 
-# Newton on p' converges quadratically at a simple root of p' but only
-# linearly at a multiple one, and seeds there run to this cap.  Such roots
-# are common here: the triangle's M(u) is the sup of (1-x)g_n^2, whose
-# zeros have order four, and the -1,3,-3,1 stencil's |s|^2 = (2-2x)^3 has
-# a triple zero at x = 1.  All seeds iterate together, so these few seeds
-# set the length, and most of the cost, of an extrema pass.
-_NEWTON_MAX_ITER = 40
+# Eigenvalues of the colleague matrix with |imaginary part| at most this are
+# taken as real.  Only odd-multiplicity roots of p' are extrema, and a real
+# matrix always leaves one exactly real eigenvalue for each of them; the
+# bound only has to keep a nearly real pair of simple roots, split by rounding.
+_REAL_ROOT_TOL = 1e-4
 
 
 class NonMonicPolynomial(ValueError):
@@ -133,62 +131,19 @@ def mul_one_minus_x(p: ChebPoly) -> ChebPoly:
     return ChebPoly(npcheb.chebmul([1.0, -1.0], p.coeffs))
 
 
-def _cheb_points(n_points: int) -> np.ndarray:
-    """n_points Chebyshev extremum points on [-1, 1], ascending, endpoints included."""
-    return np.cos(np.linspace(np.pi, 0.0, n_points))
-
-
 def extreme_points(p: ChebPoly) -> np.ndarray:
-    """Candidate extremum locations of p on [-1, 1].
+    """Candidate extremum locations of p on [-1, 1]: both endpoints and the
+    real roots of p' in [-1, 1], ascending.
 
-    Seeds a dense Chebyshev-point grid of 32*(deg+2) points and refines
-    every interior grid extremum of p by Newton iteration on p' (derivative
-    taken in the Chebyshev basis), confined to the seed's two grid
-    neighbours.  All seeds are refined together in one array-wide pass:
-    each iteration evaluates p' and p'' at every live seed in a single
-    Clenshaw sweep.  A seed leaves the live set when p'' vanishes or a step
-    would leave its bracket (it keeps its current point), when a step is at
-    most 1e-16*max(1, |x|) (it takes that step), or after
-    ``_NEWTON_MAX_ITER`` iterations.  The result holds both endpoints, the
-    refined points and the grid seeds themselves.  It depends on p only up
-    to sign: the points of -p are bitwise the points of p.
+    The roots of p' are the eigenvalues of its colleague matrix
+    (``chebroots``; Trefethen, ATAP ch. 18), and those within
+    ``_REAL_ROOT_TOL`` of the real axis count as real.  Every local extremum
+    of p is among the points.  They depend on p only up to sign: the points
+    of -p are bitwise the points of p.
     """
-    c = p.coeffs
-    if c.size <= 1:
-        return np.array([-1.0, 1.0])
-    xs = _cheb_points(32 * (p.degree + 2))
-    vals = npcheb.chebval(xs, c)
-    dc = npcheb.chebder(c)
-    # p' and p'' as the two columns of one coefficient array; the zero that
-    # pads p'' to the length of p' leaves its Clenshaw values unchanged
-    ddc = npcheb.chebder(dc)
-    d12 = np.zeros((dc.size, 2))
-    d12[:, 0] = dc
-    d12[: ddc.size, 1] = ddc
-
-    interior = np.arange(1, xs.size - 1)
-    is_max = (vals[interior] >= vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
-    is_min = (vals[interior] <= vals[interior - 1]) & (vals[interior] <= vals[interior + 1])
-    seeds = interior[is_max | is_min]
-
-    refined = xs[seeds]
-    live = np.arange(seeds.size)
-    x, lo, hi = refined.copy(), xs[seeds - 1], xs[seeds + 1]
-    for _ in range(_NEWTON_MAX_ITER):
-        if not live.size:
-            break
-        d1, d2 = npcheb.chebval(x, d12)
-        moving = d2 != 0.0
-        step = d1 / np.where(moving, d2, 1.0)
-        x_new = x - step
-        moving &= (lo <= x_new) & (x_new <= hi)
-        refined[live[moving]] = x_new[moving]
-        # x stays in [-1, 1], where the tolerance 1e-16*max(1, |x|) is 1e-16
-        going = moving & (np.abs(step) > 1e-16)
-        live, x, lo, hi = live[going], x_new[going], lo[going], hi[going]
-    # keep grid points too in case Newton walked away from a flat extremum
-    pts = np.concatenate(([-1.0, 1.0], refined, xs[seeds]))
-    return np.clip(pts, -1.0, 1.0)
+    roots = npcheb.chebroots(npcheb.chebder(p.coeffs))
+    real = roots.real[(np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0)]
+    return np.concatenate(([-1.0], real, [1.0]))
 
 
 def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -219,10 +174,9 @@ def signed_min(p: ChebPoly) -> tuple[float, float]:
 def sup_abs(p: ChebPoly) -> tuple[float, float]:
     """(max of |p| on [-1, 1], one maximizer).
 
-    One extrema pass serves both signs.  Its candidates are the Newton
-    refined stationary points, the grid seeds they started from and the
-    endpoints, so the result is never below the best grid seed.  On a tie
-    between the two signs the maximum of p wins.
+    One extrema pass serves both signs: p and |p| are evaluated at the
+    endpoints and the real stationary points of p.  On a tie between the
+    two signs the maximum of p wins.
     """
     xs = extreme_points(p)
     vals = npcheb.chebval(xs, p.coeffs)

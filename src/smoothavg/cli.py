@@ -74,6 +74,9 @@ EXIT_STALL = 4
 
 N_CAP = 64
 VERIFY_N_MAX = 30
+# the half-integer scan transforms n_max + 1 frequencies at once, so its
+# memory grows linearly in n_max; the slope's sup needs at least 50
+CONTINUUM_N_MAX_RANGE = (50, 100_000)
 TOL_RANGE = (1e-14, 1e-2)
 
 
@@ -480,6 +483,10 @@ def cmd_continuum(args) -> int:
     if (args.profile is None) == (args.builtin is None):
         print("exactly one of --profile, --builtin is required", file=sys.stderr)
         return EXIT_INPUT
+    lo, hi = CONTINUUM_N_MAX_RANGE
+    if not lo <= args.n_max <= hi:
+        print(f"n-max must lie in [{lo}, {hi}]", file=sys.stderr)
+        return EXIT_INPUT
     if args.builtin:
         f = triangle_profile() if args.builtin == "triangle" else half_triangle_profile()
     else:
@@ -561,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help='JSON file {"knots": [...], "values": [...]} on [0,1]')
     p.add_argument("--builtin", choices=["triangle", "halftriangle"])
     p.add_argument("--eps", default="1e-2,1e-3", help="comma-separated finite-difference steps")
-    p.add_argument("--n-max", type=int, default=1000, help="half-integer scan cutoff")
+    p.add_argument("--n-max", type=int, default=1000,
+                   help="half-integer scan cutoff, in [%d, %d]" % CONTINUUM_N_MAX_RANGE)
     p.add_argument("-o", "--output", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_continuum)
 

@@ -5,12 +5,13 @@ polynomials with p(1) = 1 by a multi-cut exchange, the Remez multi-point
 exchange (Pachon & Trefethen, BIT 49 (2009)) carried out with a linear
 program so that a positivity constraint fits in too.  The active set starts
 as the degree+2 Chebyshev extreme points.  Each round solves the LP on the
-active set, finds every local maximizer of the objective above the LP level
-(and under positivity every local minimizer of p below zero) in one extrema
-pass per polynomial, drops the active points outside a 1e-6 band of the
-level, and adds all violators at once.  The same pass gives the certified
-continuum maximum, so the reported certificate gap is the sup of the
-objective above the level, not a sampled estimate.
+active set, takes the endpoints and the stationary points of the objective
+(and under positivity of p) in one extrema pass per polynomial, drops the
+active points outside a 1e-6 band of the level, and adds at once every
+candidate where the objective is above the LP level (or p below zero).  The
+same pass gives the certified continuum maximum, so the reported
+certificate gap is the sup of the objective above the level, not a sampled
+estimate.
 
 ``PROBLEMS`` names the four problems; the smoothness constant of the
 optimal kernel is scale * (optimal value):
@@ -171,24 +172,14 @@ def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> n
 
 def _objective_candidates(problem: MinimaxProblem, p: ChebPoly) -> np.ndarray:
     """Points holding every local maximum of the weighted objective: the
-    extreme points of (1-x)p, or of the squared objective for the sqrt
-    weights, from one extrema pass."""
+    endpoints and stationary points of (1-x)p, or of the squared objective
+    for the sqrt weights, from one extrema pass."""
     weight = problem.spec.weight
     if weight is WeightKind.ONE_MINUS_X:
         return extreme_points(mul_one_minus_x(p))
     if weight is WeightKind.SQRT_ONE_MINUS_X:
         return extreme_points(mul_one_minus_x(cheb_mul(p, p)))
     return extreme_points(cheb_mul(problem.magnitude_squared, cheb_mul(p, p)))
-
-
-def _peaks_above(xs: np.ndarray, vals: np.ndarray, floor: float) -> np.ndarray:
-    """Points where vals has a local maximum in x order that exceeds floor;
-    of a run of equal values only the leftmost point counts."""
-    order = np.argsort(xs, kind="stable")
-    xs, vals = xs[order], vals[order]
-    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-    peak = (vals > padded[:-2]) & (vals >= padded[2:]) & (vals > floor)
-    return xs[peak]
 
 
 def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
@@ -263,11 +254,12 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     Starts from the degree+2 Chebyshev extreme points cos(pi j/(degree+1)).
     Each round solves the LP on the active set and makes one extrema pass
     per polynomial (the objective's, and under positivity p's).  The pass
-    gives the certified continuum max and every local maximizer of the
-    objective above level + tol, and under positivity every local minimizer
-    of p below -tol.  The solve stops when neither the objective nor -p
-    exceeds its bound by more than tol; otherwise the active points outside
-    the _ACTIVE_TOL band are dropped and all violators are added at once.
+    gives the certified continuum max, and its candidates (endpoints and
+    stationary points) are the violators: every one where the objective is
+    above level + tol, and under positivity every one where p is below -tol.
+    The solve stops when neither the objective nor -p exceeds its bound by
+    more than tol; otherwise the active points outside the _ACTIVE_TOL band
+    are dropped and all violators are added at once.
     The LP level is a lower bound and the certified continuum max an upper
     bound on the true optimal value; certificate_gap is the final round's
     max(0, continuum max - level, -min p).
@@ -295,13 +287,13 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         phi = _objective_values(problem, p, cands)
         cont_max = float(np.max(phi))
         obj_viol = cont_max - level
-        cuts = _peaks_above(cands, phi, level + tol)
+        cuts = cands[phi > level + tol]
         pos_viol = -math.inf
         if problem.spec.positivity:
             cands = extreme_points(p)
             neg_p = -npcheb.chebval(cands, p.coeffs)
             pos_viol = float(np.max(neg_p))
-            cuts = np.concatenate([cuts, _peaks_above(cands, neg_p, tol)])
+            cuts = np.concatenate([cuts, cands[neg_p > tol]])
         cuts = cuts[np.min(np.abs(cuts[:, None] - xs[None, :]), axis=1) > 1e-13]
         done = obj_viol <= tol and pos_viol <= tol
         trace.append(

@@ -325,6 +325,13 @@ class TestContinuum:
     def test_source_required(self):
         assert run(["continuum"]) == 2
 
+    def test_n_max_range(self, capsys):
+        for n_max in (49, 100_001):
+            assert run(["continuum", "--builtin", "halftriangle", "--n-max", n_max]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "n-max must lie in [50, 100000]" in captured.err
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.optimize and scipy.special load on the first LP or quadrature,

@@ -257,6 +257,21 @@ class TestTrace:
         assert all(row["cuts"] > 0 for row in sol.trace[:-1])
         assert sol.trace[-1]["cuts"] == 0
 
+    def test_first_round_cuts_every_stationary_point_above_level(self):
+        # the stationary points of (1-x)p located by sign changes of its
+        # derivative on a fine grid, independently of the sup engine
+        n = 12
+        problem = MinimaxProblem("laplacian", n)
+        start = np.cos(np.pi * np.arange(n + 2) / (n + 1))
+        level, p, _ = mm._solve_restricted(problem, start)
+        q = npcheb.chebmul([1.0, -1.0], p.coeffs)
+        xs = np.cos(np.linspace(np.pi, 0.0, 200_001))
+        dq = npcheb.chebval(xs, npcheb.chebder(q))
+        turns = xs[:-1][np.sign(dq[:-1]) != np.sign(dq[1:])]
+        above = int(np.sum(np.abs(npcheb.chebval(turns, q)) > level + 1e-9))
+        assert above == 12
+        assert solve(problem, 1e-9).trace[0]["cuts"] == above
+
     def test_signed_rows_count_positivity(self):
         n = 5
         sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
@@ -322,6 +337,11 @@ class TestSweep:
             _, tri = theorem_sweep["laplacian-nonneg", n]
             assert abs(math.sqrt(2.0) * box.value - 2 / (2 * n + 1)) <= 1e-8, n
             assert abs(2.0 * tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
+
+    def test_laplacian_converges_in_four_rounds(self, theorem_sweep):
+        for n in range(N_CAP + 1):
+            _, sol = theorem_sweep["laplacian", n]
+            assert sol.iterations <= 4, n
 
     def test_certificate_never_below_grid_audit(self, theorem_sweep):
         for (name, n), (problem, sol) in theorem_sweep.items():
