@@ -143,16 +143,25 @@ def _parse_stencil(text: str) -> np.ndarray:
         raise ValueError(f"bad stencil {text!r}: {exc}") from exc
 
 
-def cmd_analyze(args) -> int:
-    _check_args([args.kernel, args.output])
+def _read_kernel(args) -> tuple[DiscreteKernel | None, int]:
+    """(kernel, EXIT_OK) for the file args.kernel, or (None, exit code)
+    after printing why the file was rejected."""
     try:
-        u = read_kernel_file(args.kernel, symmetrize=args.symmetrize, renormalize=args.renormalize)
+        return read_kernel_file(args.kernel, symmetrize=args.symmetrize,
+                                renormalize=args.renormalize), EXIT_OK
     except (AsymmetricKernel, NotNormalized) as exc:
         print(f"kernel contract violated: {exc}", file=sys.stderr)
-        return EXIT_KERNEL
+        return None, EXIT_KERNEL
     except (KernelFileError, OSError, ValueError) as exc:
         print(f"cannot read kernel: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return None, EXIT_INPUT
+
+
+def cmd_analyze(args) -> int:
+    _check_args([args.kernel, args.output])
+    u, code = _read_kernel(args)
+    if u is None:
+        return code
 
     flag, witness = has_nonneg_fourier(u)
     payload = {
@@ -423,20 +432,14 @@ def cmd_smooth(args) -> int:
     if sources != 1:
         print("exactly one of --kernel, --box, --triangle is required", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        if args.kernel:
-            u = read_kernel_file(args.kernel, symmetrize=args.symmetrize,
-                                 renormalize=args.renormalize)
-        elif args.box is not None:
-            u = box_kernel(args.box)
-        else:
-            u = triangle_kernel(args.triangle)
-    except (AsymmetricKernel, NotNormalized) as exc:
-        print(f"kernel contract violated: {exc}", file=sys.stderr)
-        return EXIT_KERNEL
-    except (KernelFileError, OSError, ValueError) as exc:
-        print(f"cannot read kernel: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.kernel:
+        u, code = _read_kernel(args)
+        if u is None:
+            return code
+    elif args.box is not None:
+        u = box_kernel(args.box)
+    else:
+        u = triangle_kernel(args.triangle)
 
     try:
         series = _read_series(args.input)

@@ -480,11 +480,16 @@ def finite_diff_slope(f: PerturbationFunction, eps_list=(1e-2, 1e-3)) -> float:
     Richardson-extrapolates the two smallest (first-order model), which
     estimates the same one-sided slope as ``c_f_analytic``.
     """
+    return _finite_diff_slope(f, eps_list, j_functional(triangle_profile()))
+
+
+def _finite_diff_slope(f: PerturbationFunction, eps_list, j0: float) -> float:
+    """finite_diff_slope given j0 = J at the triangle, which a report
+    computes once for its own J0 field."""
     eps = sorted(float(e) for e in eps_list)
     if not eps or eps[0] <= 0 or eps[-1] > 0.1:
         raise ValueError("all eps must lie in (0, 0.1]")
     u0 = triangle_profile()
-    j0 = j_functional(u0)
     slopes = {e: (j_functional(combine(u0, f, e)) - j0) / e for e in eps}
     if len(eps) == 1:
         return slopes[eps[0]]
@@ -578,7 +583,7 @@ def perturbation_report(
     return PerturbationReport(
         J0=j0,
         c_f_analytic=_slope_from_gamma(f, gamma),
-        c_f_numeric=finite_diff_slope(f, eps_list),
+        c_f_numeric=_finite_diff_slope(f, eps_list, j0),
         gamma=gamma,
         prop8_lhs=gamma,
         prop8_rhs=_prop8_rhs(f),

@@ -290,6 +290,18 @@ class TestSmooth:
         assert "n must lie in [0, 64]" in capsys.readouterr().err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("text,code", [('{"full": [0.2, 0.5, 0.3]}', 3), ("{nope", 2)])
+    def test_bad_kernel_file(self, tmp_path, capsys, text, code):
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        kfile = tmp_path / "k.json"
+        src.write_text("".join("1.0\n" for _ in range(20)))
+        kfile.write_text(text)
+        assert run(["smooth", src, dst, "--kernel", kfile]) == code
+        prefix = "kernel contract violated" if code == 3 else "cannot read kernel"
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not dst.exists()
+
     def test_kernel_source_required(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("1.0\n2.0\n3.0\n")

@@ -10,7 +10,7 @@ from smoothavg.lp import Infeasible, solve_origin_feasible
 
 # minimize y1 subject to y0 - y1 <= 1, -y0 - y1 <= 1, y0 <= 2: the unique
 # optimum is y = (0, -1); a stub "infeasible" answer moves y0 by 10, which
-# breaks two rows and defeats the vertex polish
+# breaks two rows and so fails the feasibility check
 COST = np.array([0.0, 1.0])
 G = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 0.0]])
 H = np.array([1.0, 1.0, 2.0])

@@ -292,6 +292,10 @@ FORMER_STENCIL_FAILURES = (
     ("2,-2,2,-2", 10), ("2,-2,3,-3", 10), ("3,-3,2,-2", 10), ("3,-1,-3,1", 15),
 )
 
+# the third difference and its negative at n > 15, above the sizes of the
+# former failures
+LARGE_STENCIL_SOLVES = tuple((s, n) for s in ("-1,3,-3,1", "1,-3,3,-1") for n in (20, 40, 64))
+
 THEOREM_PROBLEMS = ("first-deriv", "laplacian-nonneg", "laplacian")
 
 
@@ -347,7 +351,7 @@ class TestSweep:
         for (name, n), (problem, sol) in theorem_sweep.items():
             assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15, (name, n)
 
-    @pytest.mark.parametrize("stencil,n", FORMER_STENCIL_FAILURES)
+    @pytest.mark.parametrize("stencil,n", FORMER_STENCIL_FAILURES + LARGE_STENCIL_SOLVES)
     def test_former_stencil_failures_converge(self, stencil, n):
         taps = [float(t) for t in stencil.split(",")]
         problem = MinimaxProblem("operator", n, taps)
