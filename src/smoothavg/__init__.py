@@ -43,7 +43,6 @@ from .minimax import (
     PROBLEMS,
     MinimaxProblem,
     MinimaxSolution,
-    WeightKind,
     solve,
 )
 from .continuum import (

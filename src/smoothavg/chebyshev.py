@@ -44,7 +44,7 @@ _CONVERSION_WARN_DEGREE = 32
 _CONVERSION_MAX_DEGREE = 64
 
 # Eigenvalues of the colleague matrix with |imaginary part| at most this are
-# taken as real.  Only odd-multiplicity roots of p' are extrema, and a real
+# taken as real.  Only odd-multiplicity roots of r are extrema, and a real
 # matrix always leaves one exactly real eigenvalue for each of them; the
 # bound only has to keep a nearly real pair of simple roots, split by rounding.
 _REAL_ROOT_TOL = 1e-4
@@ -131,17 +131,25 @@ def mul_one_minus_x(p: ChebPoly) -> ChebPoly:
     return ChebPoly(npcheb.chebmul([1.0, -1.0], p.coeffs))
 
 
-def extreme_points(p: ChebPoly) -> np.ndarray:
-    """Candidate extremum locations of p on [-1, 1]: both endpoints and the
-    real roots of p' in [-1, 1], ascending.
+def extreme_points(p: ChebPoly, weight: ChebPoly | None = None) -> np.ndarray:
+    """Candidate maximizers of sqrt(W) |p| on [-1, 1] for a weight W >= 0
+    there (W = 1 when ``weight`` is None): both endpoints and the real roots
+    in [-1, 1] of r = 2 W p' + W' p, ascending.
 
-    The roots of p' are the eigenvalues of its colleague matrix
-    (``chebroots``; Trefethen, ATAP ch. 18), and those within
-    ``_REAL_ROOT_TOL`` of the real axis count as real.  Every local extremum
-    of p is among the points.  They depend on p only up to sign: the points
-    of -p are bitwise the points of p.
+    r is (W p^2)' / p, so every local maximum of sqrt(W) |p| where p != 0
+    is among the points, and r has degree deg p + deg W - 1, not the
+    2 deg p + deg W - 1 of (W p^2)'.  Without a weight r is p', and the
+    points hold every local extremum of p.  The roots are the eigenvalues of
+    the colleague matrix of r (``chebroots``; Trefethen, ATAP ch. 18), and
+    those within ``_REAL_ROOT_TOL`` of the real axis count as real.  The
+    points depend on p only up to sign: the points of -p are bitwise the
+    points of p.
     """
-    roots = npcheb.chebroots(npcheb.chebder(p.coeffs))
+    r = npcheb.chebder(p.coeffs)
+    if weight is not None:
+        w = weight.coeffs
+        r = npcheb.chebadd(2.0 * npcheb.chebmul(w, r), npcheb.chebmul(npcheb.chebder(w), p.coeffs))
+    roots = npcheb.chebroots(r)
     real = roots.real[(np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0)]
     return np.concatenate(([-1.0], real, [1.0]))
 

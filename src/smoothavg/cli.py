@@ -198,8 +198,7 @@ def cmd_optimize(args) -> int:
     stencil = None
     if args.problem == "operator":
         if not args.stencil:
-            print("operator mode needs --stencil", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("operator mode needs --stencil")
         stencil = _parse_stencil(args.stencil)
     name = "laplacian-nonneg" if args.problem == "laplacian" and args.nonneg else args.problem
     problem = MinimaxProblem(name, args.n, stencil)
@@ -384,8 +383,7 @@ def _suite_prop8(rng) -> list:
 
 def cmd_verify(args) -> int:
     if not 0 <= args.n_max <= VERIFY_N_MAX:
-        print(f"n-max must lie in [0, {VERIFY_N_MAX}]", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"n-max must lie in [0, {VERIFY_N_MAX}]")
     rng = np.random.default_rng(args.seed)
     suites = {
         "thm1": lambda: _suite_thm1(args.n_max, rng),
@@ -430,8 +428,7 @@ def cmd_smooth(args) -> int:
     _check_args([args.input, args.kernel, args.output], n=radius)
     sources = sum(1 for v in (args.kernel, args.box, args.triangle) if v is not None)
     if sources != 1:
-        print("exactly one of --kernel, --box, --triangle is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("exactly one of --kernel, --box, --triangle is required")
     if args.kernel:
         u, code = _read_kernel(args)
         if u is None:
@@ -484,12 +481,10 @@ def cmd_smooth(args) -> int:
 def cmd_continuum(args) -> int:
     _check_args([args.profile, args.output])
     if (args.profile is None) == (args.builtin is None):
-        print("exactly one of --profile, --builtin is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("exactly one of --profile, --builtin is required")
     lo, hi = CONTINUUM_N_MAX_RANGE
     if not lo <= args.n_max <= hi:
-        print(f"n-max must lie in [{lo}, {hi}]", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"n-max must lie in [{lo}, {hi}]")
     if args.builtin:
         f = triangle_profile() if args.builtin == "triangle" else half_triangle_profile()
     else:
@@ -503,8 +498,7 @@ def cmd_continuum(args) -> int:
     try:
         eps = [float(e) for e in args.eps.split(",")]
     except ValueError as exc:
-        print(f"bad eps list: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"bad eps list: {exc}") from exc
     try:
         rep = perturbation_report(f, eps, n_max=args.n_max)
     except (ZeroMass, ValueError) as exc:

@@ -34,6 +34,8 @@ __all__ = [
     "has_nonneg_fourier",
     "convolve",
     "apply_stencil",
+    "GRAD_STENCIL",
+    "LAPLACIAN_STENCIL",
     "grad",
     "laplacian",
     "l2_norm",
@@ -42,6 +44,10 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
+
+# taps of the forward first and second differences, as read by apply_stencil
+GRAD_STENCIL = (-1.0, 1.0)
+LAPLACIAN_STENCIL = (1.0, -2.0, 1.0)
 
 
 class AsymmetricKernel(ValueError):
@@ -264,12 +270,12 @@ def apply_stencil(f: Sequence, taps, offset: int = 0) -> Sequence:
 
 def grad(f: Sequence) -> Sequence:
     """Forward difference (grad f)(k) = f(k+1) - f(k)."""
-    return apply_stencil(f, [-1.0, 1.0])
+    return apply_stencil(f, GRAD_STENCIL)
 
 
 def laplacian(f: Sequence) -> Sequence:
     """Second difference (lap f)(k) = f(k+2) - 2 f(k+1) + f(k)."""
-    return apply_stencil(f, [1.0, -2.0, 1.0])
+    return apply_stencil(f, LAPLACIAN_STENCIL)
 
 
 def l2_norm(f: Sequence) -> float:

@@ -1,25 +1,32 @@
 """Weighted Chebyshev minimax problems and recovery of the extremal kernels.
 
-Minimizes max over [-1, 1] of a weighted polynomial objective over
-polynomials with p(1) = 1 by a multi-cut exchange, the Remez multi-point
-exchange (Pachon & Trefethen, BIT 49 (2009)) carried out with a linear
-program so that a positivity constraint fits in too.  The active set starts
-as the degree+2 Chebyshev extreme points.  Each round solves the LP on the
-active set, takes the endpoints and the stationary points of the objective
-(and under positivity of p) in one extrema pass per polynomial, drops the
-active points outside a 1e-6 band of the level, and adds at once every
-candidate where the objective is above the LP level (or p below zero).  The
-same pass gives the certified continuum maximum, so the reported
-certificate gap is the sup of the objective above the level, not a sampled
-estimate.
+Every problem minimizes the max over [-1, 1] of |s(x)| * |p(x)| / scale
+over polynomials p of a given degree with p(1) = 1, where |s| is the
+magnitude of a difference stencil's symbol (``OperatorSymbol``) in
+x = cos xi; under positivity p >= 0 and the objective is signed.  The
+smoothness constant of the optimal kernel, scale * (optimal value), is
+the weighted sup that ``smoothness`` computes for the same stencil.
 
-``PROBLEMS`` names the four problems; the smoothness constant of the
-optimal kernel is scale * (optimal value):
+The solver is a multi-cut exchange, the Remez multi-point exchange
+(Pachon & Trefethen, BIT 49 (2009)) carried out with a linear program so
+that a positivity constraint fits in too.  The active set starts as the
+degree+2 Chebyshev extreme points.  Each round solves the LP on the active
+set and takes the candidates ``extreme_points(p, |s|^2)``: the endpoints
+and the real roots of 2 |s|^2 p' + (|s|^2)' p, which hold every local
+maximum of the objective (and under positivity the extrema of p, from a
+second pass).  It drops the active points outside a 1e-6 band of the
+level and adds at once every candidate where the objective is above the
+LP level (or p below zero).  The same pass gives the certified continuum
+maximum, so the reported certificate gap is the sup of the objective
+above the level, not a sampled estimate.
 
-* first-deriv:       min max sqrt(1-x) |p(x)|         -> h_n, 2/(2n+1)
-* laplacian-nonneg:  min max (1 - x) p(x) over p >= 0 -> g_n, 4/(n+1)^2
-* laplacian:         min max (1 - x) |p(x)|           (open problem)
-* operator:          min max sqrt(|s|^2(x)) |p(x)|    (open problem: the
+``PROBLEMS`` names the four problems by their stencil:
+
+* first-deriv:       first difference, |s|/scale = sqrt(1-x)  -> h_n, 2/(2n+1)
+* laplacian-nonneg:  second difference, |s|/scale = 1 - x, p >= 0
+                                                              -> g_n, 4/(n+1)^2
+* laplacian:         second difference, no positivity (open problem)
+* operator:          the caller's stencil, scale 1 (open problem: the
   optimal kernel for another difference stencil s)
 """
 
@@ -27,18 +34,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .chebyshev import ChebPoly, cheb_mul, extreme_points, mul_one_minus_x
-from .kernel import DiscreteKernel, kernel_from_symbol
+from .chebyshev import ChebPoly, extreme_points
+from .kernel import GRAD_STENCIL, LAPLACIAN_STENCIL, DiscreteKernel, kernel_from_symbol
 from .lp import Infeasible, solve_origin_feasible
 from .smoothness import OperatorSymbol
 
 __all__ = [
-    "WeightKind",
     "ProblemSpec",
     "PROBLEMS",
     "MinimaxProblem",
@@ -52,57 +57,56 @@ _MAX_ROUNDS = 200
 _ACTIVE_TOL = 1e-6  # band of the rows kept between rounds and reported as active
 
 
-class WeightKind(Enum):
-    ONE_MINUS_X = "one_minus_x"
-    SQRT_ONE_MINUS_X = "sqrt_one_minus_x"
-    STENCIL = "stencil"  # sqrt(|s|^2(x)) of a difference stencil s
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """One row of PROBLEMS.
 
-    The objective is weight * |p|, or weight * p under positivity (p >= 0),
-    where the two agree on the feasible set.  scale maps the optimal value
-    to the smoothness constant of the optimal kernel; exploratory marks the
-    open problems, with no closed-form optimum to check the solution against.
+    The objective is |s| / scale * |p|, or |s| / scale * p under
+    positivity (p >= 0), where the two agree on the feasible set.  s is the
+    symbol of the difference taps ``stencil``, or of the caller's taps when
+    ``stencil`` is None.  scale maps the optimal value to the smoothness
+    constant of the optimal kernel, and makes the first- and second-
+    difference objectives sqrt(1-x) |p| and (1-x) |p|.  exploratory marks
+    the open problems, with no closed-form optimum to check the solution
+    against.
     """
 
-    weight: WeightKind
+    stencil: tuple[float, ...] | None
     positivity: bool
     scale: float
     exploratory: bool
 
 
 PROBLEMS = {
-    "first-deriv": ProblemSpec(WeightKind.SQRT_ONE_MINUS_X, False, math.sqrt(2.0), False),
-    "laplacian": ProblemSpec(WeightKind.ONE_MINUS_X, False, 2.0, True),
-    "laplacian-nonneg": ProblemSpec(WeightKind.ONE_MINUS_X, True, 2.0, False),
-    "operator": ProblemSpec(WeightKind.STENCIL, False, 1.0, True),
+    "first-deriv": ProblemSpec(GRAD_STENCIL, False, math.sqrt(2.0), False),
+    "laplacian": ProblemSpec(LAPLACIAN_STENCIL, False, 2.0, True),
+    "laplacian-nonneg": ProblemSpec(LAPLACIAN_STENCIL, True, 2.0, False),
+    "operator": ProblemSpec(None, False, 1.0, True),
 }
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: the stencil may be an array
 class MinimaxProblem:
     """The problem ``name`` of PROBLEMS over p of the given degree with
-    p(1) = 1; ``operator`` needs the difference stencil, the others take none."""
+    p(1) = 1; ``operator`` needs the difference stencil, the others take none.
+    ``symbol`` is the OperatorSymbol of the problem's stencil, built once."""
 
     name: str
     degree: int
     stencil: np.ndarray | list[float] | None = None
-    magnitude_squared: ChebPoly | None = field(init=False, repr=False)
+    symbol: OperatorSymbol = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.name not in PROBLEMS:
             raise ValueError(f"unknown problem {self.name!r}; expected one of {', '.join(PROBLEMS)}")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.name == "operator" and self.stencil is None:
-            raise ValueError("operator needs a stencil")
-        if self.name != "operator" and self.stencil is not None:
+        own = self.spec.stencil
+        if own is None and self.stencil is None:
+            raise ValueError(f"{self.name} needs a stencil")
+        if own is not None and self.stencil is not None:
             raise ValueError(f"{self.name} takes no stencil")
-        mag = None if self.stencil is None else OperatorSymbol(self.stencil).magnitude_squared_cheb
-        object.__setattr__(self, "magnitude_squared", mag)
+        object.__setattr__(self, "symbol", OperatorSymbol(self.stencil if own is None else own))
 
     @property
     def spec(self) -> ProblemSpec:
@@ -154,12 +158,7 @@ class Stalled(RuntimeError):
 
 
 def _weight_values(problem: MinimaxProblem, xs: np.ndarray) -> np.ndarray:
-    weight = problem.spec.weight
-    if weight is WeightKind.ONE_MINUS_X:
-        return 1.0 - xs
-    if weight is WeightKind.SQRT_ONE_MINUS_X:
-        return np.sqrt(np.clip(1.0 - xs, 0.0, None))
-    return np.sqrt(np.clip(npcheb.chebval(xs, problem.magnitude_squared.coeffs), 0.0, None))
+    return problem.symbol.magnitude(xs) / problem.spec.scale
 
 
 def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> np.ndarray:
@@ -168,18 +167,6 @@ def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> n
     if problem.spec.positivity:
         return w * vals
     return w * np.abs(vals)
-
-
-def _objective_candidates(problem: MinimaxProblem, p: ChebPoly) -> np.ndarray:
-    """Points holding every local maximum of the weighted objective: the
-    endpoints and stationary points of (1-x)p, or of the squared objective
-    for the sqrt weights, from one extrema pass."""
-    weight = problem.spec.weight
-    if weight is WeightKind.ONE_MINUS_X:
-        return extreme_points(mul_one_minus_x(p))
-    if weight is WeightKind.SQRT_ONE_MINUS_X:
-        return extreme_points(mul_one_minus_x(cheb_mul(p, p)))
-    return extreme_points(cheb_mul(problem.magnitude_squared, cheb_mul(p, p)))
 
 
 def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
@@ -283,7 +270,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
             if best is None:
                 raise
             raise Stalled(_solution(problem, *best, trace, converged=False)) from exc
-        cands = _objective_candidates(problem, p)
+        cands = extreme_points(p, problem.symbol.magnitude_squared_cheb)
         phi = _objective_values(problem, p, cands)
         cont_max = float(np.max(phi))
         obj_viol = cont_max - level

@@ -1,25 +1,35 @@
 """Worst-case smoothness constants of averaging kernels.
 
 The operator norm of f -> D(f * u) on l2(Z), for a difference operator D
-with symbol s(xi), equals the sup over the circle of |s(xi)| * |uhat(xi)|.
-With x = cos xi this becomes a weighted polynomial sup on [-1, 1]:
+with symbol s(xi), is the sup over the circle of |s(xi)| * |uhat(xi)|.
+With x = cos xi it is the sup of |s(x)| * |p_u(x)| on [-1, 1], and every
+constant here is that one weighted sup (``_weighted_sup``) for its stencil:
 
-* first difference:  M(u) = sqrt(2 max (1 - x) p_u(x)^2),
-  sharp lower bound 2/(2n+1), attained only by the box kernel;
-* second difference: L(u) = 2 max (1 - x) |p_u(x)|,
-  sharp lower bound 4/(n+1)^2, attained (among kernels with nonnegative
-  Fourier transform) only by the triangle kernel.
+* first difference, |s| = sqrt(2 (1 - x)): M(u), sharp lower bound
+  2/(2n+1), attained only by the box kernel;
+* second difference, |s| = 2 (1 - x): L(u), sharp lower bound
+  4/(n+1)^2, attained (among kernels with nonnegative Fourier transform)
+  only by the triangle kernel;
+* any other stencil: ``operator_constant``, with no known sharp bound.
+
+The candidate maximizers are the endpoints and the real roots of
+2 |s|^2 p_u' + (|s|^2)' p_u (``chebyshev.extreme_points``), and |s| is
+evaluated by ``OperatorSymbol.magnitude``, which splits the factor
+(1 - z)^m off the taps so that |s| keeps its relative accuracy near x = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 
-from .chebyshev import ChebPoly, cheb_mul, mul_one_minus_x, sup_abs
+from .chebyshev import ChebPoly, _top, cheb_eval, extreme_points
 from .kernel import (
+    GRAD_STENCIL,
+    LAPLACIAN_STENCIL,
     DiscreteKernel,
     Sequence,
     apply_stencil,
@@ -53,9 +63,6 @@ __all__ = [
 GAP_TOL = 1e-10
 COEFF_TOL = 1e-10
 BOUND_SLACK = 1e-11
-
-GRAD_STENCIL = (-1.0, 1.0)
-LAPLACIAN_STENCIL = (1.0, -2.0, 1.0)
 
 
 class DegenerateOperator(ValueError):
@@ -100,18 +107,30 @@ class SmoothnessReport:
         return asdict(self)
 
 
+def _magnitude_squared(taps: np.ndarray) -> ChebPoly:
+    """|sum_k taps[k] e^{ik xi}|^2 = r(0) + 2 sum_k r(k) T_k(x), r the tap
+    autocorrelation."""
+    r = np.correlate(taps, taps, mode="full")[taps.size - 1 :]
+    return ChebPoly(np.concatenate([[r[0]], 2.0 * r[1:]]))
+
+
 @dataclass(frozen=True)
 class OperatorSymbol:
     """Difference operator (D f)(k) = sum_i taps[i] f(k + offset + i).
 
     ``magnitude_squared_cheb`` holds |s(xi)|^2 in the variable x = cos xi,
-    computed analytically from the tap autocorrelation.  The constants
-    below use the convention sup sqrt(|s|^2) * |uhat|, so the first and
-    second differences are special cases.
+    computed exactly from the tap autocorrelation, and ``magnitude``
+    evaluates |s| itself.  Both are built once, here.  The constants below
+    are sup |s| * |uhat|, so the first and second differences are special
+    cases.
     """
 
     taps: np.ndarray
     offset: int = 0
+    magnitude_squared_cheb: ChebPoly = field(init=False, repr=False, compare=False)
+    # taps = (1 - z)^order * quotient as polynomials in z; |quotient|^2 in x
+    _order: int = field(init=False, repr=False, compare=False)
+    _quotient_squared: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.taps, dtype=float)).copy()
@@ -122,22 +141,39 @@ class OperatorSymbol:
         t.setflags(write=False)
         object.__setattr__(self, "taps", t)
         object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "magnitude_squared_cheb", _magnitude_squared(t))
+        # dividing by (1 - z) leaves the running sums of the taps, and the
+        # division is exact while their total is exactly zero
+        q, order = t, 0
+        while (sums := np.cumsum(q))[-1] == 0.0:
+            q, order = sums[:-1], order + 1
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_quotient_squared", _magnitude_squared(q).coeffs)
 
-    @property
-    def magnitude_squared_cheb(self) -> ChebPoly:
-        # |s(xi)|^2 = r(0) + 2 sum_m r(m) cos(m xi), r = tap autocorrelation
-        t = self.taps
-        r = np.correlate(t, t, mode="full")[t.size - 1 :]
-        c = np.concatenate([[r[0]], 2.0 * r[1:]])
-        return ChebPoly(c)
+    def magnitude(self, x) -> np.ndarray:
+        """|s| at x = cos xi, as (2 (1 - x))^(m/2) * sqrt(|q|^2(x)) with the
+        factor (1 - z)^m of the taps split off: the relative accuracy holds
+        near x = 1, where |s| vanishes to order m/2 in 1 - x."""
+        x = np.asarray(x, dtype=float)
+        q2 = np.clip(npcheb.chebval(x, self._quotient_squared), 0.0, None)
+        return (2.0 * (1.0 - x)) ** (0.5 * self._order) * np.sqrt(q2)
 
 
-def _weighted_sup(u: DiscreteKernel, weight: ChebPoly) -> tuple[float, float]:
-    """sup over [-1,1] of weight(x) * p_u(x)^2 and one maximizer."""
+_GRAD = OperatorSymbol(GRAD_STENCIL)
+_LAPLACIAN = OperatorSymbol(LAPLACIAN_STENCIL)
+
+
+def _weighted_sup(u: DiscreteKernel, s: OperatorSymbol) -> tuple[float, float]:
+    """sup over [-1, 1] of |s(x)| * |p_u(x)| and one maximizer.
+
+    The candidates are the points of ``extreme_points(p_u, |s|^2)``, the
+    endpoints and the real roots of 2 |s|^2 p_u' + (|s|^2)' p_u, and
+    every local maximum where p_u != 0 is among them.  Near-ties go to the
+    largest x.
+    """
     p = symbol(u)
-    q = cheb_mul(weight, cheb_mul(p, p))
-    val, x = sup_abs(q)
-    return max(val, 0.0), x
+    xs = extreme_points(p, s.magnitude_squared_cheb)
+    return _top(xs, s.magnitude(xs) * np.abs(cheb_eval(p, xs)))
 
 
 def _matches(u: DiscreteKernel, reference: DiscreteKernel, tol: float = COEFF_TOL) -> bool:
@@ -147,14 +183,8 @@ def _matches(u: DiscreteKernel, reference: DiscreteKernel, tol: float = COEFF_TO
 
 
 def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
-    """M(u) = sqrt(2 max (1-x) p_u(x)^2), sharp bound 2/(2n+1).
-
-    The inner polynomial is nonnegative, so its sup_abs is its signed sup.
-    """
-    p = symbol(u)
-    q = mul_one_minus_x(cheb_mul(p, p))
-    val, x = sup_abs(q)
-    constant = math.sqrt(2.0 * max(val, 0.0))
+    """M(u) = max sqrt(2 (1-x)) |p_u(x)|, sharp bound 2/(2n+1)."""
+    constant, x = _weighted_sup(u, _GRAD)
     bound = 2.0 / (2 * u.n + 1)
     gap = constant - bound
     extremal = gap <= GAP_TOL and _matches(u, box_kernel(u.n))
@@ -162,15 +192,13 @@ def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
 
 
 def laplacian_constant(u: DiscreteKernel) -> SmoothnessReport:
-    """L(u) = 2 max (1-x) |p_u(x)|, sharp bound 4/(n+1)^2.
+    """L(u) = max 2 (1-x) |p_u(x)|, sharp bound 4/(n+1)^2.
 
     Uses |p_u| so the value is the true operator norm even when uhat
     changes sign; the bound (and the extremal flag) are meaningful under
     the nonnegative-transform hypothesis, which verify_theorem2 enforces.
     """
-    q = mul_one_minus_x(symbol(u))
-    val, x = sup_abs(q)
-    constant = 2.0 * val
+    constant, x = _weighted_sup(u, _LAPLACIAN)
     bound = 4.0 / (u.n + 1) ** 2
     gap = constant - bound
     extremal = gap <= GAP_TOL and _matches(u, triangle_kernel(u.n))
@@ -180,12 +208,11 @@ def laplacian_constant(u: DiscreteKernel) -> SmoothnessReport:
 def operator_constant(u: DiscreteKernel, s: OperatorSymbol) -> SmoothnessReport:
     """sup over the circle of |s(xi)| * |uhat(xi)| for a general stencil.
 
-    Computed as sqrt(sup |s|^2(x) * p_u(x)^2).  No sharp lower bound is
-    known beyond the first- and second-difference cases, so the trivial
-    bound 0 is reported and the extremal flag stays False.
+    No sharp lower bound is known beyond the first- and second-difference
+    cases, so the trivial bound 0 is reported and the extremal flag stays
+    False.
     """
-    val, x = _weighted_sup(u, s.magnitude_squared_cheb)
-    constant = math.sqrt(val)
+    constant, x = _weighted_sup(u, s)
     return SmoothnessReport(constant, x, 0.0, constant, False)
 
 

@@ -15,7 +15,6 @@ from smoothavg.minimax import (
     MinimaxProblem,
     MinimaxSolution,
     Stalled,
-    WeightKind,
     solve,
 )
 
@@ -299,18 +298,22 @@ LARGE_STENCIL_SOLVES = tuple((s, n) for s in ("-1,3,-3,1", "1,-3,3,-1") for n in
 THEOREM_PROBLEMS = ("first-deriv", "laplacian-nonneg", "laplacian")
 
 
+def grid_weight(problem, xs):
+    """|s| / scale at xs in closed form for each named problem; for operator,
+    |sum_k t_k e^{ik xi}| with xi = arccos x, straight from the taps."""
+    if problem.name == "first-deriv":
+        return np.sqrt(1.0 - xs)
+    if problem.name in ("laplacian", "laplacian-nonneg"):
+        return 1.0 - xs
+    xi = np.arccos(xs)
+    return np.abs(sum(t * np.exp(1j * k * xi) for k, t in enumerate(problem.stencil)))
+
+
 def grid_gap(problem, sol):
     """The sampled certificate: objective over level on 10^5 equispaced points."""
     xs = np.linspace(-1.0, 1.0, 10**5)
     p = npcheb.chebval(xs, sol.coeffs.coeffs)
-    weight = problem.spec.weight
-    if weight is WeightKind.ONE_MINUS_X:
-        w = 1.0 - xs
-    elif weight is WeightKind.SQRT_ONE_MINUS_X:
-        w = np.sqrt(np.clip(1.0 - xs, 0.0, None))
-    else:
-        m2 = npcheb.chebval(xs, problem.magnitude_squared.coeffs)
-        w = np.sqrt(np.clip(m2, 0.0, None))
+    w = grid_weight(problem, xs)
     phi = w * p if problem.spec.positivity else w * np.abs(p)
     viol = float(np.max(phi)) - sol.value
     if problem.spec.positivity:

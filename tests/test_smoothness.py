@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from smoothavg.kernel import DiscreteKernel, Sequence, box_kernel, fourier_symbol, triangle_kernel
 from smoothavg.smoothness import (
@@ -121,9 +122,94 @@ class TestOperatorConstant:
             vmin, _ = signed_min(op.magnitude_squared_cheb)
             assert vmin >= -1e-12
 
+    @pytest.mark.parametrize("taps", [GRAD_STENCIL, LAPLACIAN_STENCIL, (-1.0, 3.0, -3.0, 1.0),
+                                      (1.0, 0.0, -1.0), (0.5, -1.0, 0.5), (2.0, 1.0)])
+    def test_magnitude_keeps_relative_accuracy_near_one(self, taps):
+        # |s| against 50 digits, down to 1 - x = 1e-12 where |s|^2 itself is
+        # below the rounding of its Chebyshev sum for the difference stencils
+        mp.dps = 50
+        xs = [-1.0, -0.3, 0.5, 0.99, 1 - 1e-6, 1 - 1e-12, 1.0]
+        got = OperatorSymbol(taps).magnitude(np.array(xs))
+        for x, g in zip(xs, got):
+            t = mp.acos(mpf(x))
+            exact = abs(mp.fsum(mpf(c) * mp.expj(k * t) for k, c in enumerate(taps)))
+            assert abs(g - exact) <= 4e-16 * len(taps) * exact + 1e-40, (taps, x)
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateOperator):
             OperatorSymbol([0.0, 0.0])
+
+
+def _mp_dirichlet(n):
+    """uhat of the box kernel, (T_n - T_{n+1}) / ((2n+1) (1 - x)) at x = cos t."""
+    return lambda t: (mp.cos(n * t) - mp.cos((n + 1) * t)) / ((2 * n + 1) * 2 * mp.sin(t / 2) ** 2)
+
+
+def _mp_fejer(n):
+    """uhat of the triangle kernel, (1 - T_{n+1}) / ((n+1)^2 (1 - x)) at x = cos t."""
+    return lambda t: (1 - mp.cos((n + 1) * t)) / ((n + 1) ** 2 * 2 * mp.sin(t / 2) ** 2)
+
+
+def _mp_sup(taps, uhat, n):
+    """50-digit sup over t in (0, pi] of |sum_k taps[k] e^{ikt}| * |uhat(t)|.
+
+    The stencils here all vanish at t = 0.  A grid of 16 points per lobe of
+    uhat locates the lobes; golden-section search refines the four best
+    grid maxima."""
+    mp.dps = 50
+
+    def f(t):
+        s = mp.fsum(mpf(c) * mp.expj(k * t) for k, c in enumerate(taps))
+        return abs(s) * abs(uhat(t)) if t else mpf(0)
+
+    size = 16 * (n + 2)
+    grid = [mp.pi * k / size for k in range(size + 1)]
+    vals = [f(t) for t in grid]
+    peaks = [k for k in range(size + 1)
+             if (k == 0 or vals[k] >= vals[k - 1]) and (k == size or vals[k] >= vals[k + 1])]
+    best = max(vals)
+    golden = (mp.sqrt(5) - 1) / 2
+    for k in sorted(peaks, key=lambda k: vals[k])[-4:]:
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, size)]
+        for _ in range(80):
+            c, d = b - golden * (b - a), a + golden * (b - a)
+            if f(c) >= f(d):
+                b = d
+            else:
+                a = c
+        best = max(best, f((a + b) / 2))
+    return best
+
+
+MP_KERNELS = {"box": (box_kernel, _mp_dirichlet), "triangle": (triangle_kernel, _mp_fejer)}
+MP_CASES = (
+    [("triangle", n, "laplacian") for n in (30, 59, 64)]
+    + [("triangle", n, "-1,3,-3,1") for n in (54, 60, 64)]
+    + [("box", n, "first-deriv") for n in (30, 64)]
+    + [(kind, n, taps) for taps in ("1,0,-1", "0.5,-1,0.5") for kind in MP_KERNELS
+       for n in (5, 64)]
+)
+
+
+class TestMpmathOracle:
+    """The constants of the box and triangle kernels against a 50-digit sup
+    of the closed forms of their transforms, where the maximizer may sit at
+    the zero of the stencil (x = 1) or at x = -1."""
+
+    @pytest.mark.parametrize("kind,n,stencil", MP_CASES,
+                             ids=[f"{k}-{n}-{s}" for k, n, s in MP_CASES])
+    def test_constant(self, kind, n, stencil):
+        build, uhat = MP_KERNELS[kind]
+        u = build(n)
+        if stencil == "first-deriv":
+            taps, got = GRAD_STENCIL, first_deriv_constant(u).constant
+        elif stencil == "laplacian":
+            taps, got = LAPLACIAN_STENCIL, laplacian_constant(u).constant
+        else:
+            taps = [float(t) for t in stencil.split(",")]
+            got = operator_constant(u, OperatorSymbol(taps)).constant
+        oracle = _mp_sup(taps, uhat(n), n)
+        assert float(abs(got - oracle) / oracle) <= 1e-13
 
 
 class TestRatioWitness:

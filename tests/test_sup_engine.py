@@ -1,8 +1,9 @@
 """The extremum engine against closed forms and a 50-digit mpmath oracle.
 
-``extreme_points`` takes the stationary points from the roots of p', so
-the sups built on it must match the oracle within rounding, including at
-the multiple roots that the named families and difference stencils have.
+``extreme_points`` takes the stationary points from the roots of p' (or,
+under a weight W, of 2 W p' + W' p), so the sups built on it must match the
+oracle within rounding, including at the multiple roots that the named
+families and difference stencils have.
 """
 
 import numpy as np
@@ -73,6 +74,31 @@ class TestRootEngine:
         for deg in (1, 4, 33, 129):
             p = ChebPoly(rng.standard_normal(deg + 1))
             assert np.array_equal(extreme_points(p), extreme_points(ChebPoly(-p.coeffs)))
+
+    def test_unit_weight_leaves_points_unchanged(self):
+        rng = np.random.default_rng(11)
+        for deg in (0, 1, 4, 33, 129):
+            p = ChebPoly(rng.standard_normal(deg + 1))
+            assert np.array_equal(extreme_points(p, ChebPoly([1.0])), extreme_points(p)), deg
+
+    @pytest.mark.parametrize("taps", [(-1.0, 1.0), (1.0, -2.0, 1.0), (-1.0, 3.0, -3.0, 1.0),
+                                      (1.0, 0.0, -1.0), (2.0, 1.0, -0.5)])
+    def test_weighted_points_hold_the_max(self, taps):
+        # no sample of |s| |p| on a dense grid may beat its max over the points
+        # of extreme_points(p, |s|^2); |s| is taken straight from the taps
+        rng = np.random.default_rng(41)
+        w = OperatorSymbol(taps).magnitude_squared_cheb
+        grid = np.cos(np.linspace(np.pi, 0.0, 20_001))
+
+        def phi(x, p):
+            s = sum(t * np.exp(1j * k * np.arccos(x)) for k, t in enumerate(taps))
+            return np.abs(s) * np.abs(npcheb.chebval(x, p.coeffs))
+
+        for deg in (0, 1, 5, 20, 64):
+            p = ChebPoly(rng.standard_normal(deg + 1))
+            pts = extreme_points(p, w)
+            assert pts.size <= deg + w.degree + 1, deg  # endpoints and deg r roots
+            assert phi(pts, p).max() >= phi(grid, p).max() * (1 - 1e-13), deg
 
 
 def _mp_der(c):
