@@ -210,7 +210,7 @@ def cmd_optimize(args) -> int:
         sol = exc.solution
         code = EXIT_STALL
         print(f"solver stalled: {exc}", file=sys.stderr)
-    except Infeasible as exc:  # the first LP failed: there is no iterate to report
+    except Infeasible as exc:  # the first round failed: there is no iterate to report
         print(f"solver stalled: {exc}", file=sys.stderr)
         return EXIT_STALL
 

@@ -7,18 +7,22 @@ x = cos xi; under positivity p >= 0 and the objective is signed.  The
 smoothness constant of the optimal kernel, scale * (optimal value), is
 the weighted sup that ``smoothness`` computes for the same stencil.
 
-The solver is a multi-cut exchange, the Remez multi-point exchange
-(Pachon & Trefethen, BIT 49 (2009)) carried out with a linear program so
-that a positivity constraint fits in too.  The active set starts as the
-degree+2 Chebyshev extreme points.  Each round solves the LP on the active
-set and takes the candidates ``extreme_points(p, |s|^2)``: the endpoints
-and the real roots of 2 |s|^2 p' + (|s|^2)' p, which hold every local
-maximum of the objective (and under positivity the extrema of p, from a
-second pass).  It drops the active points outside a 1e-6 band of the
-level and adds at once every candidate where the objective is above the
-LP level (or p below zero).  The same pass gives the certified continuum
-maximum, so the reported certificate gap is the sup of the objective
-above the level, not a sampled estimate.
+``solve`` is an exchange method with two kinds of round, chosen by the
+problem's data.  Without positivity, and when |s| has no zero inside
+(-1, 1) (``OperatorSymbol.vanishes_inside``), the problem is best
+approximation of w = |s| / scale from the Haar system w (T_k - 1),
+k = 1..degree, and each round is a Remez step (Pachon & Trefethen, BIT 49
+(2009)): one (degree+1) x (degree+1) linear solve for the polynomial whose
+error w p levels out with alternating signs on the reference.  Under
+positivity, or when |s| vanishes inside (-1, 1), where the Haar condition
+fails, each round solves a linear program (``lp``) on an active set
+instead.  Both kinds share the candidate pass: ``extreme_points(p, |s|^2)``
+gives the endpoints and the real roots of 2 |s|^2 p' + (|s|^2)' p, which
+hold every local maximum of the objective (and under positivity the
+extrema of p, from a second pass).  The same pass gives the certified
+continuum maximum, so the reported certificate gap is the sup of the
+objective above the level, not a sampled estimate, and it supplies the
+next reference or the LP's cuts.
 
 ``PROBLEMS`` names the four problems by their stencil:
 
@@ -33,6 +37,7 @@ above the level, not a sampled estimate.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +120,9 @@ class MinimaxProblem:
 
 @dataclass(frozen=True)
 class MinimaxSolution:
-    """An iterate of solve: p (``coeffs``) at the LP level ``value``, the
-    smoothness constant scale * value and the kernel whose symbol is p."""
+    """An iterate of solve: p (``coeffs``) at the level ``value`` (the LP
+    optimum or the Remez |E|), the smoothness constant scale * value and the
+    kernel whose symbol is p."""
 
     coeffs: ChebPoly
     value: float
@@ -143,8 +149,9 @@ class MinimaxSolution:
 
 
 class Stalled(RuntimeError):
-    """Active set stopped improving before the tolerance was met, or an LP
-    after the first failed (its Infeasible is the ``__cause__``).
+    """The active set or reference stopped improving before the tolerance
+    was met, the Remez error lost its alternation, or an LP or reference
+    system after the first failed (its Infeasible is the ``__cause__``).
 
     The last audited iterate is attached as ``solution`` (unconverged).
     """
@@ -152,7 +159,7 @@ class Stalled(RuntimeError):
     def __init__(self, solution: MinimaxSolution):
         self.solution = solution
         super().__init__(
-            f"cutting-plane solve stalled after {solution.iterations} rounds "
+            f"minimax solve stalled after {solution.iterations} rounds "
             f"(certificate gap {solution.certificate_gap:.3e})"
         )
 
@@ -169,18 +176,26 @@ def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> n
     return w * np.abs(vals)
 
 
-def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
-    """LP on the active set: minimize the level t with p(1) = 1 eliminated.
+def _normalized_basis(xs: np.ndarray, n: int) -> np.ndarray:
+    """T_k(x) - 1 for k = 1..n at xs: p(x) = 1 + sum_{k>=1} c_k (T_k(x) - 1)
+    keeps the normalization p(1) = 1 exact."""
+    vander = npcheb.chebvander(xs, n) if n > 0 else np.ones((xs.size, 1))
+    return vander[:, 1:] - 1.0
 
-    p(x) = 1 + sum_{k>=1} c_k (T_k(x) - 1) keeps the normalization exact;
+
+def _polynomial(c_tail: np.ndarray) -> ChebPoly:
+    return ChebPoly(np.concatenate([[1.0 - c_tail.sum()], c_tail]))
+
+
+def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
+    """LP on the active set: minimize the level t with p(1) = 1 eliminated;
     shifting t by the largest active weight makes the origin feasible.
     Returns (level, p, number of LP rows).
     """
     n = problem.degree
     w = _weight_values(problem, xs)
     shift = float(np.max(w)) if w.size else 1.0
-    vander = npcheb.chebvander(xs, n) if n > 0 else np.ones((xs.size, 1))
-    basis = vander[:, 1:] - 1.0  # T_k(x) - 1 for k = 1..n
+    basis = _normalized_basis(xs, n)
 
     rows = [np.hstack([w[:, None] * basis, -np.ones((xs.size, 1))])]
     rhs = [shift - w]
@@ -196,16 +211,60 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
     y, _ = solve_origin_feasible(cost, G, h)
-    c_tail = y[:-1]
-    level = y[-1] + shift
-    coeffs = np.concatenate([[1.0 - c_tail.sum()], c_tail])
-    return float(level), ChebPoly(coeffs), G.shape[0]
+    return float(y[-1] + shift), _polynomial(y[:-1]), G.shape[0]
+
+
+def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
+    """Remez step on the reference xs (degree+1 points in monotone order):
+    solve w(x_i) p(x_i) = (-1)^i E for c_1..c_n and E, with p(1) = 1
+    eliminated as in the LP.  Returns (|E|, p, number of reference points);
+    a singular system raises Infeasible.
+    """
+    w = _weight_values(problem, xs)
+    signs = (-1.0) ** np.arange(xs.size)
+    system = np.hstack([w[:, None] * _normalized_basis(xs, problem.degree), -signs[:, None]])
+    try:
+        y = np.linalg.solve(system, -w)
+    except np.linalg.LinAlgError as exc:
+        raise Infeasible(f"Remez reference system is singular: {exc}") from exc
+    if not np.all(np.isfinite(y)):
+        raise Infeasible("Remez reference system is singular: nonfinite solution")
+    return abs(float(y[-1])), _polynomial(y[:-1]), xs.size
+
+
+def _exchange(problem: MinimaxProblem, p: ChebPoly, cands: np.ndarray) -> np.ndarray | None:
+    """The next Remez reference, ascending: degree+1 of the candidates where
+    the error w p alternates in sign, with the largest |w p| and always the
+    global maximum; None when fewer than degree+1 alternate.
+
+    Each run of candidates with one sign of the error gives its largest
+    |w p|; the surplus goes by the smallest |w p| first, as an end point or
+    with its smaller neighbour, so that the signs still alternate.
+    """
+    e = _weight_values(problem, cands) * npcheb.chebval(cands, p.coeffs)
+    xs, e = cands[e != 0.0], e[e != 0.0]
+    runs = np.split(np.arange(e.size), np.flatnonzero(np.diff(np.sign(e))) + 1)
+    pick = [run[np.argmax(np.abs(e[run]))] for run in runs if run.size]
+    xs, mag = list(xs[pick]), list(np.abs(e[pick]))
+    size = problem.degree + 1
+    if len(xs) < size:
+        return None
+    while len(xs) > size:
+        i = int(np.argmin(mag))
+        if len(xs) == size + 1 or i in (0, len(xs) - 1):
+            drop = [0] if mag[0] <= mag[-1] else [len(xs) - 1]
+        else:
+            drop = [i - 1, i] if mag[i - 1] <= mag[i + 1] else [i, i + 1]
+        for j in reversed(drop):
+            del xs[j], mag[j]
+    return np.asarray(xs)
 
 
 def _band(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray, level: float) -> np.ndarray:
-    """Mask of the points whose rows can bind at the LP vertex: the weighted
-    objective within _ACTIVE_TOL (relative above 1) of the level or of zero,
-    and under positivity p within _ACTIVE_TOL of zero."""
+    """Mask of the points whose rows can bind at the LP vertex (on a Remez
+    reference, every point): the weighted objective within _ACTIVE_TOL
+    (relative above 1) of the level or of zero, and under positivity p
+    within _ACTIVE_TOL of zero."""
     phi = _objective_values(problem, p, xs)
     keep = (phi >= level - _ACTIVE_TOL * max(1.0, level)) | (phi <= _ACTIVE_TOL)
     if problem.spec.positivity:
@@ -214,8 +273,8 @@ def _band(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray, level: float) ->
 
 
 def _solution(problem, level, p, xs, gap, trace, converged) -> MinimaxSolution:
-    """The iterate (level, p) of the active set xs; its band points, merged
-    within 1e-8, are reported as the active points."""
+    """The iterate (level, p) of the active set or reference xs; its band
+    points, merged within 1e-8, are reported as the active points."""
     pts = np.sort(xs[_band(problem, p, xs, level)])
     merged: list[float] = []
     for x in pts:
@@ -236,36 +295,57 @@ def _solution(problem, level, p, xs, gap, trace, converged) -> MinimaxSolution:
 
 
 def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
-    """Multi-cut exchange solve of the weighted minimax problem.
+    """Exchange solve of the weighted minimax problem.
 
-    Starts from the degree+2 Chebyshev extreme points cos(pi j/(degree+1)).
-    Each round solves the LP on the active set and makes one extrema pass
-    per polynomial (the objective's, and under positivity p's).  The pass
-    gives the certified continuum max, and its candidates (endpoints and
-    stationary points) are the violators: every one where the objective is
-    above level + tol, and under positivity every one where p is below -tol.
-    The solve stops when neither the objective nor -p exceeds its bound by
-    more than tol; otherwise the active points outside the _ACTIVE_TOL band
-    are dropped and all violators are added at once.
-    The LP level is a lower bound and the certified continuum max an upper
-    bound on the true optimal value; certificate_gap is the final round's
-    max(0, continuum max - level, -min p).
+    Without positivity, and when |s| has no zero inside (-1, 1)
+    (``OperatorSymbol.vanishes_inside``), the problem is best approximation
+    from a Haar system and each round is a Remez step: solve the levelled
+    system on the degree+1 reference points (``method`` "remez"), starting
+    from cos(pi j/(degree+1)), j = 1..degree+1.  Otherwise each round solves
+    the LP on the active set (``method`` "lp"), starting from the degree+2
+    points cos(pi j/(degree+1)), j = 0..degree+1.
+
+    Each round then makes one extrema pass per polynomial (the objective's,
+    and under positivity p's).  The pass gives the certified continuum max,
+    and its candidates (endpoints and stationary points) make the next set:
+    the Remez path takes degree+1 of them where the error w p alternates in
+    sign, with the largest |w p| and the global max; the LP path keeps the
+    active points within the _ACTIVE_TOL band of the level and adds every
+    candidate where the objective is above level + tol, and under
+    positivity every one where p is below -tol.  The solve stops when
+    neither the objective nor -p exceeds its bound by more than tol.
+    The level (the LP optimum, or |E|, a de la Vallee Poussin bound on an
+    alternating reference) is a lower bound and the certified continuum max
+    an upper bound on the true optimal value; certificate_gap is the final
+    round's max(0, continuum max - level, -min p).
+
+    Each trace row holds ``round``; ``method``; ``lp_value``, the level;
+    ``continuum_max``; ``gap``, continuum max minus level;
+    ``positivity_violation``, max(0, -min p); ``lp_rows``, the number of LP
+    rows or reference points; ``cuts``, the number of points the round
+    brings into the next set (0 on the last round); and ``seconds``, the
+    round's wall time.
 
     Solutions of the open problems (``laplacian`` and ``operator``) are
     marked exploratory.
 
-    Raises Stalled with the last audited iterate when no violator lies
-    farther than 1e-13 from the active set, when _MAX_ROUNDS pass, or when
-    an LP after the first fails; an Infeasible first LP propagates.
+    Raises Stalled with the last iterate when the next set brings no point
+    farther than 1e-13 from the current one, when the Remez error loses its
+    alternation, when _MAX_ROUNDS pass, or when an LP or reference system
+    after the first fails; a failure of the first propagates as Infeasible.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xs = np.cos(np.pi * np.arange(problem.degree + 2) / (problem.degree + 1))
+    spec, n = problem.spec, problem.degree
+    remez = not spec.positivity and not problem.symbol.vanishes_inside
+    restricted = _solve_reference if remez else _solve_restricted
+    xs = np.cos(np.pi * np.arange(1 if remez else 0, n + 2) / (n + 1))
     trace: list[dict] = []
     best = None
     for round_no in range(1, _MAX_ROUNDS + 1):
+        started = time.perf_counter()
         try:
-            level, p, lp_rows = _solve_restricted(problem, xs)
+            level, p, rows = restricted(problem, xs)
         except Infeasible as exc:
             if best is None:
                 raise
@@ -274,31 +354,36 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         phi = _objective_values(problem, p, cands)
         cont_max = float(np.max(phi))
         obj_viol = cont_max - level
-        cuts = cands[phi > level + tol]
         pos_viol = -math.inf
-        if problem.spec.positivity:
-            cands = extreme_points(p)
-            neg_p = -npcheb.chebval(cands, p.coeffs)
-            pos_viol = float(np.max(neg_p))
-            cuts = np.concatenate([cuts, cands[neg_p > tol]])
-        cuts = cuts[np.min(np.abs(cuts[:, None] - xs[None, :]), axis=1) > 1e-13]
+        if remez:
+            following = _exchange(problem, p, cands)
+            new = xs[:0] if following is None else following
+        else:
+            new = cands[phi > level + tol]
+            if spec.positivity:
+                cands = extreme_points(p)
+                neg_p = -npcheb.chebval(cands, p.coeffs)
+                pos_viol = float(np.max(neg_p))
+                new = np.concatenate([new, cands[neg_p > tol]])
+        new = new[np.min(np.abs(new[:, None] - xs[None, :]), axis=1) > 1e-13]
         done = obj_viol <= tol and pos_viol <= tol
         trace.append(
             {
                 "round": round_no,
+                "method": "remez" if remez else "lp",
                 "lp_value": level,
                 "continuum_max": cont_max,
                 "gap": obj_viol,
                 "positivity_violation": max(0.0, pos_viol),
-                "lp_rows": lp_rows,
-                "cuts": 0 if done else int(cuts.size),
+                "lp_rows": rows,
+                "cuts": 0 if done else int(new.size),
+                "seconds": time.perf_counter() - started,
             }
         )
         best = (level, p, xs, max(0.0, obj_viol, pos_viol))
         if done:
             return _solution(problem, *best, trace, converged=True)
-        if not cuts.size:
+        if not new.size:
             break
-        xs = np.union1d(xs[_band(problem, p, xs, level)], cuts)
+        xs = following if remez else np.union1d(xs[_band(problem, p, xs, level)], new)
     raise Stalled(_solution(problem, *best, trace, converged=False))
-

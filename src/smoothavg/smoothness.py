@@ -114,20 +114,40 @@ def _magnitude_squared(taps: np.ndarray) -> ChebPoly:
     return ChebPoly(np.concatenate([[r[0]], 2.0 * r[1:]]))
 
 
+# A root of the taps within this distance of the unit circle lies on it, and
+# one within it of z = 1 or z = -1 is that endpoint's: rounding splits a
+# double root by about sqrt(eps) ~ 1e-8.
+_CIRCLE_TOL = 1e-6
+
+
+def _divide_out_root(taps: np.ndarray, root: float) -> tuple[np.ndarray, int]:
+    """(quotient, m) with taps = (1 - z / root)^m * quotient as polynomials
+    in z, for root = 1 or -1.  Dividing by (1 - z) leaves the running sums
+    of the taps (for root = -1, of the taps with z -> -z), and the division
+    is exact while their total is exactly zero."""
+    signs = root ** np.arange(taps.size)
+    q, m = taps * signs, 0
+    while (sums := np.cumsum(q))[-1] == 0.0:
+        q, m = sums[:-1], m + 1
+    return q * signs[: q.size], m
+
+
 @dataclass(frozen=True)
 class OperatorSymbol:
     """Difference operator (D f)(k) = sum_i taps[i] f(k + offset + i).
 
     ``magnitude_squared_cheb`` holds |s(xi)|^2 in the variable x = cos xi,
     computed exactly from the tap autocorrelation, and ``magnitude``
-    evaluates |s| itself.  Both are built once, here.  The constants below
-    are sup |s| * |uhat|, so the first and second differences are special
-    cases.
+    evaluates |s| itself.  ``vanishes_inside`` tells whether |s| has a zero
+    in the open interval (-1, 1).  All are built once, here.  The constants
+    below are sup |s| * |uhat|, so the first and second differences are
+    special cases.  Two symbols are equal when their taps and offsets are.
     """
 
     taps: np.ndarray
     offset: int = 0
     magnitude_squared_cheb: ChebPoly = field(init=False, repr=False, compare=False)
+    vanishes_inside: bool = field(init=False, repr=False, compare=False)
     # taps = (1 - z)^order * quotient as polynomials in z; |quotient|^2 in x
     _order: int = field(init=False, repr=False, compare=False)
     _quotient_squared: np.ndarray = field(init=False, repr=False, compare=False)
@@ -142,13 +162,25 @@ class OperatorSymbol:
         object.__setattr__(self, "taps", t)
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "magnitude_squared_cheb", _magnitude_squared(t))
-        # dividing by (1 - z) leaves the running sums of the taps, and the
-        # division is exact while their total is exactly zero
-        q, order = t, 0
-        while (sums := np.cumsum(q))[-1] == 0.0:
-            q, order = sums[:-1], order + 1
+        q, order = _divide_out_root(t, 1.0)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_quotient_squared", _magnitude_squared(q).coeffs)
+        # |s| vanishes at x = cos xi exactly where the taps vanish at
+        # z = e^{i xi}; with the roots z = 1 and z = -1 (x = 1 and x = -1)
+        # divided out, or within _CIRCLE_TOL of a root left, any other root
+        # on the unit circle is inside (-1, 1)
+        z = np.roots(_divide_out_root(q, -1.0)[0][::-1])
+        on_circle = np.abs(np.abs(z) - 1.0) <= _CIRCLE_TOL
+        inside = on_circle & (np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) > _CIRCLE_TOL)
+        object.__setattr__(self, "vanishes_inside", bool(np.any(inside)))
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorSymbol):
+            return NotImplemented
+        return (self.taps.tobytes(), self.offset) == (other.taps.tobytes(), other.offset)
+
+    def __hash__(self):
+        return hash((self.taps.tobytes(), self.offset))
 
     def magnitude(self, x) -> np.ndarray:
         """|s| at x = cos xi, as (2 (1 - x))^(m/2) * sqrt(|q|^2(x)) with the

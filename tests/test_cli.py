@@ -174,7 +174,8 @@ class TestOptimize:
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail)
         out = tmp_path / "sol.json"
-        assert run(["optimize", "first-deriv", "-n", 5, "-o", out]) == 4
+        # positivity keeps laplacian --nonneg on the LP path
+        assert run(["optimize", "laplacian", "--nonneg", "-n", 5, "-o", out]) == 4
         err = capsys.readouterr().err
         assert err.startswith("solver stalled: LP solve failed")
         assert "Traceback" not in err
@@ -191,11 +192,39 @@ class TestOptimize:
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
         out = tmp_path / "sol.json"
-        assert run(["optimize", "first-deriv", "-n", 5, "-o", out]) == 4
+        # |s| vanishes inside (-1, 1) for this stencil, which keeps it on the
+        # LP path, and the LP solve takes more than one round
+        argv = ["optimize", "operator", "--stencil=-1,0,0,1", "-n", 5, "-o", out]
+        assert run(argv) == 4
         assert "solver stalled" in capsys.readouterr().err
         data = json.loads(out.read_text())
         assert data["solution"]["converged"] is False
         assert data["solution"]["iterations"] == 1
+
+    @pytest.mark.parametrize("fail_from, iterations", [(1, None), (2, 1)],
+                             ids=["first-system", "second-system"])
+    def test_singular_remez_system_exits_4(self, monkeypatch, tmp_path, capsys,
+                                           fail_from, iterations):
+        real, calls = np.linalg.solve, []
+
+        def singular_after(a, b):
+            calls.append(a.shape)
+            if len(calls) >= fail_from:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_after)
+        out = tmp_path / "sol.json"
+        assert run(["optimize", "first-deriv", "-n", 5, "-o", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver stalled") and "Traceback" not in err
+        assert calls and all(shape == (6, 6) for shape in calls)
+        if iterations is None:  # no iterate to write
+            assert not out.exists()
+        else:
+            data = json.loads(out.read_text())
+            assert data["solution"]["converged"] is False
+            assert data["solution"]["iterations"] == iterations
 
 
 class TestVerify:
@@ -343,6 +372,19 @@ class TestContinuum:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "n-max must lie in [50, 100000]" in captured.err
+
+
+@pytest.mark.parametrize("problem", ["first-deriv", "laplacian"])
+def test_remez_optimize_leaves_scipy_optimize_unloaded(problem, tmp_path):
+    # without positivity and with |s| nonzero inside (-1, 1) every round is
+    # a Remez step, so no LP runs and scipy.optimize is never imported
+    code = ("import sys; from smoothavg.cli import main; "
+            f"code = main(['optimize', '{problem}', '-n', '64', '-o', sys.argv[1]]); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sol.json")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "0 False"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,5 +1,6 @@
-"""Tests for the cutting-plane minimax solver and kernel recovery."""
+"""Tests for the minimax solver (Remez and LP exchange) and kernel recovery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,15 @@ from smoothavg.minimax import (
     Stalled,
     solve,
 )
+
+
+# |s| of these taps vanishes inside (-1, 1), at x = -1/2, which keeps the
+# problem on the LP path
+LP_STENCIL = [-1.0, 0.0, 0.0, 1.0]
+
+
+def taps_of(text):
+    return [float(t) for t in text.split(",")]
 
 
 def pad_to(coeffs, length):
@@ -228,48 +238,65 @@ class TestStalled:
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem("first-deriv", 6), 1e-9)
+            solve(MinimaxProblem("operator", 6, LP_STENCIL), 1e-9)
         sol = exc.value.solution
         assert isinstance(exc.value.__cause__, mm.Infeasible)
         assert not sol.converged
         assert sol.iterations == len(sol.trace) == 1
         assert sol.value == sol.trace[0]["lp_value"]
+        assert len(calls) == 2 and calls[0] == 2 * 8  # the start LP, then the failed one
 
     def test_first_lp_failure_propagates(self, monkeypatch):
         def fail(cost, G, h):
             raise mm.Infeasible("stub")
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail)
-        with pytest.raises(mm.Infeasible):
-            solve(MinimaxProblem("first-deriv", 6), 1e-9)
+        for name, stencil in (("laplacian-nonneg", None), ("operator", LP_STENCIL)):
+            with pytest.raises(mm.Infeasible):
+                solve(MinimaxProblem(name, 6, stencil), 1e-9)
+
+
+TRACE_KEYS = {"round", "method", "lp_value", "continuum_max", "gap",
+              "positivity_violation", "lp_rows", "cuts", "seconds"}
 
 
 class TestTrace:
-    @pytest.mark.parametrize("name", ["first-deriv", "laplacian"])
-    def test_rows_carry_lp_size_and_cuts(self, name):
+    @pytest.mark.parametrize("stencil", ["-1,0,0,1", "1,-1,1,-1"])
+    def test_rows_carry_lp_size_and_cuts(self, stencil):
         n = 12
-        sol = solve(MinimaxProblem(name, n), 1e-9)
+        sol = solve(MinimaxProblem("operator", n, taps_of(stencil)), 1e-9)
         assert sol.iterations > 1
-        assert all({"lp_rows", "cuts"} <= set(row) for row in sol.trace)
+        assert all(set(row) == TRACE_KEYS and row["method"] == "lp" for row in sol.trace)
         # start set: the n+2 Chebyshev extreme points, two rows each
         assert sol.trace[0]["lp_rows"] == 2 * (n + 2)
         assert all(row["cuts"] > 0 for row in sol.trace[:-1])
         assert sol.trace[-1]["cuts"] == 0
 
     def test_first_round_cuts_every_stationary_point_above_level(self):
-        # the stationary points of (1-x)p located by sign changes of its
+        # the stationary points of |s|^2 p^2 = (2 - 2 T_3) p^2, the square of
+        # the objective for the taps -1,0,0,1, located by sign changes of its
         # derivative on a fine grid, independently of the sup engine
         n = 12
-        problem = MinimaxProblem("laplacian", n)
+        problem = MinimaxProblem("operator", n, LP_STENCIL)
         start = np.cos(np.pi * np.arange(n + 2) / (n + 1))
         level, p, _ = mm._solve_restricted(problem, start)
-        q = npcheb.chebmul([1.0, -1.0], p.coeffs)
+        q = npcheb.chebmul([2.0, 0.0, 0.0, -2.0], npcheb.chebmul(p.coeffs, p.coeffs))
         xs = np.cos(np.linspace(np.pi, 0.0, 200_001))
         dq = npcheb.chebval(xs, npcheb.chebder(q))
         turns = xs[:-1][np.sign(dq[:-1]) != np.sign(dq[1:])]
-        above = int(np.sum(np.abs(npcheb.chebval(turns, q)) > level + 1e-9))
+        above = int(np.sum(np.sqrt(np.clip(npcheb.chebval(turns, q), 0.0, None)) > level + 1e-9))
         assert above == 12
         assert solve(problem, 1e-9).trace[0]["cuts"] == above
+
+    @pytest.mark.parametrize("name", ["first-deriv", "laplacian"])
+    def test_remez_rows_count_reference_points(self, name):
+        n = 12
+        sol = solve(MinimaxProblem(name, n), 1e-9)
+        assert all(set(row) == TRACE_KEYS and row["method"] == "remez" for row in sol.trace)
+        assert all(row["lp_rows"] == n + 1 for row in sol.trace)
+        assert all(row["cuts"] > 0 for row in sol.trace[:-1])
+        assert sol.trace[-1]["cuts"] == 0
+        assert all(row["seconds"] >= 0.0 for row in sol.trace)
 
     def test_signed_rows_count_positivity(self):
         n = 5
@@ -294,6 +321,11 @@ FORMER_STENCIL_FAILURES = (
 # the third difference and its negative at n > 15, above the sizes of the
 # former failures
 LARGE_STENCIL_SOLVES = tuple((s, n) for s in ("-1,3,-3,1", "1,-3,3,-1") for n in (20, 40, 64))
+
+# stencils whose taps do not sum to zero, so |s| does not vanish at x = 1;
+# the LP exchange stalled on these after _MAX_ROUNDS rounds, and they take
+# Remez steps now
+FORMER_LP_STALLS = (("2,-1", 8), ("2,-1", 20), ("1,-2,2", 3), ("1,-2,2", 20))
 
 THEOREM_PROBLEMS = ("first-deriv", "laplacian-nonneg", "laplacian")
 
@@ -354,14 +386,102 @@ class TestSweep:
         for (name, n), (problem, sol) in theorem_sweep.items():
             assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15, (name, n)
 
-    @pytest.mark.parametrize("stencil,n", FORMER_STENCIL_FAILURES + LARGE_STENCIL_SOLVES)
+    @pytest.mark.parametrize("stencil,n",
+                             FORMER_STENCIL_FAILURES + LARGE_STENCIL_SOLVES + FORMER_LP_STALLS)
     def test_former_stencil_failures_converge(self, stencil, n):
-        taps = [float(t) for t in stencil.split(",")]
-        problem = MinimaxProblem("operator", n, taps)
+        problem = MinimaxProblem("operator", n, taps_of(stencil))
         sol = solve(problem, 1e-9)
         assert sol.converged
         assert sol.certificate_gap <= 1e-9
         assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15
+
+
+# every integer difference stencil of 2-4 taps in [-3, 3]: nonzero end taps
+# summing to zero
+INTEGER_STENCILS = tuple(
+    taps for size in (2, 3, 4) for taps in itertools.product(range(-3, 4), repeat=size)
+    if taps[0] and taps[-1] and sum(taps) == 0
+)
+
+
+def interior_zero_on_grid(taps, phases):
+    """Whether |s| has a local minimum below 1e-3 max |s| strictly inside
+    (0, pi), straight from the taps and the rows e^{ik xi} of ``phases`` on
+    200001 points in xi.  A zero at xi0 leaves at most max|s'| * h/2 <=
+    18 * 8e-6 on the grid, below the bound."""
+    mag = np.abs(np.asarray(taps, dtype=float) @ phases[: len(taps)])
+    inner = mag[1:-1]
+    dips = (inner <= mag[:-2]) & (inner <= mag[2:]) & (inner < 1e-3 * mag.max())
+    return bool(np.any(dips))
+
+
+class TestRemez:
+    @pytest.mark.parametrize("name,stencil,n", [
+        ("first-deriv", None, 12), ("first-deriv", None, 64),
+        ("laplacian", None, 12), ("laplacian", None, 64),
+        ("operator", "-1,3,-3,1", 20), ("operator", "-1,3,-3,1", 64),
+        ("operator", "1,0,-1", 15),  # |s| vanishes at x = -1 too
+    ])
+    def test_final_reference_equioscillates(self, name, stencil, n):
+        problem = MinimaxProblem(name, n, None if stencil is None else taps_of(stencil))
+        sol = solve(problem, 1e-9)
+        assert all(row["method"] == "remez" for row in sol.trace)
+        ref = np.asarray(sol.active_points)
+        assert ref.size == n + 1
+        err = grid_weight(problem, ref) * npcheb.chebval(ref, sol.coeffs.coeffs)
+        assert np.all(np.sign(err[1:]) == -np.sign(err[:-1]))
+        np.testing.assert_allclose(np.abs(err), sol.value, rtol=1e-10)
+
+    def test_path_rule_over_integer_stencils(self):
+        assert len(INTEGER_STENCILS) == 194
+        phases = np.exp(1j * np.outer(np.arange(4), np.linspace(0.0, math.pi, 200_001)))
+        vanishing = 0
+        for taps in INTEGER_STENCILS:
+            inside = interior_zero_on_grid(taps, phases)
+            vanishing += inside
+            problem = MinimaxProblem("operator", 2, [float(t) for t in taps])
+            assert problem.symbol.vanishes_inside == inside, taps
+            assert solve(problem, 1e-9).trace[0]["method"] == ("lp" if inside else "remez"), taps
+        assert vanishing == 28
+
+    def test_laplacian_n1_closed_form(self):
+        sol = solve(MinimaxProblem("laplacian", 1), 1e-9)
+        assert abs(sol.constant - (2.0 * math.sqrt(2.0) - 2.0)) <= 1e-9
+
+    def test_singular_system_after_round_one_stalls_with_iterate(self, monkeypatch):
+        real, calls = np.linalg.solve, []
+
+        def singular_after_first(a, b):
+            calls.append(a.shape)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_after_first)
+        with pytest.raises(Stalled) as exc:
+            solve(MinimaxProblem("first-deriv", 6), 1e-9)
+        sol = exc.value.solution
+        assert isinstance(exc.value.__cause__, mm.Infeasible)
+        assert calls == [(7, 7), (7, 7)]
+        assert not sol.converged
+        assert sol.iterations == len(sol.trace) == 1
+        assert sol.value == sol.trace[0]["lp_value"]
+
+    def test_first_singular_system_propagates(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(mm.Infeasible, match="singular"):
+            solve(MinimaxProblem("laplacian", 6), 1e-9)
+
+    def test_lost_alternation_stalls_with_iterate(self, monkeypatch):
+        monkeypatch.setattr(mm, "_exchange", lambda problem, p, cands: None)
+        with pytest.raises(Stalled) as exc:
+            solve(MinimaxProblem("laplacian", 6), 1e-9)
+        sol = exc.value.solution
+        assert not sol.converged
+        assert sol.iterations == 1 and sol.trace[0]["cuts"] == 0
 
 
 class TestSerialization:

@@ -139,6 +139,29 @@ class TestOperatorConstant:
         with pytest.raises(DegenerateOperator):
             OperatorSymbol([0.0, 0.0])
 
+    def test_equality_and_hash_follow_taps_and_offset(self):
+        a, b = OperatorSymbol([1.0, -1.0]), OperatorSymbol(np.array([1, -1]))
+        assert a == b and hash(a) == hash(b)
+        assert a != OperatorSymbol([1.0, -1.0], offset=1)
+        assert a != OperatorSymbol([1.0, -1.0, 0.0])
+        assert a != OperatorSymbol([-1.0, 1.0])
+        assert a != (1.0, -1.0)
+        assert len({a, b, OperatorSymbol([1.0, -2.0, 1.0])}) == 2
+
+    @pytest.mark.parametrize("taps,inside", [
+        ([-1.0, 1.0], False),
+        ([1.0, -2.0, 1.0], False),
+        ([-1.0, 3.0, -3.0, 1.0], False),
+        ([1.0, 0.0, -1.0], False),  # zeros at x = 1 and x = -1 only
+        ([1.0, 1.0], False),  # no zero at x = 1
+        ([0.3, -0.7, 0.4], False),  # sums to 5.6e-17, not 0: the zero at x = 1 is inexact
+        ([-1.0, 0.0, 0.0, 1.0], True),  # z^3 = 1: x = -1/2
+        ([1.0, -1.0, 1.0, -1.0], True),  # z = +-i: x = 0
+        ([2.0, 1.0, 2.0], True),  # z^2 + z/2 + 1: x = -1/4, no root of unity
+    ])
+    def test_vanishes_inside(self, taps, inside):
+        assert OperatorSymbol(taps).vanishes_inside is inside
+
 
 def _mp_dirichlet(n):
     """uhat of the box kernel, (T_n - T_{n+1}) / ((2n+1) (1 - x)) at x = cos t."""
