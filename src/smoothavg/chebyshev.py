@@ -123,12 +123,68 @@ def cheb_eval(p: ChebPoly, x):
 
 def cheb_mul(p: ChebPoly, q: ChebPoly) -> ChebPoly:
     """Product in the Chebyshev basis via T_j T_k = (T_{j+k} + T_{|j-k|}) / 2."""
-    return ChebPoly(npcheb.chebmul(p.coeffs, q.coeffs))
+    return ChebPoly(_mul(p.coeffs, q.coeffs))
 
 
 def mul_one_minus_x(p: ChebPoly) -> ChebPoly:
     """(1 - x) * p, using x T_k = (T_{k+1} + T_{k-1}) / 2."""
-    return ChebPoly(npcheb.chebmul([1.0, -1.0], p.coeffs))
+    return ChebPoly(_mul(np.array([1.0, -1.0]), p.coeffs))
+
+
+def _der(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative: d_{k-1} = d_{k+1} + 2k c_k, summed
+    from the top as reverse cumulative sums over each parity, then d_0 / 2."""
+    n = c.size - 1
+    if n == 0:
+        return np.zeros(1)
+    t = np.arange(2.0, 2.0 * n + 1.0, 2.0) * c[1:]
+    d = np.empty(n)
+    d[0::2] = np.cumsum(t[0::2][::-1])[::-1]
+    d[1::2] = np.cumsum(t[1::2][::-1])[::-1]
+    d[0] *= 0.5
+    return d
+
+
+def _zseries(c: np.ndarray) -> np.ndarray:
+    """Laurent coefficients of c in z = e^{i xi}: T_k = (z^k + z^-k) / 2."""
+    z = np.empty(2 * c.size - 1)
+    z[c.size - 1 :] = 0.5 * c
+    z[: c.size - 1] = z[: c.size - 1 : -1]
+    z[c.size - 1] = c[0]
+    return z
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two coefficient arrays as a product of Laurent series."""
+    z = np.convolve(_zseries(a), _zseries(b))
+    c = z[z.size // 2 :]
+    c[1:] *= 2.0
+    return c
+
+
+def _real_roots(r: np.ndarray) -> np.ndarray:
+    """The roots of r within ``_REAL_ROOT_TOL`` of [-1, 1], as reals,
+    ascending: eigenvalues of the scaled colleague matrix of ``chebcompanion``,
+    rotated by 180 degrees as ``chebroots`` does."""
+    nz = np.flatnonzero(r)
+    r = r[: nz[-1] + 1] if nz.size else r[:1]
+    m = r.size - 1
+    if m < 1:
+        return np.empty(0)
+    if m == 1:
+        roots = np.array([-r[0] / r[1]])
+    else:
+        mat = np.zeros((m, m))
+        flat = mat.reshape(-1)
+        flat[1 :: m + 1] = flat[m :: m + 1] = 0.5
+        mat[m - 1, m - 2] = mat[m - 2, m - 1] = np.sqrt(0.5)
+        col = 0.5 * r[:-1] / r[-1]
+        col[0] *= 1.0 / np.sqrt(0.5)
+        mat[:, 0] -= col[::-1]
+        roots = np.linalg.eigvals(mat)
+    real = roots.real[(np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0)]
+    real.sort()
+    return real
 
 
 def extreme_points(p: ChebPoly, weight: ChebPoly | None = None) -> np.ndarray:
@@ -140,18 +196,20 @@ def extreme_points(p: ChebPoly, weight: ChebPoly | None = None) -> np.ndarray:
     is among the points, and r has degree deg p + deg W - 1, not the
     2 deg p + deg W - 1 of (W p^2)'.  Without a weight r is p', and the
     points hold every local extremum of p.  The roots are the eigenvalues of
-    the colleague matrix of r (``chebroots``; Trefethen, ATAP ch. 18), and
-    those within ``_REAL_ROOT_TOL`` of the real axis count as real.  The
-    points depend on p only up to sign: the points of -p are bitwise the
-    points of p.
+    the colleague matrix of r (Trefethen, ATAP ch. 18), and those within
+    ``_REAL_ROOT_TOL`` of the real axis count as real.  All of it works on
+    the bare coefficient arrays, with one eigensolve a call.  The points
+    depend on p only up to sign: the points of -p are bitwise the points
+    of p.
     """
-    r = npcheb.chebder(p.coeffs)
+    c = p.coeffs
+    r = _der(c)
     if weight is not None:
         w = weight.coeffs
-        r = npcheb.chebadd(2.0 * npcheb.chebmul(w, r), npcheb.chebmul(npcheb.chebder(w), p.coeffs))
-    roots = npcheb.chebroots(r)
-    real = roots.real[(np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0)]
-    return np.concatenate(([-1.0], real, [1.0]))
+        r, q = 2.0 * _mul(w, r), _mul(_der(w), c)
+        k = min(r.size, q.size)  # they differ only by zero tails, when W or p is constant
+        r[:k] += q[:k]
+    return np.concatenate(([-1.0], _real_roots(r), [1.0]))
 
 
 def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:

@@ -232,16 +232,16 @@ def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
     return abs(float(y[-1])), _polynomial(y[:-1]), xs.size
 
 
-def _exchange(problem: MinimaxProblem, p: ChebPoly, cands: np.ndarray) -> np.ndarray | None:
+def _exchange(problem: MinimaxProblem, cands: np.ndarray, e: np.ndarray) -> np.ndarray | None:
     """The next Remez reference, ascending: degree+1 of the candidates where
-    the error w p alternates in sign, with the largest |w p| and always the
-    global maximum; None when fewer than degree+1 alternate.
+    the error e = w p (given at the candidates) alternates in sign, with the
+    largest |e| and always the global maximum; None when fewer than
+    degree+1 alternate.
 
     Each run of candidates with one sign of the error gives its largest
-    |w p|; the surplus goes by the smallest |w p| first, as an end point or
+    |e|; the surplus goes by the smallest |e| first, as an end point or
     with its smaller neighbour, so that the signs still alternate.
     """
-    e = _weight_values(problem, cands) * npcheb.chebval(cands, p.coeffs)
     xs, e = cands[e != 0.0], e[e != 0.0]
     runs = np.split(np.arange(e.size), np.flatnonzero(np.diff(np.sign(e))) + 1)
     pick = [run[np.argmax(np.abs(e[run]))] for run in runs if run.size]
@@ -351,12 +351,15 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
                 raise
             raise Stalled(_solution(problem, *best, trace, converged=False)) from exc
         cands = extreme_points(p, problem.symbol.magnitude_squared_cheb)
-        phi = _objective_values(problem, p, cands)
+        # the signed error w p, evaluated once: the objective is e under
+        # positivity and |e| otherwise, and the Remez exchange reads its signs
+        e = _weight_values(problem, cands) * npcheb.chebval(cands, p.coeffs)
+        phi = e if spec.positivity else np.abs(e)
         cont_max = float(np.max(phi))
         obj_viol = cont_max - level
         pos_viol = -math.inf
         if remez:
-            following = _exchange(problem, p, cands)
+            following = _exchange(problem, cands, e)
             new = xs[:0] if following is None else following
         else:
             new = cands[phi > level + tol]

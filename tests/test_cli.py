@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 import smoothavg
+import smoothavg.cli as cli
 import smoothavg.minimax as mm
+import smoothavg.smoothness as smoothness
 from smoothavg.cli import main
 from smoothavg.kernel import box_kernel, triangle_kernel, write_kernel_file
 
@@ -245,6 +249,77 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "n-max must lie in [0, 30]" in captured.err
+
+
+class TestVerifyViolations:
+    """A violated theorem in a random battery is a TAP `not ok` with its
+    witness and exit 1, not a traceback or an input error."""
+
+    def test_bound_violation_is_not_ok(self, monkeypatch, capsys):
+        real = smoothness.first_deriv_constant
+
+        def halved(u):
+            rep = real(u)
+            return dataclasses.replace(rep, constant=rep.constant / 2, gap=rep.gap - rep.constant / 2)
+
+        # verify_theorem1 reads the constant from smoothness; the box rows
+        # of the suite keep the CLI's own, unpatched binding
+        monkeypatch.setattr(smoothness, "first_deriv_constant", halved)
+        assert run(["verify", "thm1", "--n-max", 3]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1..6"
+        assert all(line.startswith("ok ") for line in lines[1:5])
+        bad = lines[5]
+        assert bad.startswith("not ok 5 - thm1: random kernels respect the bound # n=")
+        assert "< sharp bound" in bad and "for kernel half [" in bad
+        assert lines[6] == "ok 6 - thm1: non-box kernels are strictly worse"
+
+    def test_hypothesis_violation_is_not_ok(self, monkeypatch, capsys):
+        monkeypatch.setattr(smoothness, "has_nonneg_fourier", lambda u, tol=0.0: (False, 0.25))
+        assert run(["verify", "thm2", "--n-max", 2]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1..5"
+        bad = [line for line in lines if line.startswith("not ok")]
+        assert len(bad) == 1
+        assert bad[0].startswith("not ok 4 - thm2: nonneg-transform kernels respect the bound # n=")
+        assert "(x = 0.250000)" in bad[0] and "half=[" in bad[0]
+        assert lines[5] == "ok 5 - thm2: sign-changing transforms are rejected"
+
+
+def test_parser_is_reused_without_carry_over(tmp_path, capsys):
+    # one parser serves every call of one process; no flag of one call may
+    # reach the next, and errors must leave it usable
+    assert cli.build_parser() is cli.build_parser()
+    kfile = tmp_path / "box.json"
+    write_kernel_file(kfile, box_kernel(3))
+    ops = [
+        (["optimize", "first-deriv", "-n", 3], 0),
+        (["optimize", "first-deriv", "--nonneg", "-n", 3], 2),
+        (["optimize", "no-such-problem", "-n", 3], SystemExit),
+        (["optimize", "laplacian", "--nonneg", "-n", 3], 0),
+        (["optimize", "laplacian", "-n", 3], 0),
+        (["analyze", kfile, "--operator=-1,3,-3,1"], 0),
+        (["analyze", kfile], 0),
+    ]
+    outputs = []
+    for _ in range(2):
+        for argv, code in ops:
+            if code is SystemExit:
+                with pytest.raises(SystemExit) as exc:
+                    run(argv)
+                assert exc.value.code == 2
+            else:
+                assert run(argv) == code, argv
+            # byte for byte, but for the wall times in the solver's trace
+            outputs.append(re.sub(r'"seconds": [^,\n]+', '"seconds": 0', capsys.readouterr().out))
+    first, second = outputs[: len(ops)], outputs[len(ops):]
+    assert first == second
+    assert json.loads(first[3])["problem"]["nonneg"] is True
+    plain = json.loads(first[4])
+    assert plain["problem"]["nonneg"] is False
+    assert plain["problem"]["exploratory"] is True
+    assert "operator" in json.loads(first[5])
+    assert "operator" not in json.loads(first[6])
 
 
 class TestSmooth:

@@ -476,7 +476,7 @@ class TestRemez:
             solve(MinimaxProblem("laplacian", 6), 1e-9)
 
     def test_lost_alternation_stalls_with_iterate(self, monkeypatch):
-        monkeypatch.setattr(mm, "_exchange", lambda problem, p, cands: None)
+        monkeypatch.setattr(mm, "_exchange", lambda problem, cands, e: None)
         with pytest.raises(Stalled) as exc:
             solve(MinimaxProblem("laplacian", 6), 1e-9)
         sol = exc.value.solution

@@ -204,3 +204,75 @@ class TestMpmathOracle:
                              ids=[case[0] for case in _multiple_root_polys()])
     def test_multiple_roots(self, label, p, min_tol):
         _assert_matches_oracle(p, label, min_tol)
+
+
+def _reference_points(p, weight):
+    """extreme_points by numpy.polynomial's generic routines, with the same
+    candidate rule: the roots of 2 W p' + W' p (W = 1 without a weight)."""
+    w = np.array([1.0]) if weight is None else weight.coeffs
+    r = npcheb.chebadd(2.0 * npcheb.chebmul(w, npcheb.chebder(p.coeffs)),
+                       npcheb.chebmul(npcheb.chebder(w), p.coeffs))
+    roots = npcheb.chebroots(r)
+    real = roots.real[(np.abs(roots.imag) <= 1e-4) & (np.abs(roots.real) <= 1.0)]
+    return np.concatenate(([-1.0], np.sort(real), [1.0]))
+
+
+_REFERENCE_WEIGHTS = {
+    "none": None,
+    "grad": OperatorSymbol([-1.0, 1.0]),
+    "laplacian": OperatorSymbol([1.0, -2.0, 1.0]),
+    "third": OperatorSymbol([-1.0, 3.0, -3.0, 1.0]),
+}
+
+
+class TestAgainstNumpyPolynomial:
+    """The arrays-only engine against numpy.polynomial's chebder, chebmul,
+    chebadd and chebroots on the same candidate rule."""
+
+    @staticmethod
+    def _assert_points_match(a, b, label):
+        # each point farther than 1e-8 from +-1 has a partner in the other
+        # set within 1e-10, widened by 2e-12 / (1 - |x|) near the ends: a
+        # weight that vanishes like (1 - x)^3 puts a double root of r at
+        # x = 1, which rounding splits either way by ~1e-7 (real or complex)
+        # and which leaves the roots at distance d from it conditioned like
+        # 1 / d (up to 6e-13 / d apart at degrees 30-131)
+        for x in a[np.abs(a) < 1.0 - 1e-8]:
+            tol = 1e-10 + 2e-12 / (1.0 - abs(x))
+            assert np.min(np.abs(b - x)) <= tol, (label, x)
+
+    @pytest.mark.parametrize("name", list(_REFERENCE_WEIGHTS))
+    @pytest.mark.parametrize("deg", [0, 1, 2, 8, 30, 64, 131])
+    def test_points_and_sups(self, deg, name):
+        symbol = _REFERENCE_WEIGHTS[name]
+        weight = None if symbol is None else symbol.magnitude_squared_cheb
+        rng = np.random.default_rng(1000 + deg)
+        for _ in range(3):
+            p = ChebPoly(rng.standard_normal(deg + 1))
+            got, want = extreme_points(p, weight), _reference_points(p, weight)
+            assert got[0] == -1.0 and got[-1] == 1.0 and np.all(np.diff(got) >= 0)
+            self._assert_points_match(got, want, (deg, name))
+            self._assert_points_match(want, got, (deg, name))
+            # the sups agree within Clenshaw's rounding bound at their points
+            if symbol is None:
+                ref = np.abs(npcheb.chebval(want, p.coeffs)).max()
+                assert sup_abs(p)[0] == pytest.approx(ref, rel=0, abs=_tol(p))
+            else:
+                def wsup(xs):
+                    return np.max(symbol.magnitude(xs) * np.abs(npcheb.chebval(xs, p.coeffs)))
+
+                scale = symbol.magnitude(np.array([-1.0, 1.0])).max()  # max |s|, at x = -1 here
+                assert wsup(got) == pytest.approx(wsup(want), rel=0, abs=scale * _tol(p))
+
+    @pytest.mark.parametrize("name", list(_REFERENCE_WEIGHTS))
+    def test_constant_gives_the_endpoints(self, name):
+        # under a weight the roots of W' (at x = 1 for these stencils) are
+        # candidates too, so only the endpoints may appear
+        symbol = _REFERENCE_WEIGHTS[name]
+        weight = None if symbol is None else symbol.magnitude_squared_cheb
+        for value in (1.0, -2.5, 0.0):
+            pts = extreme_points(ChebPoly([value]), weight)
+            assert pts[0] == -1.0 and pts[-1] == 1.0
+            assert np.all(np.abs(np.abs(pts) - 1.0) <= 1e-7), (name, value, pts)
+            if weight is None:
+                assert pts.tolist() == [-1.0, 1.0]
