@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -255,6 +256,7 @@ def _suite_thm1(n_max: int, rng) -> list:
     bound_ok, strict_ok = True, True
     bound_detail = strict_detail = ""
     for n in range(1, min(8, n_max) + 1):
+        box_half = box_kernel(n).half
         for _ in range(40):
             u = random_symmetric_kernel(rng, n)
             try:
@@ -263,7 +265,7 @@ def _suite_thm1(n_max: int, rng) -> list:
                 bound_ok = False
                 bound_detail = f"n={n} {exc}"
                 continue
-            if np.max(np.abs(u.half - box_kernel(n).half)) > 1e-4 and rep.gap <= 1e-8:
+            if np.max(np.abs(u.half - box_half)) > 1e-4 and rep.gap <= 1e-8:
                 strict_ok = False
                 strict_detail = f"n={n} gap={rep.gap!r}"
     out.append(("thm1: random kernels respect the bound", bound_ok, bound_detail))
@@ -409,24 +411,33 @@ def cmd_verify(args) -> int:
 
 
 def _read_series(path: str) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """The first column of a CSV series: blank rows are skipped, and so is
+    row 1 when it does not parse (a header)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cells = (raw.split(",", 1)[0].strip() for raw in fh)
+        head = next(cells, "")
+        try:
+            float(head or 0)
+        except ValueError:
+            head = ""  # header
+        try:  # a well-formed series parses in this one streamed pass
+            values = np.fromiter(map(float, filter(None, itertools.chain([head], cells))), float)
+            if np.all(np.isfinite(values)) and values.size:
+                return values
+        except ValueError:
+            pass
+        fh.seek(0)  # any other takes a second pass that names its first bad row
         for row_no, raw in enumerate(fh, 1):
-            cell = raw.strip().split(",")[0].strip()
-            if not cell:
+            cell = raw.split(",", 1)[0].strip()
+            if not cell or (row_no == 1 and not head):
                 continue
             try:
                 value = float(cell)
             except ValueError:
-                if row_no == 1 and not values:
-                    continue  # header
                 raise KernelFileError(f"row {row_no}: cannot parse {cell!r}") from None
             if not math.isfinite(value):
                 raise KernelFileError(f"row {row_no}: value {cell!r} is not finite")
-            values.append(value)
-    if not values:
-        raise KernelFileError("no numeric rows found")
-    return np.asarray(values)
+    raise KernelFileError("no numeric rows found")
 
 
 def cmd_smooth(args) -> int:
@@ -473,8 +484,7 @@ def cmd_smooth(args) -> int:
 
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            for v in out_values:
-                fh.write(f"{v:.17g}\n")
+            fh.writelines(map("{:.17g}\n".format, out_values.tolist()))
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_INPUT

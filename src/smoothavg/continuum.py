@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ _LEVELS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 # scans multiply transforms by xi^2 up to ~1e6, so the target sits just
 # above the summation roundoff floor
 _QUAD_TOL = 2e-14
+_POLISH_POINTS = 33  # frequencies per round of the bracket refinement of J's peak
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -116,6 +117,8 @@ class PerturbationFunction:
         self.linear_table = None
         if linear_table is not None:
             self.linear_table = tuple(np.array(a, dtype=float) for a in linear_table)
+        # (G, a) for an autoconvolution, whose transform is (a Ghat(a xi))^2
+        self._factor = None
         self._panels = np.array([0.0, *pts, 1.0])
         self._samples: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -200,21 +203,16 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
                             breakpoints=()) -> PerturbationFunction:
     """f = g * g for an even profile g supported on [-a, a], a <= 1/2.
 
-    The Fourier transform of an autoconvolution is ghat^2 >= 0, so these
-    profiles satisfy the nonnegative-transform hypothesis by construction.
+    Its factor is kept as G(s) = g(a s) on [0, 1], and its transform is
+    fhat(xi) = ghat(xi)^2 = (a Ghat(a xi))^2 >= 0 exactly, so these profiles
+    satisfy the nonnegative-transform hypothesis by construction.  Values
+    of f itself (its integrals, ``combine``) use ``nodes``-point quadrature.
     """
     a = float(half_support)
     if not 0.0 < a <= 0.5:
         raise ValueError("half_support must lie in (0, 1/2]")
     base_x, base_w = _gl_nodes(nodes)
-
-    def g(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        inside = t <= a
-        if np.any(inside):
-            out[inside] = g_half(t[inside])
-        return out
+    factor = PerturbationFunction(lambda s: g_half(a * s))  # g(t) = factor(t / a)
 
     def half(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -223,11 +221,13 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
         rad = 0.5 * np.maximum(hi - lo, 0.0)
         mid = 0.5 * (hi + lo)
         t = mid[:, None] + rad[:, None] * base_x[None, :]
-        vals = g(t) * g(x[:, None] - t)
+        vals = factor(t / a) * factor((x[:, None] - t) / a)
         return (rad * (vals @ base_w)).reshape(np.shape(x))
 
     bps = set(breakpoints) | {min(2.0 * a, 1.0)}
-    return PerturbationFunction(half, breakpoints=bps)
+    f = PerturbationFunction(half, breakpoints=bps)
+    f._factor = (factor, a)
+    return f
 
 
 def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> PerturbationFunction:
@@ -245,6 +245,9 @@ def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> 
 
 def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
     """The first doubling level for each frequency of ``xis``."""
+    if f._factor is not None:
+        g, a = f._factor
+        return _fourier_start_level(g, a * np.asarray(xis))
     # a table's closed form is exact at every level: one evaluation suffices
     if f.linear_table is not None:
         return np.full(np.shape(xis), _LEVELS[-1])
@@ -301,9 +304,11 @@ def _hat_piecewise_linear(knots: np.ndarray, values: np.ndarray, xi: np.ndarray)
 def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) -> np.ndarray:
     """fhat on the uniform grid xi0 + k h, k < count.
 
-    Piecewise-linear profiles use the exact segment closed form (``level``
-    is then unused); otherwise Gauss-Legendre with ``level`` nodes per
-    panel.  The quadrature factorises the phase: with k = q m + r,
+    With ``_transform`` and ``_fourier_start_level``, the only code that
+    knows a profile's transform kind: a table's exact segment closed form
+    (``level`` unused), an autoconvolution's squared factor transform
+    (a Ghat(a xi))^2, or Gauss-Legendre with ``level`` nodes per panel.
+    The quadrature factorises the phase: with k = q m + r,
     e^{2 pi i xi_k x} = e^{2 pi i (xi0 + q m h) x} e^{2 pi i r h x}, so
     about 2 sqrt(count) double-double phase rows and the real part of one
     complex matrix product (two real ones) give every frequency.
@@ -311,6 +316,9 @@ def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) 
     if f.linear_table is not None:
         knots, values = f.linear_table
         return _hat_piecewise_linear(knots, values, (xi0 + h * np.arange(count))[:, None])
+    if f._factor is not None:
+        g, a = f._factor
+        return (a * _hat(g, a * xi0, a * h, count, level)) ** 2
     x, w, fx = f.samples(level)
     m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
     sin_a, cos_a = _sincos_2pi_prod(xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
@@ -322,7 +330,11 @@ def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) 
 def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:
     """fhat on the uniform grid xi0 + k h, k < count, node-doubled per
     frequency from a level high enough to resolve its oscillation until
-    two levels agree; each level is one ``_hat`` call."""
+    two levels agree; each level is one ``_hat`` call (an autoconvolution's
+    on its factor, then squared)."""
+    if f._factor is not None:
+        g, a = f._factor
+        return (a * _transform(g, a * xi0, a * h, count)) ** 2
     xis = xi0 + h * np.arange(count)
     # O(eps) rounding of node positions perturbs the oscillatory integrand
     # by O(eps * xi), an irreducible quadrature noise floor
@@ -362,33 +374,15 @@ def triangle_hat(xi) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section maximization on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = c if fc >= fd else d
-    return (x, fc) if fc >= fd else (x, fd)
-
-
 def j_functional(u: PerturbationFunction, xi_cutoff: float = 60.0, grid: int | None = None) -> float:
     """J(u) = sup(|uhat| xi^2)^2 * (int |u| x^2)^2 / (int |u|)^4.
 
     The sup is taken over the window [0, xi_cutoff] (evenness halves the
-    line): a uniform grid with spacing 1/256 locates the peak and a
-    golden-section polish refines it.  A TailEstimateWarning flags a grid
-    peak within 5% of the cutoff, where the window may be too short.
+    line): a uniform grid with spacing 1/256 locates the peak; each polish
+    round transforms 33 equispaced points across the bracket and keeps the
+    best one's two neighbours, down to a 1e-10 bracket.  A
+    TailEstimateWarning flags a grid peak within 5% of the cutoff, where
+    the window may be too short.
     Integrands with |u| are spectrally accurate only when u keeps one
     sign per quadrature panel, which holds for the perturbations studied
     here.
@@ -420,13 +414,16 @@ def j_functional(u: PerturbationFunction, xi_cutoff: float = 60.0, grid: int | N
             stacklevel=2,
         )
 
-    def peak_value(xi):
-        return abs(ct_fourier(u, xi)) * xi * xi
-
     lo = xis[max(0, i_best - 1)]
     hi = xis[min(grid - 1, i_best + 1)]
-    _, sup = _golden_max(peak_value, lo, hi)
-    sup = max(sup, float(sweep[i_best]))
+    sup = float(sweep[i_best])
+    ks = np.arange(_POLISH_POINTS)
+    while hi - lo > 1e-10:
+        step = (hi - lo) / (_POLISH_POINTS - 1)
+        vals = np.abs(_transform(u, lo, step, _POLISH_POINTS)) * (lo + step * ks) ** 2
+        k = int(np.argmax(vals))
+        sup = max(sup, float(vals[k]))
+        lo, hi = lo + step * max(k - 1, 0), lo + step * min(k + 1, _POLISH_POINTS - 1)
     return (sup * sup) * (second_moment * second_moment) / mass**4
 
 
@@ -560,15 +557,7 @@ class PerturbationReport:
     epsilons_used: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "J0": self.J0,
-            "c_f_analytic": self.c_f_analytic,
-            "c_f_numeric": self.c_f_numeric,
-            "gamma": self.gamma,
-            "prop8_lhs": self.prop8_lhs,
-            "prop8_rhs": self.prop8_rhs,
-            "epsilons_used": list(self.epsilons_used),
-        }
+        return asdict(self)
 
 
 def perturbation_report(

@@ -369,6 +369,52 @@ class TestSmooth:
         assert run(["smooth", src, tmp_path / "out.csv", "--box", 1]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_header_skipped_only_on_row_one(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        src.write_text("value\n" + "".join(f"{v}\n" for v in range(1, 8)))
+        assert run(["smooth", src, dst, "--box", 1]) == 0
+        assert len(dst.read_text().split()) == 7 - 2
+        src.write_text("\nvalue\n" + "".join(f"{v}\n" for v in range(1, 8)))
+        assert run(["smooth", src, tmp_path / "late.csv", "--box", 1]) == 2
+        assert "row 2: cannot parse 'value'" in capsys.readouterr().err
+
+    def test_blank_rows_and_later_columns_ignored(self, tmp_path):
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        src.write_text("1.0,x\n\n  \n2.0 , 9\r\n,7\n3.0,,\n4.0\n5.0,oops\n")
+        assert run(["smooth", src, dst, "--box", 1]) == 0
+        assert [float(v) for v in dst.read_text().split()] == pytest.approx([2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "value\n", ",1\n  ,2\n"])
+    def test_no_numeric_rows(self, tmp_path, capsys, text):
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        assert run(["smooth", src, tmp_path / "out.csv", "--box", 1]) == 2
+        assert "no numeric rows found" in capsys.readouterr().err
+
+    def test_first_bad_row_is_named(self, tmp_path, capsys):
+        # a parse error after a non-finite row: the earlier row is reported
+        src = tmp_path / "in.csv"
+        src.write_text("1.0\n\n inf \nbanana\n")
+        assert run(["smooth", src, tmp_path / "out.csv", "--box", 1]) == 2
+        assert "row 3: value 'inf' is not finite" in capsys.readouterr().err
+        src.write_text("1.0\n\n banana \ninf\n")
+        assert run(["smooth", src, tmp_path / "out.csv", "--box", 1]) == 2
+        assert "row 3: cannot parse 'banana'" in capsys.readouterr().err
+
+    def test_output_rows_carry_17_significant_digits(self, tmp_path):
+        rng = np.random.default_rng(11)
+        series = rng.standard_normal(50)
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        src.write_text("".join(f"{float(v)!r}\n" for v in series))
+        assert run(["smooth", src, dst, "--box", 2]) == 0
+        lines = dst.read_text().splitlines()
+        assert lines == [f"{float(line):.17g}" for line in lines]
+        expect = np.convolve(series, np.full(5, 0.2), mode="valid")
+        np.testing.assert_allclose([float(line) for line in lines], expect, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_row_rejected(self, tmp_path, capsys, bad):
         src = tmp_path / "in.csv"

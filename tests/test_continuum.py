@@ -232,7 +232,7 @@ class TestProp8:
             )
         for f in profiles:
             sides = prop8_sides(f, 150)
-            assert sides.min_integer_hat >= -1e-9
+            assert sides.min_integer_hat >= 0.0
             assert sides.lhs >= sides.rhs - 1e-9
             # equality is reserved for multiples of the triangle
             assert sides.lhs - sides.rhs > 1e-6
@@ -420,13 +420,14 @@ class TestLevelBatchedScans:
         assert abs(prop8_sides(f, 200).min_integer_hat - np.min(single)) <= tol * 201.0
 
 
-class TestQuadratureOracle:
-    """The quadrature path against the closed form of an autoconvolution.
+class TestAutoconvolutionOracle:
+    """The autoconvolution's transform against its closed form.
 
     For g = cos^2(pi t) on [-1/2, 1/2], ghat(xi) = sinc(xi)/2 +
     (sinc(xi - 1) + sinc(xi + 1))/4 with sinc(z) = sin(pi z)/(pi z), and
     the autoconvolution f = g * g has fhat = ghat^2, evaluated here in
-    40-digit mpmath.
+    40-digit mpmath.  Every transform path must match it to 1e-9 relative,
+    or to 1e-17 absolute where fhat itself is that small.
     """
 
     @staticmethod
@@ -442,15 +443,15 @@ class TestQuadratureOracle:
 
     @staticmethod
     def assert_close(computed, xis):
-        bound = 1e-15 * (1.0 + xis) + 1e-14
-        assert np.all(np.abs(computed - TestQuadratureOracle.exact(xis)) <= bound)
+        exact = TestAutoconvolutionOracle.exact(xis)
+        assert np.all(np.abs(computed - exact) <= np.maximum(1e-9 * np.abs(exact), 1e-17))
 
     @pytest.fixture(scope="class")
     def f(self):
         return autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
 
     def test_ct_fourier(self, f):
-        xis = np.array([0.5, 10.5, 500.5, 1000.5])
+        xis = np.array([0.25, 0.5, 2.5, 10.5, 60.25, 100.5, 500.5, 1000.5])
         self.assert_close(np.array([ct_fourier(f, xi) for xi in xis]), xis)
 
     def test_j_functional_sweep(self, f):
@@ -465,6 +466,20 @@ class TestQuadratureOracle:
         n = np.array([0, 10, 500, 1000])
         scan = continuum._transform(f, 0.5, 1.0, 1001)
         self.assert_close(scan[n], n + 0.5)
+
+    def test_gamma(self, f):
+        # fhat(xi) xi^2 = 1/(4 pi^2 (1 - xi^2)^2) at half-integers peaks at xi = 1/2
+        gamma = perturbation_report(f).gamma
+        assert gamma == pytest.approx(4.0 / (9.0 * PI**2), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("g, a", [
+        (lambda t: np.cos(PI * t) ** 2, 0.5),
+        (lambda t: (0.25 - t * t) ** 2, 0.5),
+        (lambda t: np.cos(PI * t / 0.6) ** 2, 0.3),
+    ], ids=["cos2", "quartic", "narrow_cos2"])
+    def test_integer_samples_are_nonnegative(self, g, a):
+        # fhat = ghat^2 holds exactly, so no integer sample may dip below zero
+        assert prop8_sides(autoconvolution_profile(g, a), 1000).min_integer_hat >= 0.0
 
 
 class TestPerturbationReport:
