@@ -15,6 +15,7 @@ is what the slope formula ``c_f_analytic`` and the sampling inequality
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -44,14 +45,15 @@ __all__ = [
 ]
 
 _PI = math.pi
+# nodes per panel; a level of n nodes applies the fixed _RULE_NODES-point
+# Gauss-Legendre rule on n / _RULE_NODES equal sub-panels of each panel
 _LEVELS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
+_RULE_NODES = 64
 # agreement between successive node-doubling levels; the half-integer
 # scans multiply transforms by xi^2 up to ~1e6, so the target sits just
 # above the summation roundoff floor
 _QUAD_TOL = 2e-14
 _POLISH_POINTS = 33  # frequencies per round of the bracket refinement of J's peak
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class ZeroMass(ValueError):
@@ -63,12 +65,37 @@ class TailEstimateWarning(UserWarning):
     supremum over the whole line may lie outside the window."""
 
 
-def _gl_nodes(level: int):
-    if level not in _GL_CACHE:
-        from scipy.special import roots_legendre
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
 
-        _GL_CACHE[level] = roots_legendre(level)
-    return _GL_CACHE[level]
+    Tricomi's asymptotic guess for the roots of P_n, polished by three
+    Newton steps on the three-term recurrence (numpy's ``leggauss`` gives
+    the same nodes through an eigensolver, but its weights are off by
+    ~1e-12 relative at 64 nodes, and the eigensolver adds ~0.4 MB to a
+    process's peak RSS).  The weights 2 / ((1 - x^2) P_n'(x)^2) are taken
+    at the root, not at its rounding x: d log w / dx = -2x / (1 - x^2)
+    would turn the ~1e-16 rounding into ~1e-13 near the ends, so the
+    residual Newton step -P_n(x) / P_n'(x) enters to first order.  Against
+    50-digit mpmath, nodes are within one ulp and weights within 2e-14
+    relative at 64 and 96 nodes.
+    """
+
+    def legendre(x):  # (P_n(x), P_n'(x))
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    k = np.arange(n, 0, -1)
+    x = np.cos(_PI * (4 * k - 1) / (4 * n + 2)) * (1.0 - (n - 1) / (8.0 * n**3))
+    for _ in range(3):
+        p, dp = legendre(x)
+        x = x - p / dp
+    p, dp = legendre(x)
+    one_minus_sq = (1.0 - x) * (1.0 + x)
+    w = 2.0 / (one_minus_sq * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one_minus_sq)
+    return x, w
 
 
 def _node_doubling(value_at, start: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -103,20 +130,27 @@ class PerturbationFunction:
     extended evenly and treated as zero outside [-1, 1].  ``breakpoints``
     lists interior kinks in (0, 1); quadrature panels split there (and at
     the built-in kink x = 0) so Gauss-Legendre stays spectrally accurate.
+    ``linear_table`` = (knots, values), with knots rising from 0 to 1,
+    marks ``half`` as exactly that linear interpolant; its knots become
+    breakpoints too.
     Node/value samples are cached per doubling level, so repeated
     integrals against different weights reuse the evaluations.
     """
 
     def __init__(self, half, breakpoints=(), linear_table=None):
         self.half = half
-        pts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
-        self.breakpoints = tuple(pts)
         # (knots, values) when the half is exactly piecewise linear; its
         # transform then has a closed form immune to the node-placement
         # noise that limits oscillatory quadrature at large frequencies
         self.linear_table = None
         if linear_table is not None:
-            self.linear_table = tuple(np.array(a, dtype=float) for a in linear_table)
+            knots, values = (np.array(a, dtype=float) for a in linear_table)
+            if knots[0] != 0.0 or knots[-1] != 1.0:
+                raise ValueError("a linear table's knots must run from 0 to 1")
+            self.linear_table = (knots, values)
+            breakpoints = [*breakpoints, *knots]
+        pts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
+        self.breakpoints = tuple(pts)
         # (G, a) for an autoconvolution, whose transform is (a Ghat(a xi))^2
         self._factor = None
         self._panels = np.array([0.0, *pts, 1.0])
@@ -135,16 +169,18 @@ class PerturbationFunction:
         return float(np.max(np.diff(self._panels)))
 
     def samples(self, level: int):
-        """(nodes, weights, values) on [0, 1] with ``level`` nodes per panel."""
+        """(nodes, weights, values) on [0, 1] with ``level`` nodes per panel:
+        the _RULE_NODES-point Gauss-Legendre rule on level / _RULE_NODES
+        equal sub-panels of each panel."""
         if level not in self._samples:
-            base_x, base_w = _gl_nodes(level)
-            xs, ws = [], []
-            for a, b in zip(self._panels[:-1], self._panels[1:]):
-                mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-                xs.append(mid + rad * base_x)
-                ws.append(rad * base_w)
-            x = np.concatenate(xs)
-            w = np.concatenate(ws)
+            base_x, base_w = _gauss_legendre(_RULE_NODES)
+            a, b = self._panels[:-1, None], self._panels[1:, None]
+            edges = a + (b - a) * np.linspace(0.0, 1.0, level // _RULE_NODES + 1)
+            edges[:, -1] = b[:, 0]
+            lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+            mid, rad = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+            x = (mid + rad * base_x).ravel()
+            w = (rad * base_w).ravel()
             self._samples[level] = (x, w, np.asarray(self.half(x), dtype=float))
         return self._samples[level]
 
@@ -205,13 +241,16 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
 
     Its factor is kept as G(s) = g(a s) on [0, 1], and its transform is
     fhat(xi) = ghat(xi)^2 = (a Ghat(a xi))^2 >= 0 exactly, so these profiles
-    satisfy the nonnegative-transform hypothesis by construction.  Values
-    of f itself (its integrals, ``combine``) use ``nodes``-point quadrature.
+    satisfy the nonnegative-transform hypothesis by construction.  Ghat
+    comes from G's composite rule, whose node doubling then ends one level
+    past its start.  Values of f itself (its integrals, ``combine``)
+    convolve with the ``nodes``-point Gauss-Legendre rule, from the same
+    numpy generator as the composite rule's 64 nodes.
     """
     a = float(half_support)
     if not 0.0 < a <= 0.5:
         raise ValueError("half_support must lie in (0, 1/2]")
-    base_x, base_w = _gl_nodes(nodes)
+    base_x, base_w = _gauss_legendre(nodes)
     factor = PerturbationFunction(lambda s: g_half(a * s))  # g(t) = factor(t / a)
 
     def half(x):
@@ -238,22 +277,30 @@ def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> 
 
     table = None
     if base.linear_table is not None and f.linear_table is not None:
-        knots = np.union1d(base.linear_table[0], f.linear_table[0])
+        # not np.union1d: its np.unique imports numpy.ma, ~30 ms of a fresh
+        # `continuum` process
+        knots = np.array(sorted({*base.linear_table[0].tolist(), *f.linear_table[0].tolist()}))
         table = (knots, half(knots))
     return PerturbationFunction(half, set(base.breakpoints) | set(f.breakpoints), linear_table=table)
 
 
 def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
-    """The first doubling level for each frequency of ``xis``."""
+    """The first doubling level for each frequency of ``xis``.
+
+    A level counts nodes per panel: the 64-node rule on level / 64 equal
+    sub-panels.  An autoconvolution starts where its factor does at a xi;
+    a table's knot sum ignores the level, so it starts at the top one and
+    takes one evaluation.
+    """
     if f._factor is not None:
         g, a = f._factor
         return _fourier_start_level(g, a * np.asarray(xis))
-    # a table's closed form is exact at every level: one evaluation suffices
     if f.linear_table is not None:
         return np.full(np.shape(xis), _LEVELS[-1])
-    # 1.3x the oscillation count: levels that barely resolve the phase
-    # leave ~1e-14 truncation, which the xi^2 weighting then amplifies
-    need = 1.3 * _PI * np.abs(xis) * f.max_panel_width + 48.0
+    # the 64-node rule integrates cos(2 pi xi x) to ~1e-16 while pi xi
+    # times its sub-panel's width stays below ~80 (1.26 pi xi w per node
+    # of the level); one node per pi xi w keeps a 25% margin
+    need = _PI * np.abs(xis) * f.max_panel_width + 48.0
     levels = np.array(_LEVELS)
     return levels[np.minimum(np.searchsorted(levels, need), levels.size - 1)]
 
@@ -282,49 +329,89 @@ def _sincos_2pi_prod(xi, x: np.ndarray):
     return sin + two_pi_lo * cos, cos - two_pi_lo * sin
 
 
-def _hat_piecewise_linear(knots: np.ndarray, values: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Exact transform of an even piecewise-linear profile at a column of
-    frequencies ``xi`` (shape (m, 1)).
+def _cos_sum(x: np.ndarray, w: np.ndarray, xi0: float, h: float, count: int) -> np.ndarray:
+    """sum_j w_j cos(2 pi xi_k x_j) on the uniform grid xi_k = xi0 + k h, k < count.
 
-    On each segment, int (a + b x) cos(c x) dx =
-    [(a + b x) sin(c x)/c + b cos(c x)/c^2], so the transform reduces to
-    boundary evaluations whose accuracy does not degrade with frequency.
+    The phase factorises: with k = q m + r, e^{2 pi i xi_k x} =
+    e^{2 pi i (xi0 + q m h) x} e^{2 pi i r h x}, so about 2 sqrt(count)
+    double-double phase rows and the real part of one complex matrix
+    product (two real ones) give every frequency.
     """
-    tiny = np.abs(xi) < 1e-8
-    c = 2.0 * _PI * np.where(tiny, 1.0, xi)
-    sin, cos = _sincos_2pi_prod(xi, knots)
-    f0, f1 = values[:-1], values[1:]
-    slope = (f1 - f0) / np.diff(knots)
-    upper = f1 * sin[:, 1:] / c + slope * cos[:, 1:] / (c * c)
-    lower = f0 * sin[:, :-1] / c + slope * cos[:, :-1] / (c * c)
-    mass = np.sum(np.diff(knots) * (f0 + f1))  # 2 * trapezoid mass
-    return np.where(tiny[:, 0], mass, 2.0 * np.sum(upper - lower, axis=1))
+    m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
+    sin_a, cos_a = _sincos_2pi_prod(xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
+    sin_b, cos_b = _sincos_2pi_prod(h * np.arange(m)[:, None], x)
+    return (cos_a @ (w * cos_b).T - sin_a @ (w * sin_b).T).ravel()[:count]
+
+
+def _sin_2pi(xi: np.ndarray) -> np.ndarray:
+    """sin(2 pi xi), reduced by the nearest half-turn so that it is exactly
+    zero at every integer and half-integer."""
+    turns = np.rint(2.0 * xi)
+    return np.sin(_PI * (2.0 * xi - turns)) * (1.0 - 2.0 * (turns % 2.0))
+
+
+def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:
+    """A linear table's transform on the grid xi0 + k h, k < count.
+
+    Integrating each segment by parts and collecting terms per knot gives
+
+        fhat(xi) = 2 [sum_j D_j cos(c x_j) / c^2 + f(1) sin(c) / c],  c = 2 pi xi,
+
+    where D_j = s_{j-1} - s_j is the drop in slope at knot x_j, with
+    s_{-1} = s_K = 0: the cosine sum of ``_cos_sum`` over the knots, plus
+    the end term.  The knots are exact, so it rounds to about
+    eps 2 sum_j |D_j| / c^2 at any frequency.
+
+    Near xi = 0 that bound blows up (sum_j D_j = 0 cancels).  There the
+    transform is the even-moment series sum_m (-1)^m c^{2m} / (2m)!
+    2 int f x^{2m}.  The 64-node rule on the table's panels integrates
+    each f x^{2m} with 2m <= 126 exactly, and for c <= pi the terms past
+    2m = 30 fall below eps, so the series with exact moments is the rule's
+    own cosine sum 2 sum_i w_i f(x_i) cos(c x_i), evaluated instead; it
+    rounds to about eps ||f||_1.  Each frequency takes the smaller bound:
+    the rule where c^2 ||f||_1 <= 2 sum_j |D_j|, but only below |xi| = 1/2,
+    where 64 nodes resolve cos(c x) on any panel.  That crossover is
+    xi = 0.32 for the triangle and 1/2 for steep tables; both sides stay
+    within ~1e-16 of 40-digit mpmath (see the tests).
+    """
+    knots, values = f.linear_table
+    slopes = np.diff(values) / np.diff(knots)
+    drops = -np.diff(slopes, prepend=0.0, append=0.0)
+    x, w, fx = f.samples(_LEVELS[0])
+    xi = xi0 + h * np.arange(count)
+    near = (np.abs(xi) < 0.5) & (
+        (2.0 * _PI * xi) ** 2 * np.dot(w, np.abs(fx)) <= np.sum(np.abs(drops)))
+    far = np.where(near, 1.0, xi)
+    # 1/c^2 as (1/(4 pi^2)) / xi^2: a caller's xi^2 weighting then cancels
+    # the rounded xi^2 instead of compounding the rounding of c
+    out = _cos_sum(knots, drops, xi0, h, count) * (0.25 / _PI**2) / (far * far)
+    if values[-1] != 0.0:
+        out += values[-1] * _sin_2pi(far) / ((2.0 * _PI) * far)
+    out *= 2.0
+    if near.any():
+        run = np.flatnonzero(near)
+        lo, hi = run[0], run[-1] + 1
+        out[lo:hi] = 2.0 * _cos_sum(x, w * fx, xi[lo], h, hi - lo)
+    return out
 
 
 def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) -> np.ndarray:
     """fhat on the uniform grid xi0 + k h, k < count.
 
     With ``_transform`` and ``_fourier_start_level``, the only code that
-    knows a profile's transform kind: a table's exact segment closed form
-    (``level`` unused), an autoconvolution's squared factor transform
-    (a Ghat(a xi))^2, or Gauss-Legendre with ``level`` nodes per panel.
-    The quadrature factorises the phase: with k = q m + r,
-    e^{2 pi i xi_k x} = e^{2 pi i (xi0 + q m h) x} e^{2 pi i r h x}, so
-    about 2 sqrt(count) double-double phase rows and the real part of one
-    complex matrix product (two real ones) give every frequency.
+    knows a profile's transform kind: an autoconvolution's squared factor
+    transform (a Ghat(a xi))^2, a table's knot sum (``level`` unused; see
+    ``_table_hat``), or the composite Gauss-Legendre rule with ``level``
+    nodes per panel, 2 sum_i w_i f(x_i) cos(2 pi xi x_i).  Tables and
+    quadrature share one phase-factorised cosine sum, ``_cos_sum``.
     """
-    if f.linear_table is not None:
-        knots, values = f.linear_table
-        return _hat_piecewise_linear(knots, values, (xi0 + h * np.arange(count))[:, None])
     if f._factor is not None:
         g, a = f._factor
         return (a * _hat(g, a * xi0, a * h, count, level)) ** 2
+    if f.linear_table is not None:
+        return _table_hat(f, xi0, h, count)
     x, w, fx = f.samples(level)
-    m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
-    sin_a, cos_a = _sincos_2pi_prod(xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
-    sin_b, cos_b = _sincos_2pi_prod(h * np.arange(m)[:, None], x)
-    wf = w * fx
-    return 2.0 * (cos_a @ (wf * cos_b).T - sin_a @ (wf * sin_b).T).ravel()[:count]
+    return 2.0 * _cos_sum(x, w * fx, xi0, h, count)
 
 
 def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:

@@ -509,11 +509,30 @@ def test_remez_optimize_leaves_scipy_optimize_unloaded(problem, tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize and scipy.special load on the first LP or quadrature,
-    # so commands that need neither start without them
+    # scipy.optimize loads on the first LP and scipy.special only in
+    # `verify prop8`'s oracle, so importing the CLI loads neither
     code = ("import smoothavg.cli, sys; "
             "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_continuum_leaves_scipy_special_and_numpy_ma_unloaded(tmp_path):
+    # tables, quadrature and autoconvolutions take their Gauss-Legendre
+    # rules from numpy, so no continuum report imports scipy.special; nor
+    # numpy.ma, which np.unique imports and a fresh process pays ~30 ms for
+    table = tmp_path / "profile.json"
+    table.write_text(json.dumps({"knots": [0.2, 0.4, 0.6, 0.8], "values": [0.5, 0.3, 0.9, 0.2]}))
+    code = ("import sys, contextlib, io, numpy as np; from smoothavg.cli import main; "
+            "from smoothavg.continuum import autoconvolution_profile, perturbation_report\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['continuum', '--builtin', 'halftriangle']), "
+            "main(['continuum', '--profile', sys.argv[1]])]\n"
+            "perturbation_report(autoconvolution_profile(lambda t: np.cos(np.pi * t) ** 2))\n"
+            "print(codes, [m for m in ('scipy.special', 'numpy.ma') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(table)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[0, 0] []"

@@ -292,6 +292,15 @@ class TestProfiles:
         with pytest.raises(ValueError):
             profile_from_table([0.0], [1.0])
 
+    def test_linear_table_spans_the_half_line(self):
+        # the knot sum's end term sits at x = 1 and its near-zero quadrature
+        # splits panels at the knots, so a table runs from 0 to 1
+        with pytest.raises(ValueError):
+            PerturbationFunction(lambda x: 1.0 - x, linear_table=([0.2, 1.0], [0.8, 0.0]))
+        f = PerturbationFunction(lambda x: np.interp(x, [0, 0.3, 1], [1, 0.5, 0]),
+                                 linear_table=([0.0, 0.3, 1.0], [1.0, 0.5, 0.0]))
+        assert f.breakpoints == (0.3,)
+
     def test_combine_tables(self):
         mix = combine(triangle_profile(), half_triangle_profile(), 0.25)
         assert mix.linear_table is not None
@@ -401,23 +410,196 @@ class TestLevelBatchedScans:
         assert batched.tolist() == expect
         assert len(runs) <= len(levels)
 
-    # a table's closed form is bitwise the same; the quadrature sums in
-    # another order, within ct_fourier's noise floor 1e-15 (1 + xi)
-    @pytest.mark.parametrize("make, tol", [
-        (lambda: profile_from_table(*TestOneTransformPath.TABLE), 0.0),
-        (lambda: autoconvolution_profile(lambda t: np.cos(PI * t) ** 2), 1e-15),
-    ], ids=["table", "autoconvolution"])
-    def test_scans_match_per_frequency_transform(self, make, tol):
+    # the quadrature sums in another order, within ct_fourier's noise
+    # floor 1e-15 (1 + xi); tables meet their oracle in the next test
+    @pytest.mark.parametrize("make", [
+        lambda: autoconvolution_profile(lambda t: np.cos(PI * t) ** 2),
+    ], ids=["autoconvolution"])
+    def test_scans_match_per_frequency_transform(self, make):
         f = make()
         xis = np.arange(201) + 0.5
         batched = continuum._transform(f, 0.5, 1.0, xis.size)
         single = np.array([ct_fourier(f, xi) for xi in xis])
-        assert np.all(np.abs(batched - single) <= tol * (1.0 + xis))
+        assert np.all(np.abs(batched - single) <= 1e-15 * (1.0 + xis))
         terms = batched * xis * xis
         assert gamma_half_integer(f, 200) == (np.max(terms), terms[-1])
         ints = np.arange(1.0, 201.0)
         single = np.array([ct_fourier(f, xi) for xi in ints])
-        assert abs(prop8_sides(f, 200).min_integer_hat - np.min(single)) <= tol * 201.0
+        assert abs(prop8_sides(f, 200).min_integer_hat - np.min(single)) <= 1e-15 * 201.0
+
+    def test_table_scans_and_single_transforms_match_oracle(self):
+        # a table's scan and its one-frequency transforms sum the same knots
+        # in different groupings; both must meet the closed form
+        f = profile_from_table(*TestOneTransformPath.TABLE)
+        for xi0, count in ((0.5, 201), (1.0, 200)):
+            xis = xi0 + np.arange(count)
+            exact = TestTableOracle.exact(f, xis)
+            batched = continuum._transform(f, xi0, 1.0, count)
+            single = np.array([ct_fourier(f, xi) for xi in xis])
+            for computed in (batched, single):
+                assert np.max(np.abs(computed - exact) * xis**2) <= 1e-15
+        xis = np.arange(201) + 0.5
+        terms = continuum._transform(f, 0.5, 1.0, xis.size) * xis * xis
+        assert gamma_half_integer(f, 200) == (np.max(terms), terms[-1])
+        assert prop8_sides(f, 200).min_integer_hat == np.min(
+            continuum._transform(f, 1.0, 1.0, 200))
+
+    def test_autoconvolution_scans_stop_one_level_past_their_start(self, monkeypatch):
+        # with an accurate fixed-order rule, the level after a frequency's
+        # start level already agrees with it, so no frequency climbs further;
+        # each level is one _hat call on the factor
+        f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
+        g, a = f._factor
+        levels = list(continuum._LEVELS)
+        calls = []
+        inner = continuum._hat
+
+        def counting(p, xi0, h, count, level):
+            if p is g:
+                calls.append((level, xi0, count))
+            return inner(p, xi0, h, count, level)
+
+        monkeypatch.setattr(continuum, "_hat", counting)
+        for xi0, count in ((0.5, 1001), (1.0, 1000)):
+            calls.clear()
+            continuum._transform(f, xi0, 1.0, count)
+            start = continuum._fourier_start_level(f, xi0 + np.arange(count))
+            used = [set() for _ in range(count)]
+            for level, lo, n in calls:
+                first = round((lo - a * xi0) / a)
+                for k in range(first, first + n):
+                    used[k].add(level)
+            for k in range(count):
+                after = levels[min(levels.index(start[k]) + 1, len(levels) - 1)]
+                assert start[k] in used[k] <= {start[k], after}
+            per_level = [level for level, _, _ in calls]
+            assert len(per_level) == len(set(per_level))
+
+
+class TestGaussLegendreRule:
+    """The fixed rules against 50-digit mpmath: Newton on the three-term
+    recurrence from each float node, weights 2 (1 - x^2) / (n P_{n-1}(x))^2."""
+
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_rule_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        x, w = continuum._gauss_legendre(n)
+        node_err = weight_err = 0.0
+        with mpmath.workdps(50):
+            def legendre(t):  # (P_n(t), P_{n-1}(t))
+                p0, p1 = mpmath.mpf(1), t
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+                return p1, p0
+
+            for xk, wk in zip(x, w):
+                t = mpmath.mpf(float(xk))
+                for _ in range(3):
+                    p, q = legendre(t)
+                    t -= p * (1 - t * t) / (n * (q - t * p))
+                exact_w = 2 * (1 - t * t) / (n * legendre(t)[1]) ** 2
+                node_err = max(node_err, float(abs(xk - t)))
+                weight_err = max(weight_err, float(abs((wk - exact_w) / exact_w)))
+        assert x.size == n
+        assert node_err <= 2.3e-16
+        assert weight_err <= 2e-13
+
+    def test_levels_apply_the_rule_on_sub_panels(self):
+        # a level of n nodes per panel is the 64-node rule on n / 64 equal
+        # sub-panels: weights sum to each panel's width, and a polynomial of
+        # degree 127 in each sub-panel integrates exactly
+        f = half_triangle_profile()
+        for level in (64, 256):
+            x, w, fx = f.samples(level)
+            assert x.size == 2 * level
+            assert np.sum(w[:level]) == pytest.approx(0.5, abs=1e-15)
+            assert np.dot(w, fx) == pytest.approx(0.25, abs=1e-16)
+            assert np.dot(w, x**127) == pytest.approx(1.0 / 128.0, rel=1e-14)
+
+
+class TestTableOracle:
+    """Table transforms against their closed form in 40-digit mpmath.
+
+    Each segment integrates exactly, int (a + b x) cos(c x) dx =
+    [(a + b x) sin(c x) / c + b cos(c x) / c^2]; at 40 digits the
+    cancellation near xi = 0 still leaves over 20 correct digits.  The
+    tables: the half triangle, the seeded test table, one with knots at
+    incommensurate positions, and one whose value at x = 1 is nonzero.
+    """
+
+    TABLES = {
+        "halftriangle": half_triangle_profile,
+        "table": lambda: profile_from_table(*TestOneTransformPath.TABLE),
+        "incommensurate": lambda: profile_from_table(
+            [0.0, 1.0 / PI, math.sqrt(2.0) / 2.0, 0.9], [0.6, 0.2, 0.8, 0.1]),
+        "nonzero_end": lambda: profile_from_table([0.0, 0.5, 1.0], [1.0, 0.4, 0.3]),
+    }
+    # the end term f(1) sin(2 pi xi) / (2 pi xi) carries |f(1)| xi / pi
+    # times the rounding of the sine into the xi^2-weighted error
+    SCAN_TOL = {"nonzero_end": 2e-14}
+    GAMMA_TOL = {"nonzero_end": 2e-13}
+
+    @staticmethod
+    def exact(f, xis):
+        mpmath = pytest.importorskip("mpmath")
+        knots, values = f.linear_table
+        out = []
+        with mpmath.workdps(40):
+            ks = [mpmath.mpf(float(k)) for k in knots]
+            vs = [mpmath.mpf(float(v)) for v in values]
+            for xi in np.atleast_1d(xis):
+                c = 2 * mpmath.pi * mpmath.mpf(float(xi))
+                total = mpmath.mpf(0)
+                for a, b, fa, fb in zip(ks[:-1], ks[1:], vs[:-1], vs[1:]):
+                    if c == 0:
+                        total += (b - a) * (fa + fb) / 2
+                        continue
+                    slope = (fb - fa) / (b - a)
+                    total += (fb * mpmath.sin(c * b) - fa * mpmath.sin(c * a)) / c + slope * (
+                        mpmath.cos(c * b) - mpmath.cos(c * a)) / c**2
+                out.append(float(2 * total))
+        return np.array(out)
+
+    @pytest.fixture(scope="class", params=list(TABLES))
+    def case(self, request):
+        name = request.param
+        f = self.TABLES[name]()
+        xis = np.arange(1, 2002) / 2.0  # 0.5, 1, ..., 1000.5
+        return name, f, xis, self.exact(f, xis)
+
+    def test_scans(self, case):
+        name, f, xis, exact = case
+        for start, xi0 in enumerate((0.5, 1.0)):  # half-integers, then integers
+            scan = continuum._transform(f, xi0, 1.0, xis[start::2].size)
+            err = np.abs(scan - exact[start::2]) * xis[start::2] ** 2
+            assert np.max(err) <= self.SCAN_TOL.get(name, 1e-15)
+
+    def test_ct_fourier(self, case):
+        name, f, xis, exact = case
+        picked = np.arange(0, xis.size, 40)
+        single = np.array([ct_fourier(f, xi) for xi in xis[picked]])
+        err = np.abs(single - exact[picked]) * np.maximum(1.0, xis[picked] ** 2)
+        assert np.max(err) <= self.SCAN_TOL.get(name, 1e-15)
+
+    def test_gamma(self, case):
+        name, f, xis, exact = case
+        half = xis[::2]
+        expect = np.max(exact[::2] * half**2)
+        gamma = gamma_half_integer(f, 1000)[0]
+        assert abs(gamma - expect) <= self.GAMMA_TOL.get(name, 1e-15) * expect
+
+    def test_small_frequencies(self, case):
+        # the knot sum cancels near xi = 0; the table's quadrature takes over
+        _, f, _, _ = case
+        small = np.array([1e-9, 1e-6, 1e-4, 1.0 / 256.0, 0.01, 0.1])
+        exact = self.exact(f, small)
+        single = np.array([ct_fourier(f, xi) for xi in small])
+        assert np.all(np.abs(single - exact) <= 1e-13 * np.abs(exact))
+        assert ct_fourier(f, 0.0) == pytest.approx(self.exact(f, 0.0)[0], rel=1e-15)
+
+    def test_j_at_the_triangle(self):
+        j0 = j_functional(triangle_profile())
+        assert j0 == pytest.approx(J0_EXACT, rel=1e-15, abs=0.0)
 
 
 class TestAutoconvolutionOracle:
