@@ -14,6 +14,7 @@ families used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -28,8 +29,10 @@ __all__ = [
     "cheb_mul",
     "mul_one_minus_x",
     "sup_abs",
+    "sup_abs_rows",
     "signed_max",
     "signed_min",
+    "signed_min_rows",
     "extreme_points",
     "make_g",
     "make_h",
@@ -48,6 +51,7 @@ _CONVERSION_MAX_DEGREE = 64
 # matrix always leaves one exactly real eigenvalue for each of them; the
 # bound only has to keep a nearly real pair of simple roots, split by rounding.
 _REAL_ROOT_TOL = 1e-4
+_MINUS_ONE, _ONE = np.array([-1.0]), np.array([1.0])
 
 
 class NonMonicPolynomial(ValueError):
@@ -132,59 +136,157 @@ def mul_one_minus_x(p: ChebPoly) -> ChebPoly:
 
 
 def _der(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative: d_{k-1} = d_{k+1} + 2k c_k, summed
-    from the top as reverse cumulative sums over each parity, then d_0 / 2."""
-    n = c.size - 1
+    """Coefficients of the derivative of each row: d_{k-1} = d_{k+1} + 2k c_k,
+    summed from the top.  Both parities take one cumulative sum, over the
+    pairs of the reversed terms (padded by a zero at the end when their
+    count is odd), so each d_k is the same sequence of additions as a sum
+    over its own parity alone."""
+    n = c.shape[-1] - 1
+    lead = c.shape[:-1]
     if n == 0:
-        return np.zeros(1)
-    t = np.arange(2.0, 2.0 * n + 1.0, 2.0) * c[1:]
-    d = np.empty(n)
-    d[0::2] = np.cumsum(t[0::2][::-1])[::-1]
-    d[1::2] = np.cumsum(t[1::2][::-1])[::-1]
-    d[0] *= 0.5
+        return np.zeros(lead + (1,))
+    t = np.zeros(lead + (n + n % 2,))
+    t[..., n - 1 :: -1] = np.arange(2.0, 2.0 * n + 1.0, 2.0) * c[..., 1:]
+    d = np.cumsum(t.reshape(lead + (-1, 2)), axis=-2).reshape(lead + (-1,))[..., n - 1 :: -1]
+    d[..., 0] *= 0.5
     return d
 
 
 def _zseries(c: np.ndarray) -> np.ndarray:
-    """Laurent coefficients of c in z = e^{i xi}: T_k = (z^k + z^-k) / 2."""
-    z = np.empty(2 * c.size - 1)
-    z[c.size - 1 :] = 0.5 * c
-    z[: c.size - 1] = z[: c.size - 1 : -1]
-    z[c.size - 1] = c[0]
+    """Laurent coefficients of each row in z = e^{i xi}: T_k = (z^k + z^-k) / 2."""
+    k = c.shape[-1]
+    z = np.empty(c.shape[:-1] + (2 * k - 1,))
+    z[..., k - 1 :] = 0.5 * c
+    z[..., : k - 1] = z[..., : k - 1 : -1]
+    z[..., k - 1] = c[..., 0]
     return z
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two coefficient arrays as a product of Laurent series."""
-    z = np.convolve(_zseries(a), _zseries(b))
-    c = z[z.size // 2 :]
-    c[1:] *= 2.0
+    return _from_zseries(np.convolve(_zseries(a), _zseries(b)))
+
+
+def _from_zseries(z: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of each row of symmetric Laurent series z."""
+    c = z[..., z.shape[-1] // 2 :]
+    c[..., 1:] *= 2.0
     return c
 
 
-def _real_roots(r: np.ndarray) -> np.ndarray:
-    """The roots of r within ``_REAL_ROOT_TOL`` of [-1, 1], as reals,
-    ascending: eigenvalues of the scaled colleague matrix of ``chebcompanion``,
-    rotated by 180 degrees as ``chebroots`` does."""
-    nz = np.flatnonzero(r)
-    r = r[: nz[-1] + 1] if nz.size else r[:1]
-    m = r.size - 1
+@functools.lru_cache(maxsize=64)
+def _weight_series(weight: ChebPoly) -> tuple[np.ndarray, np.ndarray]:
+    """The Laurent series of W and of W', kept per weight: the sups of one
+    operator all share them."""
+    series = _zseries(weight.coeffs), _zseries(_der(weight.coeffs))
+    for z in series:
+        z.setflags(write=False)
+    return series
+
+
+def _times(za: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of the stack b times the polynomial with Laurent series za,
+    one convolution per row, as ``_mul`` takes it."""
+    zb = _zseries(b)
+    if len(zb) == 1:  # a stack of one, as every single sup is, needs no list
+        return _from_zseries(np.convolve(za, zb[0])[None])
+    return _from_zseries(np.array([np.convolve(za, row) for row in zb]))
+
+
+def _by_length(rows: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(indices, length) for each group of rows that share their length
+    without a tail of exact zeros (1 for a row of zeros).  The lengths are
+    grouped by a set: np.unique would import numpy.ma."""
+    nz = rows != 0.0
+    lengths = np.where(nz.any(axis=1), rows.shape[1] - np.argmax(nz[:, ::-1], axis=1), 1)
+    return [(np.flatnonzero(lengths == k), k) for k in sorted(set(lengths.tolist()))]
+
+
+@functools.lru_cache(maxsize=256)
+def _colleague(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(off_diagonal, scale) for the scaled m x m colleague matrix as
+    ``chebcompanion`` builds it and ``chebroots`` rotates it by 180 degrees:
+    the sub- and superdiagonal are 1/2 but sqrt(1/2) at the corner, and row
+    i of the first column loses 0.5 r_{m-1-i} / r_m times scale[i], which is
+    1 but 1/sqrt(1/2) for r_0, so each entry rounds as chebcompanion's."""
+    off_diagonal = np.full(m - 1, 0.5)
+    off_diagonal[-1] = np.sqrt(0.5)
+    scale = np.ones(m)
+    scale[-1] = 1.0 / np.sqrt(0.5)
+    off_diagonal.setflags(write=False)
+    scale.setflags(write=False)
+    return off_diagonal, scale
+
+
+def _real_roots(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, real): the real parts x of the roots of each row of a (B, L)
+    stack r, and ``real`` marking those within ``_REAL_ROOT_TOL`` of
+    [-1, 1].  Entries of x past a row's own number of roots are -1.0.
+
+    Rows that share their trimmed length m take one eigensolve of the B
+    scaled colleague matrices of ``chebcompanion``, rotated by 180 degrees
+    as ``chebroots`` does.  Only when some row's top coefficients are exact
+    zeros are the rows split, by trimmed length.
+    """
+    b, m = r.shape[0], r.shape[1] - 1
     if m < 1:
-        return np.empty(0)
+        return np.empty((b, 0)), np.empty((b, 0), dtype=bool)
+    if np.count_nonzero(r[:, -1]) < b:
+        x = np.full((b, m), -1.0)
+        real = np.zeros((b, m), dtype=bool)
+        for rows, length in _by_length(r):
+            x[rows, : length - 1], real[rows, : length - 1] = _real_roots(r[rows, :length])
+        return x, real
     if m == 1:
-        roots = np.array([-r[0] / r[1]])
+        roots = -r[:, :1] / r[:, 1:]
     else:
-        mat = np.zeros((m, m))
-        flat = mat.reshape(-1)
-        flat[1 :: m + 1] = flat[m :: m + 1] = 0.5
-        mat[m - 1, m - 2] = mat[m - 2, m - 1] = np.sqrt(0.5)
-        col = 0.5 * r[:-1] / r[-1]
-        col[0] *= 1.0 / np.sqrt(0.5)
-        mat[:, 0] -= col[::-1]
+        off_diagonal, scale = _colleague(m)
+        mat = np.zeros((b, m, m))
+        flat = mat.reshape(b, -1)
+        flat[:, 1 :: m + 1] = flat[:, m :: m + 1] = off_diagonal
+        mat[:, :, 0] -= 0.5 * r[:, m - 1 :: -1] / r[:, -1:] * scale
         roots = np.linalg.eigvals(mat)
-    real = roots.real[(np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0)]
-    real.sort()
-    return real
+    x = roots.real
+    return x, (np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(x) <= 1.0)
+
+
+def _r(c: np.ndarray, weight: ChebPoly | None) -> np.ndarray:
+    """Rows of r = 2 W p' + W' p = (W p^2)' / p for the rows p of the stack c
+    and the weight W (r = p' when ``weight`` is None)."""
+    r = _der(c)
+    if weight is not None:
+        zw, zdw = _weight_series(weight)
+        r, q = 2.0 * _times(zw, r), _times(zdw, c)
+        k = min(r.shape[-1], q.shape[-1])  # they differ only by zero tails, when W or p is constant
+        r[:, :k] += q[:, :k]
+    return r
+
+
+def _stationary_points(c: np.ndarray, weight: ChebPoly | None = None) -> np.ndarray:
+    """The points of ``extreme_points(p, weight)`` for each row p of a (B, L)
+    stack c of coefficients, padded to one length: row i holds -1, the
+    roots of r_i and 1, with -1.0 in place of each root that is not real or
+    not in [-1, 1].  The padding repeats a point of the row, so a max over
+    a row needs no mask.
+
+    r is formed row by row with the arithmetic of a stack of one, and the
+    B colleague matrices of one length take one eigensolve, so each row's
+    points are bitwise those of ChebPoly(p) on its own.  Rows that end in
+    exact zeros are trimmed as ChebPoly trims them, one group per length,
+    since a zero tail changes how np.convolve rounds the weighted product.
+    """
+    b = c.shape[0]
+    if c.shape[1] > 1 and np.count_nonzero(c[:, -1]) < b:
+        groups = [(rows, _stationary_points(c[rows, :length], weight))
+                  for rows, length in _by_length(c)]
+        xs = np.full((b, max(g.shape[1] for _, g in groups)), -1.0)
+        for rows, g in groups:
+            xs[rows, : g.shape[1]] = g
+        return xs
+    x, real = _real_roots(_r(c, weight))
+    xs = np.empty((b, x.shape[1] + 2))
+    xs[:, 0], xs[:, 1:-1], xs[:, -1] = -1.0, np.where(real, x, -1.0), 1.0
+    return xs
 
 
 def extreme_points(p: ChebPoly, weight: ChebPoly | None = None) -> np.ndarray:
@@ -197,27 +299,38 @@ def extreme_points(p: ChebPoly, weight: ChebPoly | None = None) -> np.ndarray:
     2 deg p + deg W - 1 of (W p^2)'.  Without a weight r is p', and the
     points hold every local extremum of p.  The roots are the eigenvalues of
     the colleague matrix of r (Trefethen, ATAP ch. 18), and those within
-    ``_REAL_ROOT_TOL`` of the real axis count as real.  All of it works on
-    the bare coefficient arrays, with one eigensolve a call.  The points
-    depend on p only up to sign: the points of -p are bitwise the points
-    of p.
+    ``_REAL_ROOT_TOL`` of the real axis count as real.  This is the stacked
+    engine on a stack of one: ``_stationary_points`` gives a stack of B
+    polynomials these same points, bitwise, from one eigensolve.  The
+    points depend on p only up to sign: the points of -p are bitwise the
+    points of p.
     """
-    c = p.coeffs
-    r = _der(c)
-    if weight is not None:
-        w = weight.coeffs
-        r, q = 2.0 * _mul(w, r), _mul(_der(w), c)
-        k = min(r.size, q.size)  # they differ only by zero tails, when W or p is constant
-        r[:k] += q[:k]
-    return np.concatenate(([-1.0], _real_roots(r), [1.0]))
+    x, real = _real_roots(_r(p.coeffs[None], weight))
+    roots = x[real]
+    roots.sort()
+    return np.concatenate((_MINUS_ONE, roots, _ONE))
 
 
-def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """(max of vals, the largest x among its near-ties)."""
-    vmax = float(np.max(vals))
-    tie = vals >= vmax - 1e-13 * max(1.0, abs(vmax))
-    i = int(np.argmax(np.where(tie, xs, -np.inf)))
-    return vmax, float(xs[i])
+def _evaluate(xs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row i of the stack c evaluated at row i of xs, by chebval's Clenshaw
+    recurrence on the flattened points, each with its row's coefficients
+    repeated (elementwise, so bitwise the value of the row on its own)."""
+    cols = np.repeat(c.T, xs.shape[1], axis=1)
+    return npcheb.chebval(xs.reshape(-1), cols, tensor=False).reshape(xs.shape)
+
+
+def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (max of vals, the largest x among its near-ties)."""
+    vmax = vals.max(axis=1)
+    tie = vals >= (vmax - 1e-13 * np.maximum(1.0, np.abs(vmax)))[:, None]
+    i = np.where(tie, xs, -np.inf).argmax(axis=1)
+    return vmax, xs[np.arange(xs.shape[0]), i]
+
+
+def _signed_max(c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of c: (max of sign * p on [-1, 1], one maximizer)."""
+    xs = _stationary_points(c)
+    return _top(xs, sign * _evaluate(xs, c))
 
 
 def signed_max(p: ChebPoly) -> tuple[float, float]:
@@ -226,15 +339,34 @@ def signed_max(p: ChebPoly) -> tuple[float, float]:
     Equioscillating polynomials have several global maximizers; among
     near-ties the one with the largest x is reported.
     """
-    xs = extreme_points(p)
-    return _top(xs, npcheb.chebval(xs, p.coeffs))
+    v, x = _signed_max(p.coeffs[None], 1.0)
+    return float(v[0]), float(x[0])
+
+
+def signed_min_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``signed_min`` of each row of a (B, L) stack of coefficients, from one
+    stacked extrema pass: (minima, minimizers), bitwise those of the rows on
+    their own."""
+    v, x = _signed_max(c, -1.0)
+    return -v, x
 
 
 def signed_min(p: ChebPoly) -> tuple[float, float]:
     """(min of p on [-1, 1], one minimizer); near-ties go to the largest x."""
-    xs = extreme_points(p)
-    v, x = _top(xs, -npcheb.chebval(xs, p.coeffs))
-    return -v, x
+    v, x = signed_min_rows(p.coeffs[None])
+    return float(v[0]), float(x[0])
+
+
+def sup_abs_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sup_abs`` of each row of a (B, L) stack of coefficients, from one
+    stacked extrema pass: (sups, maximizers), bitwise those of the rows on
+    their own."""
+    xs = _stationary_points(c)
+    vals = _evaluate(xs, c)
+    vmax, xmax = _top(xs, vals)
+    vneg, xneg = _top(xs, -vals)
+    neg = vneg > vmax
+    return np.where(neg, vneg, vmax), np.where(neg, xneg, xmax)
 
 
 def sup_abs(p: ChebPoly) -> tuple[float, float]:
@@ -244,13 +376,8 @@ def sup_abs(p: ChebPoly) -> tuple[float, float]:
     endpoints and the real stationary points of p.  On a tie between the
     two signs the maximum of p wins.
     """
-    xs = extreme_points(p)
-    vals = npcheb.chebval(xs, p.coeffs)
-    vmax, xmax = _top(xs, vals)
-    vneg, xneg = _top(xs, -vals)
-    if vneg > vmax:
-        return vneg, xneg
-    return vmax, xmax
+    v, x = sup_abs_rows(p.coeffs[None])
+    return float(v[0]), float(x[0])
 
 
 def make_g(n: int) -> ChebPoly:

@@ -21,14 +21,13 @@ import numpy as np
 from . import minimax
 from .chebyshev import (
     ChebPoly,
-    cheb_eval,
     cheb_mul,
     make_g,
     make_h,
-    monic_minimax_check,
     monomial_to_cheb,
     mul_one_minus_x,
     sup_abs,
+    sup_abs_rows,
 )
 from .continuum import (
     ZeroMass,
@@ -65,8 +64,9 @@ from .smoothness import (
     has_nonneg_fourier,
     laplacian_constant,
     operator_constant,
-    verify_theorem1,
+    verify_theorem1_batch,
     verify_theorem2,
+    verify_theorem2_batch,
 )
 
 EXIT_OK = 0
@@ -257,17 +257,15 @@ def _suite_thm1(n_max: int, rng) -> list:
     bound_detail = strict_detail = ""
     for n in range(1, min(8, n_max) + 1):
         box_half = box_kernel(n).half
-        for _ in range(40):
-            u = random_symmetric_kernel(rng, n)
-            try:
-                rep = verify_theorem1(u)
-            except BoundViolated as exc:  # the witness is the kernel itself
+        kernels = [random_symmetric_kernel(rng, n) for _ in range(40)]
+        for u, gap in zip(kernels, verify_theorem1_batch(kernels)):
+            if isinstance(gap, BoundViolated):  # the witness is the kernel itself
                 bound_ok = False
-                bound_detail = f"n={n} {exc}"
+                bound_detail = f"n={n} {gap}"
                 continue
-            if np.max(np.abs(u.half - box_half)) > 1e-4 and rep.gap <= 1e-8:
+            if np.max(np.abs(u.half - box_half)) > 1e-4 and gap <= 1e-8:
                 strict_ok = False
-                strict_detail = f"n={n} gap={rep.gap!r}"
+                strict_detail = f"n={n} gap={gap!r}"
     out.append(("thm1: random kernels respect the bound", bound_ok, bound_detail))
     out.append(("thm1: non-box kernels are strictly worse", strict_ok, strict_detail))
     return out
@@ -283,14 +281,12 @@ def _suite_thm2(n_max: int, rng) -> list:
     bound_ok = True
     worst = ""
     for n in range(1, min(8, n_max) + 1):
-        for _ in range(40):
-            u = random_nonneg_fourier_kernel(rng, n)
-            try:
-                verify_theorem2(u)
-            except (BoundViolated, HypothesisViolated) as exc:
+        kernels = [random_nonneg_fourier_kernel(rng, n) for _ in range(40)]
+        for u, outcome in zip(kernels, verify_theorem2_batch(kernels)):
+            if isinstance(outcome, (BoundViolated, HypothesisViolated)):
                 bound_ok = False
-                witness = f" half={u.half.tolist()}" if isinstance(exc, HypothesisViolated) else ""
-                worst = f"n={n} {exc}{witness}"
+                witness = f" half={u.half.tolist()}" if isinstance(outcome, HypothesisViolated) else ""
+                worst = f"n={n} {outcome}{witness}"
     out.append(("thm2: nonneg-transform kernels respect the bound", bound_ok, worst))
     hyp_ok = True
     for n in range(1, min(8, n_max) + 1):
@@ -312,17 +308,25 @@ def _suite_thm3(n_max: int, rng) -> list:
         ok = abs(sup - 2.0 ** (1 - n)) <= 1e-12
         out.append((f"thm3: scaled degree-{n} Chebyshev polynomial has sup 2^(1-n)", ok,
                     f"sup={sup!r}"))
-    strict_ok = True
-    worst = ""
+    polys = []
     for _ in range(25):
         deg = int(rng.integers(2, 11))
         mono = np.zeros(deg + 1)
         mono[deg] = 1.0
         mono[: deg] = 1e-2 * rng.standard_normal(deg)
-        sup, bound, _ = monic_minimax_check(monomial_to_cheb(mono))
+        polys.append(monomial_to_cheb(mono))
+    sups = [0.0] * len(polys)
+    for deg in {p.degree for p in polys}:  # one stacked sup per degree
+        rows = [i for i, p in enumerate(polys) if p.degree == deg]
+        for i, sup in zip(rows, sup_abs_rows(np.array([polys[i].coeffs for i in rows]))[0].tolist()):
+            sups[i] = sup
+    strict_ok = True
+    worst = ""
+    for p, sup in zip(polys, sups):
+        bound = 2.0 ** (1 - p.degree)
         if not sup > bound + 1e-12:
             strict_ok = False
-            worst = f"deg={deg} sup={sup!r} bound={bound!r}"
+            worst = f"deg={p.degree} sup={sup!r} bound={bound!r}"
     out.append(("thm3: perturbed monic polynomials deviate strictly more", strict_ok, worst))
     return out
 
@@ -332,12 +336,9 @@ def _suite_thm4(n_max: int, rng) -> list:
     for n in range(0, n_max + 1):
         q = mul_one_minus_x(make_g(n))
         level = 2.0 / (n + 1) ** 2
-        worst = 0.0
-        for j in range(0, (n + 1) // 2 + 1):
-            worst = max(worst, abs(cheb_eval(q, math.cos(2 * math.pi * j / (n + 1)))))
-        for j in range(0, (n + 2) // 2):
-            x = math.cos((2 * j + 1) * math.pi / (n + 1))
-            worst = max(worst, abs(cheb_eval(q, x) - level))
+        zeros = np.array([math.cos(2 * math.pi * j / (n + 1)) for j in range((n + 1) // 2 + 1)])
+        peaks = np.array([math.cos((2 * j + 1) * math.pi / (n + 1)) for j in range((n + 2) // 2)])
+        worst = max(float(np.max(np.abs(q(zeros)))), float(np.max(np.abs(q(peaks) - level))))
         out.append((f"thm4: weighted extremal polynomial equioscillates at n={n}",
                     worst <= 1e-12, f"worst node error={worst!r}"))
     for n in (2, min(5, n_max)):

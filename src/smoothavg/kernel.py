@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -213,12 +212,14 @@ def triangle_kernel(n: int) -> DiscreteKernel:
 
     The weights are exact ratios of integers, so the unit sum holds
     exactly in rational arithmetic before the final rounding to float.
+    Numerator and denominator are integers below 2^53, exact as doubles,
+    and IEEE division rounds their quotient correctly: each weight is the
+    float nearest to the exact ratio, float(Fraction(m - k, m^2)).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = n + 1
-    half = [float(Fraction(m - k, m * m)) for k in range(n + 1)]
-    return DiscreteKernel(half)
+    return DiscreteKernel((m - np.arange(m)) / float(m * m))
 
 
 def symbol(u: DiscreteKernel) -> ChebPoly:

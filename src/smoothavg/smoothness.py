@@ -16,6 +16,10 @@ The candidate maximizers are the endpoints and the real roots of
 2 |s|^2 p_u' + (|s|^2)' p_u (``chebyshev.extreme_points``), and |s| is
 evaluated by ``OperatorSymbol.magnitude``, which splits the factor
 (1 - z)^m off the taps so that |s| keeps its relative accuracy near x = 1.
+Kernels of one radius stack: ``first_deriv_constants``,
+``laplacian_constants`` and the ``verify_theorem*_batch`` checks take one
+colleague-matrix eigensolve for the whole list, and give each kernel
+bitwise what it gets on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .chebyshev import ChebPoly, _top, cheb_eval, extreme_points
+from .chebyshev import ChebPoly, _evaluate, _stationary_points, _top, signed_min_rows
 from .kernel import (
     GRAD_STENCIL,
     LAPLACIAN_STENCIL,
@@ -37,7 +41,6 @@ from .kernel import (
     convolve,
     has_nonneg_fourier,
     l2_norm,
-    symbol,
     triangle_kernel,
 )
 
@@ -52,9 +55,13 @@ __all__ = [
     "first_deriv_constant",
     "laplacian_constant",
     "operator_constant",
+    "first_deriv_constants",
+    "laplacian_constants",
     "ratio_witness",
     "verify_theorem1",
     "verify_theorem2",
+    "verify_theorem1_batch",
+    "verify_theorem2_batch",
 ]
 
 # Equality-case tolerances: double-precision Chebyshev arithmetic keeps
@@ -63,6 +70,8 @@ __all__ = [
 GAP_TOL = 1e-10
 COEFF_TOL = 1e-10
 BOUND_SLACK = 1e-11
+# theorem 2's hypothesis: min of p_u on [-1, 1] at least -NONNEG_TOL
+NONNEG_TOL = 1e-12
 
 
 class DegenerateOperator(ValueError):
@@ -195,17 +204,33 @@ _GRAD = OperatorSymbol(GRAD_STENCIL)
 _LAPLACIAN = OperatorSymbol(LAPLACIAN_STENCIL)
 
 
-def _weighted_sup(u: DiscreteKernel, s: OperatorSymbol) -> tuple[float, float]:
-    """sup over [-1, 1] of |s(x)| * |p_u(x)| and one maximizer.
+def _symbols(kernels) -> np.ndarray:
+    """The symbols p_u of kernels of one radius n as a (B, n+1) stack of
+    coefficient rows: those of ``symbol(u)``, zero tails kept."""
+    halves = np.array([u.half for u in kernels])
+    c = 2.0 * halves
+    c[:, 0] = halves[:, 0]
+    return c
 
-    The candidates are the points of ``extreme_points(p_u, |s|^2)``, the
-    endpoints and the real roots of 2 |s|^2 p_u' + (|s|^2)' p_u, and
-    every local maximum where p_u != 0 is among them.  Near-ties go to the
-    largest x.
+
+def _weighted_sup(c: np.ndarray, s: OperatorSymbol) -> tuple[np.ndarray, np.ndarray]:
+    """Per row p of a (B, n+1) stack c of symbol rows: the sup over [-1, 1]
+    of |s(x)| * |p(x)| and one maximizer, as two arrays.
+
+    The candidates are the points of ``extreme_points(p, |s|^2)``, the
+    endpoints and the real roots of 2 |s|^2 p' + (|s|^2)' p, and every
+    local maximum where p != 0 is among them.  The B rows take one stacked
+    pass (``chebyshev._stationary_points``), and each row's result is
+    bitwise that of a stack of one.  Near-ties go to the largest x.
     """
-    p = symbol(u)
-    xs = extreme_points(p, s.magnitude_squared_cheb)
-    return _top(xs, s.magnitude(xs) * np.abs(cheb_eval(p, xs)))
+    xs = _stationary_points(c, s.magnitude_squared_cheb)
+    return _top(xs, s.magnitude(xs) * np.abs(_evaluate(xs, c)))
+
+
+def _kernel_sup(u: DiscreteKernel, s: OperatorSymbol) -> tuple[float, float]:
+    """``_weighted_sup`` of one kernel's symbol, as floats."""
+    (value,), (x,) = _weighted_sup(_symbols([u]), s)
+    return float(value), float(x)
 
 
 def _matches(u: DiscreteKernel, reference: DiscreteKernel, tol: float = COEFF_TOL) -> bool:
@@ -216,7 +241,7 @@ def _matches(u: DiscreteKernel, reference: DiscreteKernel, tol: float = COEFF_TO
 
 def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
     """M(u) = max sqrt(2 (1-x)) |p_u(x)|, sharp bound 2/(2n+1)."""
-    constant, x = _weighted_sup(u, _GRAD)
+    constant, x = _kernel_sup(u, _GRAD)
     bound = 2.0 / (2 * u.n + 1)
     gap = constant - bound
     extremal = gap <= GAP_TOL and _matches(u, box_kernel(u.n))
@@ -230,7 +255,7 @@ def laplacian_constant(u: DiscreteKernel) -> SmoothnessReport:
     changes sign; the bound (and the extremal flag) are meaningful under
     the nonnegative-transform hypothesis, which verify_theorem2 enforces.
     """
-    constant, x = _weighted_sup(u, _LAPLACIAN)
+    constant, x = _kernel_sup(u, _LAPLACIAN)
     bound = 4.0 / (u.n + 1) ** 2
     gap = constant - bound
     extremal = gap <= GAP_TOL and _matches(u, triangle_kernel(u.n))
@@ -244,8 +269,20 @@ def operator_constant(u: DiscreteKernel, s: OperatorSymbol) -> SmoothnessReport:
     cases, so the trivial bound 0 is reported and the extremal flag stays
     False.
     """
-    constant, x = _weighted_sup(u, s)
+    constant, x = _kernel_sup(u, s)
     return SmoothnessReport(constant, x, 0.0, constant, False)
+
+
+def first_deriv_constants(kernels) -> np.ndarray:
+    """M(u) of each of a list of kernels of one radius n, from one stacked
+    sup: entry i is bitwise ``first_deriv_constant(kernels[i]).constant``."""
+    return _weighted_sup(_symbols(kernels), _GRAD)[0]
+
+
+def laplacian_constants(kernels) -> np.ndarray:
+    """L(u) of each of a list of kernels of one radius n, from one stacked
+    sup: entry i is bitwise ``laplacian_constant(kernels[i]).constant``."""
+    return _weighted_sup(_symbols(kernels), _LAPLACIAN)[0]
 
 
 def ratio_witness(u: DiscreteKernel, operator: OperatorSymbol, N: int) -> tuple[Sequence, float]:
@@ -266,11 +303,15 @@ def ratio_witness(u: DiscreteKernel, operator: OperatorSymbol, N: int) -> tuple[
     return f, l2_norm(derived) / l2_norm(f)
 
 
+def _violation(u: DiscreteKernel, constant: float, bound: float) -> BoundViolated | None:
+    return BoundViolated(u, constant, bound) if constant < bound - BOUND_SLACK else None
+
+
 def verify_theorem1(u: DiscreteKernel) -> SmoothnessReport:
     """Check M(u) >= 2/(2n+1), equality exactly at the box kernel."""
     rep = first_deriv_constant(u)
-    if rep.constant < rep.sharp_bound - BOUND_SLACK:
-        raise BoundViolated(u, rep.constant, rep.sharp_bound)
+    if (exc := _violation(u, rep.constant, rep.sharp_bound)) is not None:
+        raise exc
     return rep
 
 
@@ -280,10 +321,38 @@ def verify_theorem2(u: DiscreteKernel) -> SmoothnessReport:
     Equality holds exactly at the triangle kernel; kernels whose transform
     goes negative are rejected with a witness frequency.
     """
-    ok, witness = has_nonneg_fourier(u, tol=1e-12)
+    ok, witness = has_nonneg_fourier(u, tol=NONNEG_TOL)
     if not ok:
         raise HypothesisViolated(u, witness)
     rep = laplacian_constant(u)
-    if rep.constant < rep.sharp_bound - BOUND_SLACK:
-        raise BoundViolated(u, rep.constant, rep.sharp_bound)
+    if (exc := _violation(u, rep.constant, rep.sharp_bound)) is not None:
+        raise exc
     return rep
+
+
+def verify_theorem1_batch(kernels) -> list:
+    """``verify_theorem1`` on a list of kernels of one radius n, from one
+    stacked sup (``first_deriv_constants``): entry i is the gap
+    M(u) - 2/(2n+1) of kernels[i] as a float, or the BoundViolated that
+    ``verify_theorem1`` raises for it."""
+    bound = 2.0 / (2 * kernels[0].n + 1)
+    return [_violation(u, constant, bound) or constant - bound
+            for u, constant in zip(kernels, first_deriv_constants(kernels).tolist())]
+
+
+def verify_theorem2_batch(kernels) -> list:
+    """``verify_theorem2`` on a list of kernels of one radius n, from one
+    stacked minimum of the symbols (``signed_min_rows``) and one stacked
+    sup (``laplacian_constants``): entry i is the gap L(u) - 4/(n+1)^2 of
+    kernels[i] as a float, or the HypothesisViolated or BoundViolated that
+    ``verify_theorem2`` raises for it."""
+    bound = 4.0 / (kernels[0].n + 1) ** 2
+    minima, witnesses = signed_min_rows(_symbols(kernels))
+    out = []
+    for u, vmin, witness, constant in zip(kernels, minima.tolist(), witnesses.tolist(),
+                                          laplacian_constants(kernels).tolist()):
+        if vmin < -NONNEG_TOL:
+            out.append(HypothesisViolated(u, witness))
+        else:
+            out.append(_violation(u, constant, bound) or constant - bound)
+    return out

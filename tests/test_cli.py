@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import dataclasses
 import json
 import math
 import os
@@ -256,15 +255,11 @@ class TestVerifyViolations:
     witness and exit 1, not a traceback or an input error."""
 
     def test_bound_violation_is_not_ok(self, monkeypatch, capsys):
-        real = smoothness.first_deriv_constant
+        real = smoothness.first_deriv_constants
 
-        def halved(u):
-            rep = real(u)
-            return dataclasses.replace(rep, constant=rep.constant / 2, gap=rep.gap - rep.constant / 2)
-
-        # verify_theorem1 reads the constant from smoothness; the box rows
-        # of the suite keep the CLI's own, unpatched binding
-        monkeypatch.setattr(smoothness, "first_deriv_constant", halved)
+        # the battery's stacked check reads the constants from smoothness;
+        # the box rows of the suite take first_deriv_constant, unpatched
+        monkeypatch.setattr(smoothness, "first_deriv_constants", lambda kernels: real(kernels) / 2)
         assert run(["verify", "thm1", "--n-max", 3]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "1..6"
@@ -275,7 +270,10 @@ class TestVerifyViolations:
         assert lines[6] == "ok 6 - thm1: non-box kernels are strictly worse"
 
     def test_hypothesis_violation_is_not_ok(self, monkeypatch, capsys):
-        monkeypatch.setattr(smoothness, "has_nonneg_fourier", lambda u, tol=0.0: (False, 0.25))
+        # the battery's stacked check takes the symbols' minima from
+        # smoothness; the sign-changing rows still go one kernel at a time
+        monkeypatch.setattr(smoothness, "signed_min_rows",
+                            lambda c: (np.full(len(c), -1.0), np.full(len(c), 0.25)))
         assert run(["verify", "thm2", "--n-max", 2]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "1..5"

@@ -92,6 +92,19 @@ class TestNamedKernels:
             weights = [Fraction(m - abs(k), m * m) for k in range(-n, n + 1)]
             assert sum(weights) == 1
 
+    def test_triangle_weights_are_the_rounded_ratios(self):
+        # each weight is the float nearest to (m - k) / m^2; Python's int
+        # true division rounds the exact ratio correctly, as
+        # float(Fraction(m - k, m^2)) does, checked directly where cheap
+        from fractions import Fraction
+
+        for n in range(0, 4097):
+            m = n + 1
+            half = triangle_kernel(n).half.tolist()
+            assert half == [(m - k) / (m * m) for k in range(m)], n
+            if n <= 64 or n % 512 == 0:
+                assert half == [float(Fraction(m - k, m * m)) for k in range(m)], n
+
     def test_triangle_symbol_is_g(self):
         for n in range(0, 12):
             np.testing.assert_allclose(

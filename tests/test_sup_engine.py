@@ -11,8 +11,12 @@ import pytest
 from mpmath import mp, mpf
 from numpy.polynomial import chebyshev as npcheb
 
+import smoothavg.cli as cli
 from smoothavg.chebyshev import (
     ChebPoly,
+    _stationary_points,
+    _top,
+    cheb_eval,
     cheb_mul,
     extreme_points,
     make_g,
@@ -20,9 +24,26 @@ from smoothavg.chebyshev import (
     mul_one_minus_x,
     signed_max,
     signed_min,
+    signed_min_rows,
     sup_abs,
+    sup_abs_rows,
 )
-from smoothavg.smoothness import OperatorSymbol
+from smoothavg.kernel import DiscreteKernel, box_kernel, symbol, triangle_kernel
+from smoothavg.smoothness import (
+    HypothesisViolated,
+    OperatorSymbol,
+    _weighted_sup,
+    first_deriv_constants,
+    laplacian_constant,
+    laplacian_constants,
+    operator_constant,
+    verify_theorem1,
+    verify_theorem1_batch,
+    verify_theorem2,
+    verify_theorem2_batch,
+)
+
+from helpers import random_nonneg_fourier_kernel, random_symmetric_kernel
 
 N_CLOSED_FORM = range(0, 65)
 N_ORACLE = (0, 1, 2, 3, 7, 16, 31, 64)
@@ -276,3 +297,133 @@ class TestAgainstNumpyPolynomial:
             assert np.all(np.abs(np.abs(pts) - 1.0) <= 1e-7), (name, value, pts)
             if weight is None:
                 assert pts.tolist() == [-1.0, 1.0]
+
+
+_STACK_WEIGHTS = [None, OperatorSymbol([-1.0, 1.0]), OperatorSymbol([1.0, -2.0, 1.0]),
+                  OperatorSymbol([-1.0, 3.0, -3.0, 1.0])]
+
+
+def _symbol_rows(kernels):
+    return np.array([symbol(u).coeffs for u in kernels])
+
+
+def _assert_rows_match(c, weight):
+    """Each row p of the stack c gets bitwise the points and sups it gets on
+    its own, as ChebPoly(p) with its zero tail trimmed: the stacked points
+    (padding dropped) are its extreme_points, and its sups are the maxima
+    over those points (the weighted sup as smoothness took it, from
+    |s| * |p| at extreme_points(p, |s|^2))."""
+    w = None if weight is None else weight.magnitude_squared_cheb
+    xs = _stationary_points(c, w)
+    if weight is None:
+        sups, sup_args = sup_abs_rows(c)
+        minima, min_args = signed_min_rows(c)
+    else:
+        sups, sup_args = _weighted_sup(c, weight)
+    for i, row in enumerate(c):
+        p = ChebPoly(row)
+        alone = extreme_points(p, w)
+        assert np.array_equal(np.sort(xs[i][xs[i] > -1.0]), alone[alone > -1.0]), i
+        if weight is None:
+            assert (sups[i], sup_args[i]) == sup_abs(p), i
+            assert (minima[i], min_args[i]) == signed_min(p), i
+        else:
+            vals = weight.magnitude(alone) * np.abs(cheb_eval(p, alone))
+            (value,), (x,) = _top(alone[None], vals[None])
+            assert (sups[i], sup_args[i]) == (value, x), i
+
+
+class TestStackedEngine:
+    """One stacked pass gives every row bitwise what it gets on its own."""
+
+    @pytest.mark.parametrize("weight", _STACK_WEIGHTS, ids=["none", "grad", "laplacian", "third"])
+    def test_random_kernels_bitwise(self, weight):
+        rng = np.random.default_rng(2718)
+        for n in range(0, 65):
+            kernels = [random_symmetric_kernel(rng, n) for _ in range(2)]
+            kernels += [random_nonneg_fourier_kernel(rng, n) for _ in range(2)]
+            _assert_rows_match(_symbol_rows(kernels), weight)
+
+    @pytest.mark.parametrize("weight", _STACK_WEIGHTS, ids=["none", "grad", "laplacian", "third"])
+    def test_zero_top_rows_mixed_with_full_degree(self, weight):
+        # halves ending in exact zeros give symbols of lower degree; rows of
+        # the stack keep their zero tails, and a row of zeros joins them
+        rng = np.random.default_rng(99)
+        for n in (1, 2, 5, 9, 20):
+            kernels = []
+            for zeros in (0, 1, 0, 2, n, 0):
+                half = rng.uniform(0.1, 1.0, n + 1)
+                half[n + 1 - min(zeros, n):] = 0.0
+                kernels.append(DiscreteKernel(half / (half[0] + 2 * half[1:].sum())))
+            c = np.array([2.0 * u.half for u in kernels])
+            c[:, 0] = [u.half[0] for u in kernels]  # symbol(u) without its trim
+            assert not np.all(c[:, -1])
+            _assert_rows_match(np.vstack([c, np.zeros(n + 1)]), weight)
+            if weight is not None:  # the kernel API takes the same zero tails
+                for u, value in zip(kernels, _weighted_sup(c, weight)[0]):
+                    assert operator_constant(u, weight).constant == value
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_interior_roots(self, n):
+        rng = np.random.default_rng(7 + n)
+        kernels = [box_kernel(n), triangle_kernel(n)] + [random_symmetric_kernel(rng, n) for _ in range(4)]
+        for weight in _STACK_WEIGHTS:
+            _assert_rows_match(_symbol_rows(kernels), weight)
+
+    def test_batches_match_the_single_kernel_checks(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 4, 8):
+            kernels = [random_symmetric_kernel(rng, n) for _ in range(10)]
+            constants = first_deriv_constants(kernels)
+            for u, c, gap in zip(kernels, constants, verify_theorem1_batch(kernels)):
+                rep = verify_theorem1(u)
+                assert c == rep.constant and gap == rep.gap
+            kernels = [random_nonneg_fourier_kernel(rng, n) for _ in range(10)] + [box_kernel(n)]
+            constants = laplacian_constants(kernels)
+            outcomes = verify_theorem2_batch(kernels)
+            for u, c, gap in zip(kernels, constants, outcomes):
+                assert c == laplacian_constant(u).constant
+                if isinstance(gap, HypothesisViolated):
+                    with pytest.raises(HypothesisViolated) as exc:
+                        verify_theorem2(u)
+                    assert str(exc.value) == str(gap)
+                else:
+                    assert gap == verify_theorem2(u).gap
+            assert isinstance(outcomes[-1], HypothesisViolated)  # the box kernel's sign change
+
+
+class TestEigensolveCount:
+    """The random batteries of verify take one colleague-matrix eigensolve per
+    radius n and check, not one per kernel."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        eigvals, batches, calls = np.linalg.eigvals, [], [0]
+
+        def counted(a):
+            calls[0] += 1
+            return eigvals(a)
+
+        batch = getattr(cli, name)
+
+        def recorded(kernels):
+            before = calls[0]
+            out = batch(kernels)
+            batches.append((kernels[0].n, len(kernels), calls[0] - before))
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(cli, name, recorded)
+        return batches
+
+    def test_thm1_one_eigensolve_per_n(self, monkeypatch, capsys):
+        batches = self._count(monkeypatch, "verify_theorem1_batch")
+        assert cli.main(["verify", "thm1", "--n-max", "8"]) == 0
+        assert [(n, size) for n, size, _ in batches] == [(n, 40) for n in range(1, 9)]
+        assert all(calls <= 1 for _, _, calls in batches), batches
+
+    def test_thm2_one_eigensolve_per_n_and_check(self, monkeypatch, capsys):
+        batches = self._count(monkeypatch, "verify_theorem2_batch")
+        assert cli.main(["verify", "thm2", "--n-max", "8"]) == 0
+        assert [(n, size) for n, size, _ in batches] == [(n, 40) for n in range(1, 9)]
+        assert all(calls <= 2 for _, _, calls in batches), batches  # min p_u and L(u)
