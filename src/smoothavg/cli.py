@@ -110,6 +110,8 @@ def format_json(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        if all(isinstance(v, float) for v in seq):  # python and numpy float64
+            return "[" + ", ".join(map("{:.17g}".format, seq)) + "]"
         flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if flat:
             return "[" + ", ".join(format_json(v) for v in seq) + "]"

@@ -194,10 +194,19 @@ def random_symmetric_kernel(rng, n: int) -> DiscreteKernel:
 
 
 def random_nonneg_fourier_kernel(rng, n: int) -> DiscreteKernel:
-    """Normalized kernel with uhat >= 0, via autocorrelation of a random vector."""
+    """Normalized kernel with uhat >= 0, via autocorrelation of a random vector.
+
+    The half is built as ``from_full(full / full.sum(), tol=1e-9,
+    renormalize=True)`` builds it, without that function's checks: the
+    correlation is symmetric by construction.  Its two halves are averaged,
+    and the weights divided by their sum when it is more than 1e-9 from 1.
+    """
     v = rng.uniform(0.1, 1.0, n + 1)
     full = np.correlate(v, v, mode="full")
-    return from_full(full / full.sum(), tol=1e-9, renormalize=True)
+    full = full / full.sum()
+    half = 0.5 * (full[n:] + full[n::-1])
+    total = half[0] + 2.0 * half[1:].sum()
+    return DiscreteKernel(half if abs(total - 1.0) <= 1e-9 else half / total)
 
 
 def box_kernel(n: int) -> DiscreteKernel:

@@ -36,6 +36,7 @@ next reference or the LP's cuts.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -90,11 +91,19 @@ PROBLEMS = {
 }
 
 
+@functools.cache
+def _stencil_symbol(taps: tuple[float, ...]) -> OperatorSymbol:
+    """The symbol of a stencil of PROBLEMS, built on its first problem and
+    shared by every later one (symbols are immutable)."""
+    return OperatorSymbol(taps)
+
+
 @dataclass(frozen=True, eq=False)  # no field-wise ==: the stencil may be an array
 class MinimaxProblem:
     """The problem ``name`` of PROBLEMS over p of the given degree with
     p(1) = 1; ``operator`` needs the difference stencil, the others take none.
-    ``symbol`` is the OperatorSymbol of the problem's stencil, built once."""
+    ``symbol`` is the OperatorSymbol of the problem's stencil, built once
+    per problem, or once per process for the stencils of PROBLEMS."""
 
     name: str
     degree: int
@@ -111,7 +120,8 @@ class MinimaxProblem:
             raise ValueError(f"{self.name} needs a stencil")
         if own is not None and self.stencil is not None:
             raise ValueError(f"{self.name} takes no stencil")
-        object.__setattr__(self, "symbol", OperatorSymbol(self.stencil if own is None else own))
+        object.__setattr__(self, "symbol", OperatorSymbol(self.stencil) if own is None
+                           else _stencil_symbol(own))
 
     @property
     def spec(self) -> ProblemSpec:
@@ -190,7 +200,9 @@ def _polynomial(c_tail: np.ndarray) -> ChebPoly:
 def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
     """LP on the active set: minimize the level t with p(1) = 1 eliminated;
     shifting t by the largest active weight makes the origin feasible.
-    Returns (level, p, number of LP rows).
+    Returns (level, p, trace fields): the fields are ``lp_rows``, the
+    number of LP rows, and the LP's ``highs_status`` and
+    ``highs_iterations``.
     """
     n = problem.degree
     w = _weight_values(problem, xs)
@@ -210,15 +222,16 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
     h = np.concatenate(rhs)
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
-    y, _ = solve_origin_feasible(cost, G, h)
-    return float(y[-1] + shift), _polynomial(y[:-1]), G.shape[0]
+    y, _, highs = solve_origin_feasible(cost, G, h)
+    return float(y[-1] + shift), _polynomial(y[:-1]), {"lp_rows": G.shape[0], **highs}
 
 
 def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
     """Remez step on the reference xs (degree+1 points in monotone order):
     solve w(x_i) p(x_i) = (-1)^i E for c_1..c_n and E, with p(1) = 1
-    eliminated as in the LP.  Returns (|E|, p, number of reference points);
-    a singular system raises Infeasible.
+    eliminated as in the LP.  Returns (|E|, p, trace fields), the field
+    ``lp_rows`` holding the number of reference points; a singular system
+    raises Infeasible.
     """
     w = _weight_values(problem, xs)
     signs = (-1.0) ** np.arange(xs.size)
@@ -229,7 +242,7 @@ def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
         raise Infeasible(f"Remez reference system is singular: {exc}") from exc
     if not np.all(np.isfinite(y)):
         raise Infeasible("Remez reference system is singular: nonfinite solution")
-    return abs(float(y[-1])), _polynomial(y[:-1]), xs.size
+    return abs(float(y[-1])), _polynomial(y[:-1]), {"lp_rows": xs.size}
 
 
 def _exchange(problem: MinimaxProblem, cands: np.ndarray, e: np.ndarray) -> np.ndarray | None:
@@ -322,9 +335,12 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     Each trace row holds ``round``; ``method``; ``lp_value``, the level;
     ``continuum_max``; ``gap``, continuum max minus level;
     ``positivity_violation``, max(0, -min p); ``lp_rows``, the number of LP
-    rows or reference points; ``cuts``, the number of points the round
-    brings into the next set (0 on the last round); and ``seconds``, the
-    round's wall time.
+    rows or reference points; on LP rounds ``highs_status``, HiGHS's
+    model status ("Optimal"), and ``highs_iterations``, its simplex
+    iterations (interior-point plus crossover iterations when the LP
+    needed the interior-point retry); ``cuts``, the number of points the
+    round brings into the next set (0 on the last round); and
+    ``seconds``, the round's wall time.
 
     Solutions of the open problems (``laplacian`` and ``operator``) are
     marked exploratory.
@@ -345,7 +361,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     for round_no in range(1, _MAX_ROUNDS + 1):
         started = time.perf_counter()
         try:
-            level, p, rows = restricted(problem, xs)
+            level, p, fields = restricted(problem, xs)
         except Infeasible as exc:
             if best is None:
                 raise
@@ -378,7 +394,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
                 "continuum_max": cont_max,
                 "gap": obj_viol,
                 "positivity_violation": max(0.0, pos_viol),
-                "lp_rows": rows,
+                **fields,
                 "cuts": 0 if done else int(new.size),
                 "seconds": time.perf_counter() - started,
             }

@@ -23,6 +23,78 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def reference_format_json(obj, indent=0):
+    """The JSON formatter as first written, one recursive call per value:
+    the oracle that cli.format_json's output must match byte for byte."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {reference_format_json(v, indent + 1)}'
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
+            return "[" + ", ".join(reference_format_json(v) for v in seq) + "]"
+        items = ",\n".join(f"{pad}  {reference_format_json(v, indent + 1)}" for v in seq)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.17g}"
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+class TestFormatJson:
+    def test_edge_values_match_the_reference(self):
+        payload = {
+            "floats": [0.1, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 1.0],
+            "numpy": np.array([1.0 / 3.0, -2.5e-17, 0.0]),
+            "numpy32": [np.float32(0.1), np.float32(2.0)],
+            "mixed": [1, 2.5, True, None, "x", np.int64(3), np.float64(0.2), np.bool_(False)],
+            "ints": [0, -7, 2**60],
+            "bools": [True, False],
+            "empty": [], "empty_dict": {}, "tuple": (0.5, 0.25),
+            "nested": [[0.1, 0.2], [], {"a": [1.5], "b": []}, [[1.0]]],
+            "scalars": {"f": 0.30000000000000004, "i": 3, "s": "text", "n": None},
+        }
+        assert cli.format_json(payload) == reference_format_json(payload)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{tri}", "--operator=-1,3,-3,1"],
+        ["analyze", "{box}"],
+        ["optimize", "first-deriv", "-n", "6"],
+        ["optimize", "laplacian", "--nonneg", "-n", "7"],
+        ["optimize", "operator", "--stencil=-1,0,0,1", "-n", "9"],
+        ["continuum", "--builtin", "halftriangle"],
+    ], ids=["analyze-triangle", "analyze-box", "optimize-first-deriv",
+            "optimize-laplacian-nonneg", "optimize-operator-lp", "continuum"])
+    def test_cli_payloads_match_the_reference(self, argv, tmp_path, capsys, monkeypatch):
+        paths = {"tri": tmp_path / "tri.json", "box": tmp_path / "box.json"}
+        write_kernel_file(paths["tri"], triangle_kernel(12))
+        write_kernel_file(paths["box"], box_kernel(5))
+        payloads, emit = [], cli._emit
+
+        def recording_emit(payload, out_path):
+            payloads.append(payload)
+            emit(payload, out_path)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        assert main([a.format(**paths) for a in argv]) == 0
+        # the same payload, timings included, through both formatters
+        (payload,) = payloads
+        assert capsys.readouterr().out == reference_format_json(payload) + "\n"
+
+
 class TestGenerateAnalyze:
     def test_round_trip_triangle(self, tmp_path, capsys):
         kfile = tmp_path / "tri.json"
@@ -203,6 +275,7 @@ class TestOptimize:
         data = json.loads(out.read_text())
         assert data["solution"]["converged"] is False
         assert data["solution"]["iterations"] == 1
+        assert data["solution"]["trace"][0]["highs_status"] == "Optimal"
 
     @pytest.mark.parametrize("fail_from, iterations", [(1, None), (2, 1)],
                              ids=["first-system", "second-system"])

@@ -29,7 +29,7 @@ from smoothavg.kernel import (
 )
 
 
-from helpers import random_symmetric_kernel
+from helpers import random_nonneg_fourier_kernel, random_symmetric_kernel
 
 
 class TestFromFull:
@@ -311,3 +311,17 @@ class TestKernelFiles:
         path.write_text('{"full": [0.2, 0.5, 0.3]}')
         with pytest.raises(AsymmetricKernel):
             read_kernel_file(path)
+
+
+def test_random_nonneg_fourier_kernel_is_the_from_full_kernel():
+    # the half is built directly, as from_full builds it from the normalized
+    # correlation: every kernel and the generator state stay bitwise the same
+    for seed in range(4):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in [*range(0, 65), *range(0, 65, 7)]:
+            u = random_nonneg_fourier_kernel(rng, n)
+            v = ref_rng.uniform(0.1, 1.0, n + 1)
+            full = np.correlate(v, v, mode="full")
+            ref = from_full(full / full.sum(), tol=1e-9, renormalize=True)
+            assert u.half.tobytes() == ref.half.tobytes(), (seed, n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
+import smoothavg
 import smoothavg.minimax as mm
 from smoothavg.chebyshev import cheb_eval, make_g, make_h
 from smoothavg.cli import N_CAP
@@ -18,6 +23,7 @@ from smoothavg.minimax import (
     Stalled,
     solve,
 )
+from smoothavg.smoothness import OperatorSymbol
 
 
 # |s| of these taps vanishes inside (-1, 1), at x = -1/2, which keeps the
@@ -62,6 +68,27 @@ class TestProblemTable:
         sol = solve(MinimaxProblem(name, 4, stencil), 1e-9)
         assert sol.constant == PROBLEMS[name].scale * sol.value
         np.testing.assert_array_equal(sol.kernel.half, kernel_from_symbol(sol.coeffs).half)
+
+    @pytest.mark.parametrize("name", ["first-deriv", "laplacian", "laplacian-nonneg"])
+    def test_fixed_stencil_symbol_is_built_once(self, name):
+        symbol = MinimaxProblem(name, 3).symbol
+        assert MinimaxProblem(name, 7).symbol is symbol
+        fresh = OperatorSymbol(PROBLEMS[name].stencil)
+        assert symbol == fresh
+        np.testing.assert_array_equal(symbol.magnitude_squared_cheb.coeffs,
+                                      fresh.magnitude_squared_cheb.coeffs)
+        assert symbol.vanishes_inside == fresh.vanishes_inside
+        xs = np.linspace(-1.0, 1.0, 101)
+        np.testing.assert_array_equal(symbol.magnitude(xs), fresh.magnitude(xs))
+
+    def test_import_builds_no_symbol(self):
+        # the fixed-stencil symbols are built on the first problem, not at import
+        code = ("import smoothavg.cli, smoothavg.minimax as mm; "
+                "print(mm._stencil_symbol.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestSolveNamedProblems:
@@ -244,6 +271,7 @@ class TestStalled:
         assert not sol.converged
         assert sol.iterations == len(sol.trace) == 1
         assert sol.value == sol.trace[0]["lp_value"]
+        assert sol.trace[0]["highs_status"] == "Optimal"
         assert len(calls) == 2 and calls[0] == 2 * 8  # the start LP, then the failed one
 
     def test_first_lp_failure_propagates(self, monkeypatch):
@@ -258,6 +286,7 @@ class TestStalled:
 
 TRACE_KEYS = {"round", "method", "lp_value", "continuum_max", "gap",
               "positivity_violation", "lp_rows", "cuts", "seconds"}
+LP_TRACE_KEYS = TRACE_KEYS | {"highs_status", "highs_iterations"}
 
 
 class TestTrace:
@@ -266,7 +295,10 @@ class TestTrace:
         n = 12
         sol = solve(MinimaxProblem("operator", n, taps_of(stencil)), 1e-9)
         assert sol.iterations > 1
-        assert all(set(row) == TRACE_KEYS and row["method"] == "lp" for row in sol.trace)
+        assert all(set(row) == LP_TRACE_KEYS and row["method"] == "lp" for row in sol.trace)
+        assert all(row["highs_status"] == "Optimal" for row in sol.trace)
+        assert all(type(row["highs_iterations"]) is int and row["highs_iterations"] > 0
+                   for row in sol.trace)
         # start set: the n+2 Chebyshev extreme points, two rows each
         assert sol.trace[0]["lp_rows"] == 2 * (n + 2)
         assert all(row["cuts"] > 0 for row in sol.trace[:-1])
