@@ -106,7 +106,8 @@ class ChebPoly:
 
 
 def cheb_T(k: int, x):
-    """T_k(x) by the three-term recurrence T_{j+1} = 2x T_j - T_{j-1}."""
+    """T_k(x) by the recurrence T_{j+1} = 2x T_j - T_{j-1}.  Only tests and
+    library users call it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -337,7 +338,8 @@ def signed_max(p: ChebPoly) -> tuple[float, float]:
     """(max of p on [-1, 1], one maximizer).
 
     Equioscillating polynomials have several global maximizers; among
-    near-ties the one with the largest x is reported.
+    near-ties the one with the largest x is reported.  Only tests and
+    library users call it.
     """
     v, x = _signed_max(p.coeffs[None], 1.0)
     return float(v[0]), float(x[0])
@@ -352,7 +354,12 @@ def signed_min_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def signed_min(p: ChebPoly) -> tuple[float, float]:
-    """(min of p on [-1, 1], one minimizer); near-ties go to the largest x."""
+    """(min of p on [-1, 1], one minimizer); near-ties go to the largest x.
+
+    Near a double zero of p, Clenshaw's rounding follows only its
+    deg^2 eps ||c||_1 bound (for |s|^2 g_8^2 with the stencil -1,3,-3,1 it
+    returns -3.7e-16, not +1.7e-16); ``kernel.NONNEG_TOL`` absorbs that.
+    """
     v, x = signed_min_rows(p.coeffs[None])
     return float(v[0]), float(x[0])
 
@@ -419,7 +426,7 @@ def monic_minimax_check(p: ChebPoly, tol: float = 1e-9) -> tuple[float, float, b
 
     Returns (sup |p| on [-1,1], 2^(1-n), sup >= bound - 1e-12).  Rejects
     polynomials whose leading monomial coefficient differs from 1 by more
-    than tol.
+    than tol.  Only tests and library users call it.
     """
     lead = _leading_monomial_coeff(p)
     if abs(lead - 1.0) > tol:
@@ -441,7 +448,8 @@ def _check_conversion_degree(d: int):
 
 
 def cheb_to_monomial(p: ChebPoly) -> np.ndarray:
-    """Monomial coefficients (ascending powers) of p."""
+    """Monomial coefficients (ascending powers) of p.  Only tests and library
+    users call it."""
     _check_conversion_degree(p.degree)
     return npcheb.cheb2poly(p.coeffs)
 

@@ -31,6 +31,7 @@ from .chebyshev import (
 )
 from .continuum import (
     ZeroMass,
+    _gauss_legendre,
     a_coefficient,
     half_triangle_profile,
     perturbation_report,
@@ -47,6 +48,7 @@ from .kernel import (
     box_kernel,
     convolve,
     grad,
+    has_nonneg_fourier,
     l2_norm,
     laplacian,
     random_nonneg_fourier_kernel,
@@ -61,7 +63,6 @@ from .smoothness import (
     HypothesisViolated,
     OperatorSymbol,
     first_deriv_constant,
-    has_nonneg_fourier,
     laplacian_constant,
     operator_constant,
     verify_theorem1_batch,
@@ -260,14 +261,14 @@ def _suite_thm1(n_max: int, rng) -> list:
     for n in range(1, min(8, n_max) + 1):
         box_half = box_kernel(n).half
         kernels = [random_symmetric_kernel(rng, n) for _ in range(40)]
-        for u, gap in zip(kernels, verify_theorem1_batch(kernels)):
-            if isinstance(gap, BoundViolated):  # the witness is the kernel itself
+        for u, rep in zip(kernels, verify_theorem1_batch(kernels)):
+            if isinstance(rep, BoundViolated):  # the witness is the kernel itself
                 bound_ok = False
-                bound_detail = f"n={n} {gap}"
+                bound_detail = f"n={n} {rep}"
                 continue
-            if np.max(np.abs(u.half - box_half)) > 1e-4 and gap <= 1e-8:
+            if np.max(np.abs(u.half - box_half)) > 1e-4 and rep.gap <= 1e-8:
                 strict_ok = False
-                strict_detail = f"n={n} gap={gap!r}"
+                strict_detail = f"n={n} gap={rep.gap!r}"
     out.append(("thm1: random kernels respect the bound", bound_ok, bound_detail))
     out.append(("thm1: non-box kernels are strictly worse", strict_ok, strict_detail))
     return out
@@ -370,10 +371,8 @@ def _suite_thm5(n_max: int, rng) -> list:
 
 
 def _suite_prop8(rng) -> list:
-    from scipy.special import roots_legendre
-
     out = []
-    x, w = roots_legendre(256)
+    x, w = _gauss_legendre(256)
     worst = 0.0
     for twice_j in range(0, 41):
         j = twice_j / 2.0

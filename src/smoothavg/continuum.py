@@ -77,8 +77,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     at the root, not at its rounding x: d log w / dx = -2x / (1 - x^2)
     would turn the ~1e-16 rounding into ~1e-13 near the ends, so the
     residual Newton step -P_n(x) / P_n'(x) enters to first order.  Against
-    50-digit mpmath, nodes are within one ulp and weights within 2e-14
-    relative at 64 and 96 nodes.
+    50-digit mpmath, nodes are within one ulp at 64, 96 and 256 nodes, and
+    weights within 2e-14 relative at 64 and 96 nodes and 9e-14 at 256.
     """
 
     def legendre(x):  # (P_n(x), P_n'(x))

@@ -48,6 +48,9 @@ NORMALIZATION_TOL = 1e-12
 GRAD_STENCIL = (-1.0, 1.0)
 LAPLACIAN_STENCIL = (1.0, -2.0, 1.0)
 
+# has_nonneg_fourier's default, and theorem 2's hypothesis: min of p_u >= -NONNEG_TOL
+NONNEG_TOL = 1e-12
+
 
 class AsymmetricKernel(ValueError):
     """Full kernel values are not symmetric; carries the max asymmetry."""
@@ -254,7 +257,7 @@ def fourier_symbol(u: DiscreteKernel, xi):
     return cheb_eval(symbol(u), np.cos(xi))
 
 
-def has_nonneg_fourier(u: DiscreteKernel, tol: float = 1e-12):
+def has_nonneg_fourier(u: DiscreteKernel, tol: float = NONNEG_TOL):
     """Whether min of p_u on [-1, 1] is >= -tol.
 
     Returns (flag, witness); the witness is a minimizing x when the

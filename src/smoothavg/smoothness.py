@@ -16,10 +16,10 @@ The candidate maximizers are the endpoints and the real roots of
 2 |s|^2 p_u' + (|s|^2)' p_u (``chebyshev.extreme_points``), and |s| is
 evaluated by ``OperatorSymbol.magnitude``, which splits the factor
 (1 - z)^m off the taps so that |s| keeps its relative accuracy near x = 1.
-Kernels of one radius stack: ``first_deriv_constants``,
-``laplacian_constants`` and the ``verify_theorem*_batch`` checks take one
-colleague-matrix eigensolve for the whole list, and give each kernel
-bitwise what it gets on its own.
+Every constant and check takes a list of kernels of one radius, with one
+colleague-matrix eigensolve for the whole list (``_reports`` builds the
+reports, ``verify_theorem*_batch`` the exceptions), and each single-kernel
+name is that on a stack of one, so a kernel gets bitwise the same anywhere.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .chebyshev import ChebPoly, _evaluate, _stationary_points, _top, signed_min
 from .kernel import (
     GRAD_STENCIL,
     LAPLACIAN_STENCIL,
+    NONNEG_TOL,
     DiscreteKernel,
     Sequence,
     apply_stencil,
     box_kernel,
     convolve,
-    has_nonneg_fourier,
     l2_norm,
     triangle_kernel,
 )
@@ -70,8 +70,6 @@ __all__ = [
 GAP_TOL = 1e-10
 COEFF_TOL = 1e-10
 BOUND_SLACK = 1e-11
-# theorem 2's hypothesis: min of p_u on [-1, 1] at least -NONNEG_TOL
-NONNEG_TOL = 1e-12
 
 
 class DegenerateOperator(ValueError):
@@ -227,39 +225,48 @@ def _weighted_sup(c: np.ndarray, s: OperatorSymbol) -> tuple[np.ndarray, np.ndar
     return _top(xs, s.magnitude(xs) * np.abs(_evaluate(xs, c)))
 
 
-def _kernel_sup(u: DiscreteKernel, s: OperatorSymbol) -> tuple[float, float]:
-    """``_weighted_sup`` of one kernel's symbol, as floats."""
-    (value,), (x,) = _weighted_sup(_symbols([u]), s)
-    return float(value), float(x)
+def _reports(kernels, s: OperatorSymbol, bound: float, extremal=None) -> list:
+    """One ``SmoothnessReport`` per kernel of a list of one radius n, from one
+    stacked ``_weighted_sup``: the constant, a maximizer, ``bound`` and the
+    gap constant - bound.  A kernel is extremal when its gap is within
+    GAP_TOL and its coefficients are within COEFF_TOL of ``extremal(n)``;
+    with no ``extremal`` none is."""
+    constants, xs = _weighted_sup(_symbols(kernels), s)
+    out = []
+    for u, constant, x in zip(kernels, constants.tolist(), xs.tolist()):
+        gap = constant - bound
+        is_extremal = (extremal is not None and gap <= GAP_TOL
+                       and bool(np.max(np.abs(u.half - extremal(u.n).half)) <= COEFF_TOL))
+        out.append(SmoothnessReport(constant, x, bound, gap, is_extremal))
+    return out
 
 
-def _matches(u: DiscreteKernel, reference: DiscreteKernel, tol: float = COEFF_TOL) -> bool:
-    if u.n != reference.n:
-        return False
-    return bool(np.max(np.abs(u.half - reference.half)) <= tol)
+def first_deriv_constants(kernels) -> list:
+    """M(u) = max sqrt(2 (1-x)) |p_u(x)| of each of a list of kernels of one
+    radius n, from one stacked sup, as reports; sharp bound 2/(2n+1),
+    attained only by the box kernel."""
+    return _reports(kernels, _GRAD, 2.0 / (2 * kernels[0].n + 1), box_kernel)
 
 
-def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
-    """M(u) = max sqrt(2 (1-x)) |p_u(x)|, sharp bound 2/(2n+1)."""
-    constant, x = _kernel_sup(u, _GRAD)
-    bound = 2.0 / (2 * u.n + 1)
-    gap = constant - bound
-    extremal = gap <= GAP_TOL and _matches(u, box_kernel(u.n))
-    return SmoothnessReport(constant, x, bound, gap, extremal)
-
-
-def laplacian_constant(u: DiscreteKernel) -> SmoothnessReport:
-    """L(u) = max 2 (1-x) |p_u(x)|, sharp bound 4/(n+1)^2.
+def laplacian_constants(kernels) -> list:
+    """L(u) = max 2 (1-x) |p_u(x)| of each of a list of kernels of one radius
+    n, from one stacked sup, as reports; sharp bound 4/(n+1)^2.
 
     Uses |p_u| so the value is the true operator norm even when uhat
     changes sign; the bound (and the extremal flag) are meaningful under
     the nonnegative-transform hypothesis, which verify_theorem2 enforces.
     """
-    constant, x = _kernel_sup(u, _LAPLACIAN)
-    bound = 4.0 / (u.n + 1) ** 2
-    gap = constant - bound
-    extremal = gap <= GAP_TOL and _matches(u, triangle_kernel(u.n))
-    return SmoothnessReport(constant, x, bound, gap, extremal)
+    return _reports(kernels, _LAPLACIAN, 4.0 / (kernels[0].n + 1) ** 2, triangle_kernel)
+
+
+def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
+    """``first_deriv_constants`` of the stack of one [u]."""
+    return first_deriv_constants([u])[0]
+
+
+def laplacian_constant(u: DiscreteKernel) -> SmoothnessReport:
+    """``laplacian_constants`` of the stack of one [u]."""
+    return laplacian_constants([u])[0]
 
 
 def operator_constant(u: DiscreteKernel, s: OperatorSymbol) -> SmoothnessReport:
@@ -269,20 +276,7 @@ def operator_constant(u: DiscreteKernel, s: OperatorSymbol) -> SmoothnessReport:
     cases, so the trivial bound 0 is reported and the extremal flag stays
     False.
     """
-    constant, x = _kernel_sup(u, s)
-    return SmoothnessReport(constant, x, 0.0, constant, False)
-
-
-def first_deriv_constants(kernels) -> np.ndarray:
-    """M(u) of each of a list of kernels of one radius n, from one stacked
-    sup: entry i is bitwise ``first_deriv_constant(kernels[i]).constant``."""
-    return _weighted_sup(_symbols(kernels), _GRAD)[0]
-
-
-def laplacian_constants(kernels) -> np.ndarray:
-    """L(u) of each of a list of kernels of one radius n, from one stacked
-    sup: entry i is bitwise ``laplacian_constant(kernels[i]).constant``."""
-    return _weighted_sup(_symbols(kernels), _LAPLACIAN)[0]
+    return _reports([u], s, 0.0)[0]
 
 
 def ratio_witness(u: DiscreteKernel, operator: OperatorSymbol, N: int) -> tuple[Sequence, float]:
@@ -303,56 +297,50 @@ def ratio_witness(u: DiscreteKernel, operator: OperatorSymbol, N: int) -> tuple[
     return f, l2_norm(derived) / l2_norm(f)
 
 
-def _violation(u: DiscreteKernel, constant: float, bound: float) -> BoundViolated | None:
-    return BoundViolated(u, constant, bound) if constant < bound - BOUND_SLACK else None
+def _checked(kernels, reports) -> list:
+    """Each report, or the BoundViolated of a constant below its bound."""
+    return [BoundViolated(u, rep.constant, rep.sharp_bound)
+            if rep.constant < rep.sharp_bound - BOUND_SLACK else rep
+            for u, rep in zip(kernels, reports)]
+
+
+def _raised(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def verify_theorem1_batch(kernels) -> list:
+    """Check M(u) >= 2/(2n+1) on a list of kernels of one radius n, from one
+    stacked sup (``first_deriv_constants``): entry i is the report of
+    kernels[i], or the BoundViolated of a constant below the bound."""
+    return _checked(kernels, first_deriv_constants(kernels))
+
+
+def verify_theorem2_batch(kernels) -> list:
+    """Check L(u) >= 4/(n+1)^2 on a list of kernels of one radius n whose
+    transforms are nonnegative, from one stacked minimum of the symbols
+    (``signed_min_rows``) and one stacked sup (``laplacian_constants``):
+    entry i is the report of kernels[i], the HypothesisViolated of a
+    transform whose minimum is below -NONNEG_TOL (with a minimizer as the
+    witness), or else the BoundViolated of a constant below the bound."""
+    minima, witnesses = signed_min_rows(_symbols(kernels))
+    return [HypothesisViolated(u, witness) if vmin < -NONNEG_TOL else outcome
+            for u, vmin, witness, outcome in zip(kernels, minima.tolist(), witnesses.tolist(),
+                                                 _checked(kernels, laplacian_constants(kernels)))]
 
 
 def verify_theorem1(u: DiscreteKernel) -> SmoothnessReport:
-    """Check M(u) >= 2/(2n+1), equality exactly at the box kernel."""
-    rep = first_deriv_constant(u)
-    if (exc := _violation(u, rep.constant, rep.sharp_bound)) is not None:
-        raise exc
-    return rep
+    """Check M(u) >= 2/(2n+1), equality exactly at the box kernel: the
+    report of ``verify_theorem1_batch([u])``, or its exception raised."""
+    return _raised(verify_theorem1_batch([u])[0])
 
 
 def verify_theorem2(u: DiscreteKernel) -> SmoothnessReport:
     """Check L(u) >= 4/(n+1)^2 for kernels with nonnegative transform.
 
     Equality holds exactly at the triangle kernel; kernels whose transform
-    goes negative are rejected with a witness frequency.
+    goes negative are rejected with a witness frequency.  This is
+    ``verify_theorem2_batch([u])``, its exception raised.
     """
-    ok, witness = has_nonneg_fourier(u, tol=NONNEG_TOL)
-    if not ok:
-        raise HypothesisViolated(u, witness)
-    rep = laplacian_constant(u)
-    if (exc := _violation(u, rep.constant, rep.sharp_bound)) is not None:
-        raise exc
-    return rep
-
-
-def verify_theorem1_batch(kernels) -> list:
-    """``verify_theorem1`` on a list of kernels of one radius n, from one
-    stacked sup (``first_deriv_constants``): entry i is the gap
-    M(u) - 2/(2n+1) of kernels[i] as a float, or the BoundViolated that
-    ``verify_theorem1`` raises for it."""
-    bound = 2.0 / (2 * kernels[0].n + 1)
-    return [_violation(u, constant, bound) or constant - bound
-            for u, constant in zip(kernels, first_deriv_constants(kernels).tolist())]
-
-
-def verify_theorem2_batch(kernels) -> list:
-    """``verify_theorem2`` on a list of kernels of one radius n, from one
-    stacked minimum of the symbols (``signed_min_rows``) and one stacked
-    sup (``laplacian_constants``): entry i is the gap L(u) - 4/(n+1)^2 of
-    kernels[i] as a float, or the HypothesisViolated or BoundViolated that
-    ``verify_theorem2`` raises for it."""
-    bound = 4.0 / (kernels[0].n + 1) ** 2
-    minima, witnesses = signed_min_rows(_symbols(kernels))
-    out = []
-    for u, vmin, witness, constant in zip(kernels, minima.tolist(), witnesses.tolist(),
-                                          laplacian_constants(kernels).tolist()):
-        if vmin < -NONNEG_TOL:
-            out.append(HypothesisViolated(u, witness))
-        else:
-            out.append(_violation(u, constant, bound) or constant - bound)
-    return out
+    return _raised(verify_theorem2_batch([u])[0])

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -330,9 +331,15 @@ class TestVerifyViolations:
     def test_bound_violation_is_not_ok(self, monkeypatch, capsys):
         real = smoothness.first_deriv_constants
 
-        # the battery's stacked check reads the constants from smoothness;
-        # the box rows of the suite take first_deriv_constant, unpatched
-        monkeypatch.setattr(smoothness, "first_deriv_constants", lambda kernels: real(kernels) / 2)
+        def halved(kernels):
+            # the battery's stacked check reads its reports from smoothness;
+            # the box rows of the suite are stacks of one, left unpatched
+            reports = real(kernels)
+            if len(kernels) == 1:
+                return reports
+            return [dataclasses.replace(rep, constant=rep.constant / 2) for rep in reports]
+
+        monkeypatch.setattr(smoothness, "first_deriv_constants", halved)
         assert run(["verify", "thm1", "--n-max", 3]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "1..6"
@@ -344,7 +351,7 @@ class TestVerifyViolations:
 
     def test_hypothesis_violation_is_not_ok(self, monkeypatch, capsys):
         # the battery's stacked check takes the symbols' minima from
-        # smoothness; the sign-changing rows still go one kernel at a time
+        # smoothness; the sign-changing rows, stacks of one, stay rejected
         monkeypatch.setattr(smoothness, "signed_min_rows",
                             lambda c: (np.full(len(c), -1.0), np.full(len(c), 0.25)))
         assert run(["verify", "thm2", "--n-max", 2]) == 1

@@ -480,7 +480,7 @@ class TestGaussLegendreRule:
     """The fixed rules against 50-digit mpmath: Newton on the three-term
     recurrence from each float node, weights 2 (1 - x^2) / (n P_{n-1}(x))^2."""
 
-    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("n", [64, 96, 256])  # 256: the prop8 oracle's rule
     def test_rule_matches_mpmath(self, n):
         mpmath = pytest.importorskip("mpmath")
         x, w = continuum._gauss_legendre(n)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from smoothavg.kernel import DiscreteKernel, Sequence, box_kernel, fourier_symbol, triangle_kernel
+from smoothavg.kernel import (
+    DiscreteKernel,
+    Sequence,
+    box_kernel,
+    fourier_symbol,
+    has_nonneg_fourier,
+    triangle_kernel,
+)
 from smoothavg.smoothness import (
     GRAD_STENCIL,
     LAPLACIAN_STENCIL,
@@ -316,6 +323,27 @@ class TestVerifyTheorem2:
             u = random_nonneg_fourier_kernel(rng, 2)
             rep = verify_theorem2(u)
             assert rep.constant >= 4 / 9 - 1e-11
+
+    def test_witness_is_has_nonneg_fourier_bitwise(self):
+        # the hypothesis check takes the stacked minimum of the untrimmed
+        # symbol rows; its witness is bitwise the minimizer of the trimmed
+        # symbol that has_nonneg_fourier takes, zero tails included
+        rng = np.random.default_rng(4093)
+        rejected = 0
+        for n in range(1, 65):
+            for zeros in (0, 0, 1, n // 2, n - 1):
+                half = rng.uniform(-0.2, 1.0, n + 1)
+                half[n + 1 - zeros:] = 0.0
+                u = DiscreteKernel(half / (half[0] + 2 * half[1:].sum()))
+                ok, witness = has_nonneg_fourier(u)
+                if ok:
+                    verify_theorem2(u)
+                    continue
+                rejected += 1
+                with pytest.raises(HypothesisViolated) as exc:
+                    verify_theorem2(u)
+                assert exc.value.witness_x.hex() == witness.hex()
+        assert rejected >= 250
 
 
 class TestScaling:

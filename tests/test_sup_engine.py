@@ -371,24 +371,27 @@ class TestStackedEngine:
             _assert_rows_match(_symbol_rows(kernels), weight)
 
     def test_batches_match_the_single_kernel_checks(self):
+        # a row of a stack of ten gets bitwise the report of its stack of one
         rng = np.random.default_rng(5)
         for n in (1, 4, 8):
             kernels = [random_symmetric_kernel(rng, n) for _ in range(10)]
-            constants = first_deriv_constants(kernels)
-            for u, c, gap in zip(kernels, constants, verify_theorem1_batch(kernels)):
+            reports = first_deriv_constants(kernels)
+            for u, r, outcome in zip(kernels, reports, verify_theorem1_batch(kernels)):
                 rep = verify_theorem1(u)
-                assert c == rep.constant and gap == rep.gap
+                assert r.constant == rep.constant and outcome.gap == rep.gap and r == outcome == rep
             kernels = [random_nonneg_fourier_kernel(rng, n) for _ in range(10)] + [box_kernel(n)]
-            constants = laplacian_constants(kernels)
+            reports = laplacian_constants(kernels)
             outcomes = verify_theorem2_batch(kernels)
-            for u, c, gap in zip(kernels, constants, outcomes):
-                assert c == laplacian_constant(u).constant
-                if isinstance(gap, HypothesisViolated):
+            for u, r, outcome in zip(kernels, reports, outcomes):
+                single = laplacian_constant(u)
+                assert r.constant == single.constant and r == single
+                if isinstance(outcome, HypothesisViolated):
                     with pytest.raises(HypothesisViolated) as exc:
                         verify_theorem2(u)
-                    assert str(exc.value) == str(gap)
+                    assert str(exc.value) == str(outcome)
                 else:
-                    assert gap == verify_theorem2(u).gap
+                    assert outcome.gap == verify_theorem2(u).gap
+                    assert outcome == r
             assert isinstance(outcomes[-1], HypothesisViolated)  # the box kernel's sign change
 
 
