@@ -197,33 +197,49 @@ def _polynomial(c_tail: np.ndarray) -> ChebPoly:
     return ChebPoly(np.concatenate([[1.0 - c_tail.sum()], c_tail]))
 
 
-def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray):
+def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray, warm=None):
     """LP on the active set: minimize the level t with p(1) = 1 eliminated;
     shifting t by the largest active weight makes the origin feasible.
+
+    Row i < xs.size bounds the objective at xs[i] from above; row
+    xs.size + i bounds it from below, or under positivity keeps p(xs[i])
+    >= 0.  ``warm`` is the previous round's optimal basis as (points,
+    upper) arrays: the LP starts from it when every point is in xs.
     Returns (level, p, trace fields): the fields are ``lp_rows``, the
-    number of LP rows, and the LP's ``highs_status`` and
-    ``highs_iterations``.
+    number of LP rows, the LP's ``lp_status`` and ``lp_iterations``, and
+    ``basis``, this LP's optimal basis in the form of ``warm`` (None when
+    a free column never entered it), which solve takes out of the row.
     """
-    n = problem.degree
+    n, k = problem.degree, xs.size
     w = _weight_values(problem, xs)
     shift = float(np.max(w)) if w.size else 1.0
     basis = _normalized_basis(xs, n)
 
-    rows = [np.hstack([w[:, None] * basis, -np.ones((xs.size, 1))])]
+    rows = [np.hstack([w[:, None] * basis, -np.ones((k, 1))])]
     rhs = [shift - w]
     if problem.spec.positivity:  # p >= 0 rows; the objective is signed, no lower row
-        rows.append(np.hstack([-basis, np.zeros((xs.size, 1))]))
-        rhs.append(np.ones(xs.size))
+        rows.append(np.hstack([-basis, np.zeros((k, 1))]))
+        rhs.append(np.ones(k))
     else:
-        rows.append(np.hstack([-w[:, None] * basis, -np.ones((xs.size, 1))]))
+        rows.append(np.hstack([-w[:, None] * basis, -np.ones((k, 1))]))
         rhs.append(shift + w)
 
     G = np.vstack(rows)
     h = np.concatenate(rhs)
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
-    y, _, highs = solve_origin_feasible(cost, G, h)
-    return float(y[-1] + shift), _polynomial(y[:-1]), {"lp_rows": G.shape[0], **highs}
+    start = None
+    if warm is not None:
+        points, upper = warm
+        at = np.minimum(np.searchsorted(xs, points), k - 1)
+        if np.array_equal(xs[at], points):
+            start = at + np.where(upper, 0, k)
+    y, _, stats = solve_origin_feasible(cost, G, h, start)
+    optimal = stats["basis"]
+    fields = {"lp_rows": G.shape[0], "lp_status": stats["lp_status"],
+              "lp_iterations": stats["lp_iterations"],
+              "basis": (xs[optimal % k], optimal < k) if np.all(optimal < 2 * k) else None}
+    return float(y[-1] + shift), _polynomial(y[:-1]), fields
 
 
 def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
@@ -335,12 +351,10 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     Each trace row holds ``round``; ``method``; ``lp_value``, the level;
     ``continuum_max``; ``gap``, continuum max minus level;
     ``positivity_violation``, max(0, -min p); ``lp_rows``, the number of LP
-    rows or reference points; on LP rounds ``highs_status``, HiGHS's
-    model status ("Optimal"), and ``highs_iterations``, its simplex
-    iterations (interior-point plus crossover iterations when the LP
-    needed the interior-point retry); ``cuts``, the number of points the
-    round brings into the next set (0 on the last round); and
-    ``seconds``, the round's wall time.
+    rows or reference points; on LP rounds ``lp_status``, the LP's status
+    ("Optimal"), and ``lp_iterations``, its simplex pivots; ``cuts``, the
+    number of points the round brings into the next set (0 on the last
+    round); and ``seconds``, the round's wall time.
 
     Solutions of the open problems (``laplacian`` and ``operator``) are
     marked exploratory.
@@ -354,14 +368,18 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         raise ValueError("tol must be positive")
     spec, n = problem.spec, problem.degree
     remez = not spec.positivity and not problem.symbol.vanishes_inside
-    restricted = _solve_reference if remez else _solve_restricted
     xs = np.cos(np.pi * np.arange(1 if remez else 0, n + 2) / (n + 1))
     trace: list[dict] = []
     best = None
+    warm = None  # the LP path's previous optimal basis
     for round_no in range(1, _MAX_ROUNDS + 1):
         started = time.perf_counter()
         try:
-            level, p, fields = restricted(problem, xs)
+            if remez:
+                level, p, fields = _solve_reference(problem, xs)
+            else:
+                level, p, fields = _solve_restricted(problem, xs, warm)
+                warm = fields.pop("basis")
         except Infeasible as exc:
             if best is None:
                 raise

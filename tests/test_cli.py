@@ -197,6 +197,16 @@ class TestOptimize:
         # dropping positivity cannot beat the constrained optimum
         assert data["value"] <= 4 / 36 + 1e-9
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_stencil_1_m1_1_converges(self, tmp_path, n):
+        # |s| = |2x - 1| vanishes at x = 1/2, which keeps 1,-1,1 on the LP
+        # path, and x = 1 holds every level at |s(1)| = 1
+        out = tmp_path / "sol.json"
+        assert run(["optimize", "operator", "--stencil=1,-1,1", "-n", n, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["solution"]["converged"] is True
+        assert data["value"] == pytest.approx(1.0, abs=1e-9)
+
     @pytest.mark.parametrize("argv, exploratory", [
         (["first-deriv"], False),
         (["laplacian", "--nonneg"], False),
@@ -245,8 +255,8 @@ class TestOptimize:
         assert run(["optimize", "first-deriv", "-n", 3, "--tol", "1"]) == 2
 
     def test_first_lp_failure_exits_4_without_traceback(self, monkeypatch, tmp_path, capsys):
-        def fail(cost, G, h):
-            raise mm.Infeasible("LP solve failed (highs-ipm): stub")
+        def fail(cost, G, h, start=None):
+            raise mm.Infeasible("LP solve failed: stub")
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail)
         out = tmp_path / "sol.json"
@@ -260,11 +270,11 @@ class TestOptimize:
     def test_later_lp_failure_exits_4_with_iterate(self, monkeypatch, tmp_path, capsys):
         real, calls = mm.solve_origin_feasible, []
 
-        def fail_after_first(cost, G, h):
+        def fail_after_first(cost, G, h, start=None):
             calls.append(len(h))
             if len(calls) > 1:
-                raise mm.Infeasible("LP solve failed (highs-ipm): stub")
-            return real(cost, G, h)
+                raise mm.Infeasible("LP solve failed: stub")
+            return real(cost, G, h, start)
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
         out = tmp_path / "sol.json"
@@ -276,7 +286,7 @@ class TestOptimize:
         data = json.loads(out.read_text())
         assert data["solution"]["converged"] is False
         assert data["solution"]["iterations"] == 1
-        assert data["solution"]["trace"][0]["highs_status"] == "Optimal"
+        assert data["solution"]["trace"][0]["lp_status"] == "Optimal"
 
     @pytest.mark.parametrize("fail_from, iterations", [(1, None), (2, 1)],
                              ids=["first-system", "second-system"])
@@ -573,28 +583,51 @@ class TestContinuum:
             assert "n-max must lie in [50, 100000]" in captured.err
 
 
+# the scipy modules in sys.modules: none, when nothing loaded scipy
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
 @pytest.mark.parametrize("problem", ["first-deriv", "laplacian"])
 def test_remez_optimize_leaves_scipy_optimize_unloaded(problem, tmp_path):
     # without positivity and with |s| nonzero inside (-1, 1) every round is
-    # a Remez step, so no LP runs and scipy.optimize is never imported
+    # a Remez step; no module of scipy is loaded, scipy.optimize included
     code = ("import sys; from smoothavg.cli import main; "
             f"code = main(['optimize', '{problem}', '-n', '64', '-o', sys.argv[1]]); "
-            "print(code, 'scipy.optimize' in sys.modules)")
+            f"print(code, {SCIPY_MODULES})")
     env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sol.json")],
                          capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "0 False"
+    assert out.stdout.strip() == "0 []"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize loads on the first LP and scipy.special only in
-    # `verify prop8`'s oracle, so importing the CLI loads neither
-    code = ("import smoothavg.cli, sys; "
-            "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # importing the CLI loads no scipy module, and neither does any command
+    # after it: the LP rounds run the package's own simplex, and continuum
+    # and verify prop8 take their Gauss-Legendre rules from numpy
+    data = tmp_path / "in.csv"
+    data.write_text("\n".join(str(math.sin(0.1 * i)) for i in range(200)) + "\n")
+    kernel = tmp_path / "tri.json"
+    commands = [
+        ["generate", "triangle", "-n", "4", "-o", str(kernel)],
+        ["analyze", str(kernel), "--operator=-1,3,-3,1"],
+        ["optimize", "laplacian", "--nonneg", "-n", "12"],
+        ["optimize", "operator", "--stencil=-1,0,0,1", "-n", "12"],
+        ["verify", "all", "--n-max", "6"],
+        ["smooth", str(data), str(tmp_path / "out.csv"), "--triangle", "4"],
+        ["continuum", "--builtin", "halftriangle"],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "import smoothavg.cli\n"
+            f"loaded = [{SCIPY_MODULES}]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = smoothavg.cli.main(argv)\n"
+            f"    loaded.append([code, {SCIPY_MODULES}])\n"
+            "print(json.dumps(loaded))")
     env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert json.loads(out.stdout) == [[]] + [[0, []]] * len(commands)
 
 
 def test_continuum_leaves_scipy_special_and_numpy_ma_unloaded(tmp_path):

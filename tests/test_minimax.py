@@ -257,11 +257,11 @@ class TestStalled:
     def test_lp_failure_after_round_one_stalls_with_iterate(self, monkeypatch):
         real, calls = mm.solve_origin_feasible, []
 
-        def fail_after_first(cost, G, h):
+        def fail_after_first(cost, G, h, start=None):
             calls.append(len(h))
             if len(calls) > 1:
                 raise mm.Infeasible("stub")
-            return real(cost, G, h)
+            return real(cost, G, h, start)
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail_after_first)
         with pytest.raises(Stalled) as exc:
@@ -271,11 +271,11 @@ class TestStalled:
         assert not sol.converged
         assert sol.iterations == len(sol.trace) == 1
         assert sol.value == sol.trace[0]["lp_value"]
-        assert sol.trace[0]["highs_status"] == "Optimal"
+        assert sol.trace[0]["lp_status"] == "Optimal"
         assert len(calls) == 2 and calls[0] == 2 * 8  # the start LP, then the failed one
 
     def test_first_lp_failure_propagates(self, monkeypatch):
-        def fail(cost, G, h):
+        def fail(cost, G, h, start=None):
             raise mm.Infeasible("stub")
 
         monkeypatch.setattr(mm, "solve_origin_feasible", fail)
@@ -286,7 +286,7 @@ class TestStalled:
 
 TRACE_KEYS = {"round", "method", "lp_value", "continuum_max", "gap",
               "positivity_violation", "lp_rows", "cuts", "seconds"}
-LP_TRACE_KEYS = TRACE_KEYS | {"highs_status", "highs_iterations"}
+LP_TRACE_KEYS = TRACE_KEYS | {"lp_status", "lp_iterations"}
 
 
 class TestTrace:
@@ -296,8 +296,8 @@ class TestTrace:
         sol = solve(MinimaxProblem("operator", n, taps_of(stencil)), 1e-9)
         assert sol.iterations > 1
         assert all(set(row) == LP_TRACE_KEYS and row["method"] == "lp" for row in sol.trace)
-        assert all(row["highs_status"] == "Optimal" for row in sol.trace)
-        assert all(type(row["highs_iterations"]) is int and row["highs_iterations"] > 0
+        assert all(row["lp_status"] == "Optimal" for row in sol.trace)
+        assert all(type(row["lp_iterations"]) is int and row["lp_iterations"] > 0
                    for row in sol.trace)
         # start set: the n+2 Chebyshev extreme points, two rows each
         assert sol.trace[0]["lp_rows"] == 2 * (n + 2)
@@ -408,6 +408,20 @@ class TestSweep:
             _, tri = theorem_sweep["laplacian-nonneg", n]
             assert abs(math.sqrt(2.0) * box.value - 2 / (2 * n + 1)) <= 1e-8, n
             assert abs(2.0 * tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
+
+    def test_triangle_constant_within_1e_10_relative(self, theorem_sweep):
+        for n in range(N_CAP + 1):
+            _, tri = theorem_sweep["laplacian-nonneg", n]
+            exact = 4 / (n + 1) ** 2
+            assert abs(tri.constant - exact) <= 1e-10 * exact, n
+
+    def test_triangle_at_n_256(self):
+        # above N_CAP, an exact re-solve leaves basis rows with slacks below
+        # the LP's feasibility tolerance; no such row may be pivoted in again
+        n = 256
+        sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
+        assert sol.converged
+        assert abs(sol.constant - 4 / (n + 1) ** 2) <= 1e-10 * 4 / (n + 1) ** 2
 
     def test_laplacian_converges_in_four_rounds(self, theorem_sweep):
         for n in range(N_CAP + 1):
