@@ -318,11 +318,11 @@ def _suite_thm3(n_max: int, rng) -> list:
         mono[deg] = 1.0
         mono[: deg] = 1e-2 * rng.standard_normal(deg)
         polys.append(monomial_to_cheb(mono))
-    sups = [0.0] * len(polys)
-    for deg in {p.degree for p in polys}:  # one stacked sup per degree
-        rows = [i for i, p in enumerate(polys) if p.degree == deg]
-        for i, sup in zip(rows, sup_abs_rows(np.array([polys[i].coeffs for i in rows]))[0].tolist()):
-            sups[i] = sup
+    # zero-padded: the engine groups rows by trimmed length
+    stack = np.zeros((len(polys), max(p.coeffs.size for p in polys)))
+    for row, p in zip(stack, polys):
+        row[: p.coeffs.size] = p.coeffs
+    sups = sup_abs_rows(stack)[0].tolist()
     strict_ok = True
     worst = ""
     for p, sup in zip(polys, sups):

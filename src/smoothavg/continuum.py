@@ -196,13 +196,12 @@ class PerturbationFunction:
 
 def triangle_profile() -> PerturbationFunction:
     """The unit triangle 1 - |x|, the reference kernel of the analysis."""
-    return PerturbationFunction(lambda x: 1.0 - x, linear_table=([0.0, 1.0], [1.0, 0.0]))
+    return profile_from_table([0.0, 1.0], [1.0, 0.0])
 
 
 def half_triangle_profile() -> PerturbationFunction:
     """Half-width triangle (1 - 2|x|)_+, a standard test perturbation."""
-    return PerturbationFunction(lambda x: np.maximum(1.0 - 2.0 * x, 0.0), (0.5,),
-                                linear_table=([0.0, 0.5, 1.0], [1.0, 0.0, 0.0]))
+    return profile_from_table([0.0, 0.5, 1.0], [1.0, 0.0, 0.0])
 
 
 def profile_from_table(knots, values) -> PerturbationFunction:

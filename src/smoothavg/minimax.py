@@ -61,6 +61,7 @@ __all__ = [
 
 _MAX_ROUNDS = 200
 _ACTIVE_TOL = 1e-6  # band of the rows kept between rounds and reported as active
+_START_FLOOR = 1e-6  # |s| below this times sum |taps| counts as a zero for round 1's start
 
 
 @dataclass(frozen=True)
@@ -197,49 +198,78 @@ def _polynomial(c_tail: np.ndarray) -> ChebPoly:
     return ChebPoly(np.concatenate([[1.0 - c_tail.sum()], c_tail]))
 
 
-def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray, warm=None):
-    """LP on the active set: minimize the level t with p(1) = 1 eliminated;
-    shifting t by the largest active weight makes the origin feasible.
+def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray, start):
+    """LP on the active set xs (ascending): minimize the level t with
+    p(1) = 1 eliminated.  There p = 1, so x = 1 only bounds the level by
+    w(1) and takes no row: the LP runs on the k points below 1 and the level
+    is the larger of its optimum and w(1).  Where w(1) is the optimum, the
+    LP so picks a p with slack below 1, not a vertex of the face of optima.
 
-    Row i < xs.size bounds the objective at xs[i] from above; row
-    xs.size + i bounds it from below, or under positivity keeps p(xs[i])
-    >= 0.  ``warm`` is the previous round's optimal basis as (points,
-    upper) arrays: the LP starts from it when every point is in xs.
-    Returns (level, p, trace fields): the fields are ``lp_rows``, the
-    number of LP rows, the LP's ``lp_status`` and ``lp_iterations``, and
-    ``basis``, this LP's optimal basis in the form of ``warm`` (None when
-    a free column never entered it), which solve takes out of the row.
+    Row i < k bounds the objective at the i-th point from above; row k + i
+    bounds it from below, or under positivity keeps p >= 0 there.  The LP
+    starts from the dual feasible basis ``start``, as (points, upper)
+    arrays of points in xs.  Returns (level, p, trace fields): the fields
+    are ``lp_rows``, the number of LP rows, the LP's ``lp_status`` and
+    ``lp_iterations``, and ``basis``, its optimal basis in the form of
+    ``start``, which solve takes out of the row.
     """
+    top = float(_weight_values(problem, np.ones(1))[0])
+    xs = xs[xs < 1.0]
     n, k = problem.degree, xs.size
     w = _weight_values(problem, xs)
-    shift = float(np.max(w)) if w.size else 1.0
     basis = _normalized_basis(xs, n)
 
     rows = [np.hstack([w[:, None] * basis, -np.ones((k, 1))])]
-    rhs = [shift - w]
+    rhs = [-w]
     if problem.spec.positivity:  # p >= 0 rows; the objective is signed, no lower row
         rows.append(np.hstack([-basis, np.zeros((k, 1))]))
         rhs.append(np.ones(k))
     else:
         rows.append(np.hstack([-w[:, None] * basis, -np.ones((k, 1))]))
-        rhs.append(shift + w)
+        rhs.append(w)
 
     G = np.vstack(rows)
     h = np.concatenate(rhs)
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
-    start = None
-    if warm is not None:
-        points, upper = warm
-        at = np.minimum(np.searchsorted(xs, points), k - 1)
-        if np.array_equal(xs[at], points):
-            start = at + np.where(upper, 0, k)
-    y, _, stats = solve_origin_feasible(cost, G, h, start)
+    points, upper = start
+    at = np.searchsorted(xs, points)
+    y, _, stats = solve_origin_feasible(cost, G, h, at + np.where(upper, 0, k))
     optimal = stats["basis"]
     fields = {"lp_rows": G.shape[0], "lp_status": stats["lp_status"],
               "lp_iterations": stats["lp_iterations"],
-              "basis": (xs[optimal % k], optimal < k) if np.all(optimal < 2 * k) else None}
-    return float(y[-1] + shift), _polynomial(y[:-1]), fields
+              "basis": (xs[optimal % k], optimal < k)}
+    return max(float(y[-1]), top), _polynomial(y[:-1]), fields
+
+
+def _reference_start(problem: MinimaxProblem):
+    """Round 1 of the LP path: the active set cos(pi j/(n+1)), j = 0..n+1,
+    ascending, and its start basis, the rows at j = 1..n+1 (as ``start`` of
+    _solve_restricted): upper at j = 1, then lower (positivity) and upper in
+    turn.  On distinct points of [-1, 1) with w > 0 these rows are dual
+    feasible by the Haar property of T_k - 1 on [-1, 1).  A row at a zero of
+    |s| (below _START_FLOOR of sum |taps|) only reads t >= 0: one of them,
+    the last, still makes a basis with the others, but two are singular.
+    So every other such row moves halfway in angle towards the neighbour
+    nearer x = 1, and back by halves while |s| still vanishes there; the
+    moved points join the active set.
+    """
+    n = problem.degree
+    grid = np.pi * np.arange(1, n + 2) / (n + 1)
+    floor = _START_FLOOR * float(np.abs(problem.symbol.taps).sum()) / problem.spec.scale
+    zero = _weight_values(problem, np.cos(grid)) <= floor
+    zero[zero.size - 1 - int(np.argmax(zero[::-1]))] = False  # the last zero stays
+    theta, step = grid.copy(), np.pi / (n + 1)
+    for _ in range(50):
+        if not zero.any():
+            break
+        step /= 2
+        theta[zero] = grid[zero] - step
+        zero &= _weight_values(problem, np.cos(theta)) <= floor
+    points = np.cos(theta)
+    # not np.union1d, which would import numpy.ma: the moved points are new
+    xs = np.sort(np.concatenate([np.cos(np.pi * np.arange(n + 2) / (n + 1)), points[theta != grid]]))
+    return xs, (points, np.arange(n + 1) % 2 == 0)
 
 
 def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
@@ -332,20 +362,23 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     system on the degree+1 reference points (``method`` "remez"), starting
     from cos(pi j/(degree+1)), j = 1..degree+1.  Otherwise each round solves
     the LP on the active set (``method`` "lp"), starting from the degree+2
-    points cos(pi j/(degree+1)), j = 0..degree+1.
+    points cos(pi j/(degree+1)), j = 0..degree+1.  Each LP starts from a
+    dual feasible basis: round 1 from alternating rows at j = 1..degree+1
+    (``_reference_start``), later rounds from the last optimum.
 
     Each round then makes one extrema pass per polynomial (the objective's,
     and under positivity p's).  The pass gives the certified continuum max,
     and its candidates (endpoints and stationary points) make the next set:
     the Remez path takes degree+1 of them where the error w p alternates in
     sign, with the largest |w p| and the global max; the LP path keeps the
-    active points within the _ACTIVE_TOL band of the level and adds every
-    candidate where the objective is above level + tol, and under
-    positivity every one where p is below -tol.  The solve stops when
-    neither the objective nor -p exceeds its bound by more than tol.
-    The level (the LP optimum, or |E|, a de la Vallee Poussin bound on an
-    alternating reference) is a lower bound and the certified continuum max
-    an upper bound on the true optimal value; certificate_gap is the final
+    active points within the _ACTIVE_TOL band of the level and the points of
+    the optimal basis, and adds every candidate where the objective is above
+    level + tol, and under positivity every one where p is below -tol.  The
+    solve stops when neither the objective nor -p exceeds its bound by more
+    than tol.  The level (the LP optimum or w(1), or |E|, a de la Vallee
+    Poussin bound on an alternating reference) is a lower bound and the
+    certified continuum max an upper bound on the true optimal value;
+    certificate_gap is the final
     round's max(0, continuum max - level, -min p).
 
     Each trace row holds ``round``; ``method``; ``lp_value``, the level;
@@ -368,18 +401,20 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         raise ValueError("tol must be positive")
     spec, n = problem.spec, problem.degree
     remez = not spec.positivity and not problem.symbol.vanishes_inside
-    xs = np.cos(np.pi * np.arange(1 if remez else 0, n + 2) / (n + 1))
+    if remez:
+        xs = np.cos(np.pi * np.arange(1, n + 2) / (n + 1))
+    else:
+        xs, start = _reference_start(problem)
     trace: list[dict] = []
     best = None
-    warm = None  # the LP path's previous optimal basis
     for round_no in range(1, _MAX_ROUNDS + 1):
         started = time.perf_counter()
         try:
             if remez:
                 level, p, fields = _solve_reference(problem, xs)
             else:
-                level, p, fields = _solve_restricted(problem, xs, warm)
-                warm = fields.pop("basis")
+                level, p, fields = _solve_restricted(problem, xs, start)
+                start = fields.pop("basis")
         except Infeasible as exc:
             if best is None:
                 raise
@@ -422,5 +457,6 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
             return _solution(problem, *best, trace, converged=True)
         if not new.size:
             break
-        xs = following if remez else np.union1d(xs[_band(problem, p, xs, level)], new)
+        xs = following if remez else np.union1d(xs[_band(problem, p, xs, level)],
+                                                np.concatenate([start[0], new]))
     raise Stalled(_solution(problem, *best, trace, converged=False))

@@ -272,7 +272,14 @@ class TestStalled:
         assert sol.iterations == len(sol.trace) == 1
         assert sol.value == sol.trace[0]["lp_value"]
         assert sol.trace[0]["lp_status"] == "Optimal"
-        assert len(calls) == 2 and calls[0] == 2 * 8  # the start LP, then the failed one
+        # the start LP on the 7 start points below x = 1, then the failed one
+        assert len(calls) == 2 and calls[0] == 2 * 7
+
+    def test_next_set_keeps_the_optimal_basis(self, monkeypatch):
+        # with an empty band, round 2 still starts from round 1's optimum
+        monkeypatch.setattr(mm, "_band", lambda problem, p, xs, level: np.zeros(xs.size, bool))
+        sol = solve(MinimaxProblem("operator", 6, LP_STENCIL), 1e-9)
+        assert sol.converged and sol.iterations > 1
 
     def test_first_lp_failure_propagates(self, monkeypatch):
         def fail(cost, G, h, start=None):
@@ -297,10 +304,13 @@ class TestTrace:
         assert sol.iterations > 1
         assert all(set(row) == LP_TRACE_KEYS and row["method"] == "lp" for row in sol.trace)
         assert all(row["lp_status"] == "Optimal" for row in sol.trace)
-        assert all(type(row["lp_iterations"]) is int and row["lp_iterations"] > 0
-                   for row in sol.trace)
-        # start set: the n+2 Chebyshev extreme points, two rows each
-        assert sol.trace[0]["lp_rows"] == 2 * (n + 2)
+        assert all(type(row["lp_iterations"]) is int for row in sol.trace)
+        # the taps sum to zero: the reference start is round 1's optimum, and
+        # every later round pivots its cuts in
+        assert sol.trace[0]["lp_iterations"] == 0
+        assert all(row["lp_iterations"] > 0 for row in sol.trace[1:])
+        # start set: the n+1 Chebyshev extreme points below x = 1, two rows each
+        assert sol.trace[0]["lp_rows"] == 2 * (n + 1)
         assert all(row["cuts"] > 0 for row in sol.trace[:-1])
         assert sol.trace[-1]["cuts"] == 0
 
@@ -310,8 +320,10 @@ class TestTrace:
         # derivative on a fine grid, independently of the sup engine
         n = 12
         problem = MinimaxProblem("operator", n, LP_STENCIL)
-        start = np.cos(np.pi * np.arange(n + 2) / (n + 1))
-        level, p, _ = mm._solve_restricted(problem, start)
+        start = np.cos(np.pi * np.arange(n + 1, -1, -1) / (n + 1))
+        # the rows at j = 1..n+1: upper at j = 1, then lower and upper in turn
+        reference = (np.cos(np.pi * np.arange(1, n + 2) / (n + 1)), np.arange(n + 1) % 2 == 0)
+        level, p, _ = mm._solve_restricted(problem, start, reference)
         q = npcheb.chebmul([2.0, 0.0, 0.0, -2.0], npcheb.chebmul(p.coeffs, p.coeffs))
         xs = np.cos(np.linspace(np.pi, 0.0, 200_001))
         dq = npcheb.chebval(xs, npcheb.chebder(q))
@@ -333,7 +345,8 @@ class TestTrace:
     def test_signed_rows_count_positivity(self):
         n = 5
         sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
-        assert sol.trace[0]["lp_rows"] == 2 * (n + 2)  # objective row + positivity row
+        # below x = 1: objective row + positivity row
+        assert sol.trace[0]["lp_rows"] == 2 * (n + 1)
 
 
 # Exploratory (stencil, n) solves that raised Infeasible or stalled under the
@@ -409,11 +422,11 @@ class TestSweep:
             assert abs(math.sqrt(2.0) * box.value - 2 / (2 * n + 1)) <= 1e-8, n
             assert abs(2.0 * tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
 
-    def test_triangle_constant_within_1e_10_relative(self, theorem_sweep):
+    def test_triangle_constant_within_1e_13_relative(self, theorem_sweep):
         for n in range(N_CAP + 1):
             _, tri = theorem_sweep["laplacian-nonneg", n]
             exact = 4 / (n + 1) ** 2
-            assert abs(tri.constant - exact) <= 1e-10 * exact, n
+            assert abs(tri.constant - exact) <= 1e-13 * exact, n
 
     def test_triangle_at_n_256(self):
         # above N_CAP, an exact re-solve leaves basis rows with slacks below
@@ -431,6 +444,38 @@ class TestSweep:
     def test_certificate_never_below_grid_audit(self, theorem_sweep):
         for (name, n), (problem, sol) in theorem_sweep.items():
             assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15, (name, n)
+
+    @pytest.mark.parametrize("stencil,n", [("1,1,1", 8), ("2,-1,2", 11), ("1,-1,1", 20),
+                                           ("1,1,1,1", 3), ("1,1,1,1", 5), ("1,1,1,1", 11),
+                                           ("-2,0,0,-2", 3)])
+    def test_lp_stencils_with_optimum_at_x_1_converge_in_one_round(self, stencil, n):
+        # taps that do not sum to zero and an |s| that vanishes inside: the
+        # optimum is |s(1)|, which p(1) = 1 forces, on a large optimal face.
+        # The LP on the points below 1 picks a p of it with slack there, not
+        # a vertex; 1,1,1,1 also has two reference points at zeros of |s|
+        problem = MinimaxProblem("operator", n, taps_of(stencil))
+        sol = solve(problem, 1e-9)
+        assert sol.converged and sol.trace[0]["method"] == "lp"
+        assert sol.iterations == 1
+        assert sol.value == pytest.approx(abs(sum(taps_of(stencil))), rel=1e-12)
+        assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15
+
+    @pytest.mark.parametrize("stencil,n,rounds", [
+        # |s| vanishes at x = -1/2 and -1, the reference points j = 6 and 9
+        ("1,1,0,-1,-1", 8, 5), ("2,2,0,-2,-2", 8, 5),
+        # at x = 0 and -1 (j = 1 and 2), and at cos(pi/4), halfway from 0 to 1
+        ("1,1,1,1,1,1,1,1", 1, 1),
+    ])
+    def test_reference_zeros_of_s_start_round_one(self, stencil, n, rounds):
+        # rows at two zeros of |s| read t >= 0 only and make a singular basis
+        problem = MinimaxProblem("operator", n, taps_of(stencil))
+        xs, (points, upper) = mm._reference_start(problem)
+        w = problem.symbol.magnitude(points)
+        assert np.count_nonzero(w <= 1e-6) == 1 and points[-1] == -1.0
+        assert np.all(np.isin(points, xs)) and np.unique(points).size == n + 1
+        sol = solve(problem, 1e-9)
+        assert sol.converged and sol.iterations <= rounds
+        assert sol.certificate_gap >= grid_gap(problem, sol) - 1e-15
 
     @pytest.mark.parametrize("stencil,n",
                              FORMER_STENCIL_FAILURES + LARGE_STENCIL_SOLVES + FORMER_LP_STALLS)
