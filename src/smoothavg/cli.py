@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -413,33 +412,27 @@ def cmd_verify(args) -> int:
 
 
 def _read_series(path: str) -> np.ndarray:
-    """The first column of a CSV series: blank rows are skipped, and so is
-    row 1 when it does not parse (a header)."""
+    """The first column of a CSV series, in one streamed pass that names the
+    first bad row: blank rows are skipped, and so is row 1 when it does not
+    parse (a header)."""
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        cells = (raw.split(",", 1)[0].strip() for raw in fh)
-        head = next(cells, "")
-        try:
-            float(head or 0)
-        except ValueError:
-            head = ""  # header
-        try:  # a well-formed series parses in this one streamed pass
-            values = np.fromiter(map(float, filter(None, itertools.chain([head], cells))), float)
-            if np.all(np.isfinite(values)) and values.size:
-                return values
-        except ValueError:
-            pass
-        fh.seek(0)  # any other takes a second pass that names its first bad row
         for row_no, raw in enumerate(fh, 1):
             cell = raw.split(",", 1)[0].strip()
-            if not cell or (row_no == 1 and not head):
+            if not cell:
                 continue
             try:
                 value = float(cell)
             except ValueError:
+                if row_no == 1:  # header
+                    continue
                 raise KernelFileError(f"row {row_no}: cannot parse {cell!r}") from None
             if not math.isfinite(value):
                 raise KernelFileError(f"row {row_no}: value {cell!r} is not finite")
-    raise KernelFileError("no numeric rows found")
+            values.append(value)
+    if not values:
+        raise KernelFileError("no numeric rows found")
+    return np.array(values)
 
 
 def cmd_smooth(args) -> int:

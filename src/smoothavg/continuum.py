@@ -276,7 +276,7 @@ def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> 
 
     table = None
     if base.linear_table is not None and f.linear_table is not None:
-        # not np.union1d: its np.unique imports numpy.ma, ~30 ms of a fresh
+        # a set, not np.unique, which imports numpy.ma: ~30 ms of a fresh
         # `continuum` process
         knots = np.array(sorted({*base.linear_table[0].tolist(), *f.linear_table[0].tolist()}))
         table = (knots, half(knots))

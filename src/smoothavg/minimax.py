@@ -22,7 +22,9 @@ hold every local maximum of the objective (and under positivity the
 extrema of p, from a second pass).  The same pass gives the certified
 continuum maximum, so the reported certificate gap is the sup of the
 objective above the level, not a sampled estimate, and it supplies the
-next reference or the LP's cuts.
+next reference or the LP's cuts: each later LP runs on the last optimal
+basis points and the cuts.  The active points are the certificate: the
+final reference, or the last LP's basis points and x = 1 (where p(1) = 1).
 
 ``PROBLEMS`` names the four problems by their stencil:
 
@@ -60,7 +62,6 @@ __all__ = [
 ]
 
 _MAX_ROUNDS = 200
-_ACTIVE_TOL = 1e-6  # band of the rows kept between rounds and reported as active
 _START_FLOOR = 1e-6  # |s| below this times sum |taps| counts as a zero for round 1's start
 
 
@@ -132,8 +133,8 @@ class MinimaxProblem:
 @dataclass(frozen=True)
 class MinimaxSolution:
     """An iterate of solve: p (``coeffs``) at the level ``value`` (the LP
-    optimum or the Remez |E|), the smoothness constant scale * value and the
-    kernel whose symbol is p."""
+    optimum or the Remez |E|), the smoothness constant scale * value, the
+    kernel whose symbol is p and the points that certify the level."""
 
     coeffs: ChebPoly
     value: float
@@ -179,14 +180,6 @@ def _weight_values(problem: MinimaxProblem, xs: np.ndarray) -> np.ndarray:
     return problem.symbol.magnitude(xs) / problem.spec.scale
 
 
-def _objective_values(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray) -> np.ndarray:
-    vals = npcheb.chebval(xs, p.coeffs)
-    w = _weight_values(problem, xs)
-    if problem.spec.positivity:
-        return w * vals
-    return w * np.abs(vals)
-
-
 def _normalized_basis(xs: np.ndarray, n: int) -> np.ndarray:
     """T_k(x) - 1 for k = 1..n at xs: p(x) = 1 + sum_{k>=1} c_k (T_k(x) - 1)
     keeps the normalization p(1) = 1 exact."""
@@ -211,7 +204,7 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray, start):
     arrays of points in xs.  Returns (level, p, trace fields): the fields
     are ``lp_rows``, the number of LP rows, the LP's ``lp_status`` and
     ``lp_iterations``, and ``basis``, its optimal basis in the form of
-    ``start``, which solve takes out of the row.
+    ``start``, which solve takes out of the row and keeps with the cuts.
     """
     top = float(_weight_values(problem, np.ones(1))[0])
     xs = xs[xs < 1.0]
@@ -242,6 +235,13 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray, start):
     return max(float(y[-1]), top), _polynomial(y[:-1]), fields
 
 
+def _merged(*parts: np.ndarray) -> np.ndarray:
+    """The distinct points of parts, ascending, by a sort and an exact-
+    neighbour test (np.unique would import numpy.ma)."""
+    xs = np.sort(np.concatenate(parts))
+    return xs[np.append(True, xs[1:] != xs[:-1])]
+
+
 def _reference_start(problem: MinimaxProblem):
     """Round 1 of the LP path: the active set cos(pi j/(n+1)), j = 0..n+1,
     ascending, and its start basis, the rows at j = 1..n+1 (as ``start`` of
@@ -267,8 +267,7 @@ def _reference_start(problem: MinimaxProblem):
         theta[zero] = grid[zero] - step
         zero &= _weight_values(problem, np.cos(theta)) <= floor
     points = np.cos(theta)
-    # not np.union1d, which would import numpy.ma: the moved points are new
-    xs = np.sort(np.concatenate([np.cos(np.pi * np.arange(n + 2) / (n + 1)), points[theta != grid]]))
+    xs = _merged(np.cos(np.pi * np.arange(n + 2) / (n + 1)), points[theta != grid])
     return xs, (points, np.arange(n + 1) % 2 == 0)
 
 
@@ -319,32 +318,15 @@ def _exchange(problem: MinimaxProblem, cands: np.ndarray, e: np.ndarray) -> np.n
     return np.asarray(xs)
 
 
-def _band(problem: MinimaxProblem, p: ChebPoly, xs: np.ndarray, level: float) -> np.ndarray:
-    """Mask of the points whose rows can bind at the LP vertex (on a Remez
-    reference, every point): the weighted objective within _ACTIVE_TOL
-    (relative above 1) of the level or of zero, and under positivity p
-    within _ACTIVE_TOL of zero."""
-    phi = _objective_values(problem, p, xs)
-    keep = (phi >= level - _ACTIVE_TOL * max(1.0, level)) | (phi <= _ACTIVE_TOL)
-    if problem.spec.positivity:
-        keep |= npcheb.chebval(xs, p.coeffs) <= _ACTIVE_TOL
-    return keep
-
-
-def _solution(problem, level, p, xs, gap, trace, converged) -> MinimaxSolution:
-    """The iterate (level, p) of the active set or reference xs; its band
-    points, merged within 1e-8, are reported as the active points."""
-    pts = np.sort(xs[_band(problem, p, xs, level)])
-    merged: list[float] = []
-    for x in pts:
-        if not merged or x - merged[-1] > 1e-8:
-            merged.append(float(x))
+def _solution(problem, level, p, points, gap, trace, converged) -> MinimaxSolution:
+    """The iterate (level, p); its certificate ``points`` (the Remez reference,
+    or the LP's basis points and x = 1) are the active points, ascending."""
     return MinimaxSolution(
         coeffs=p,
         value=level,
         constant=problem.spec.scale * level,
         kernel=kernel_from_symbol(p),
-        active_points=merged,
+        active_points=_merged(points).tolist(),
         iterations=len(trace),
         certificate_gap=gap,
         trace=trace,
@@ -371,15 +353,15 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     and its candidates (endpoints and stationary points) make the next set:
     the Remez path takes degree+1 of them where the error w p alternates in
     sign, with the largest |w p| and the global max; the LP path keeps the
-    active points within the _ACTIVE_TOL band of the level and the points of
-    the optimal basis, and adds every candidate where the objective is above
-    level + tol, and under positivity every one where p is below -tol.  The
-    solve stops when neither the objective nor -p exceeds its bound by more
-    than tol.  The level (the LP optimum or w(1), or |E|, a de la Vallee
-    Poussin bound on an alternating reference) is a lower bound and the
-    certified continuum max an upper bound on the true optimal value;
-    certificate_gap is the final
-    round's max(0, continuum max - level, -min p).
+    points of the optimal basis and adds every candidate where the objective
+    is above level + tol, and under positivity every one where p is below
+    -tol.  The solve stops when neither the objective nor -p exceeds its
+    bound by more than tol.  The level (the LP optimum or w(1), or |E|, a de
+    la Vallee Poussin bound on an alternating reference) is a lower bound and
+    the certified continuum max an upper bound on the true optimal value;
+    certificate_gap is the final round's max(0, continuum max - level,
+    -min p).  ``active_points`` hold the final round's certificate of the
+    level: its reference, or its LP's optimal basis points and x = 1.
 
     Each trace row holds ``round``; ``method``; ``lp_value``, the level;
     ``continuum_max``; ``gap``, continuum max minus level;
@@ -452,11 +434,10 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
                 "seconds": time.perf_counter() - started,
             }
         )
-        best = (level, p, xs, max(0.0, obj_viol, pos_viol))
+        best = (level, p, xs if remez else np.append(start[0], 1.0), max(0.0, obj_viol, pos_viol))
         if done:
             return _solution(problem, *best, trace, converged=True)
         if not new.size:
             break
-        xs = following if remez else np.union1d(xs[_band(problem, p, xs, level)],
-                                                np.concatenate([start[0], new]))
+        xs = following if remez else _merged(start[0], new)
     raise Stalled(_solution(problem, *best, trace, converged=False))

@@ -197,7 +197,7 @@ class TestOptimize:
         # dropping positivity cannot beat the constrained optimum
         assert data["value"] <= 4 / 36 + 1e-9
 
-    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("n", [3, 8, 20, 64])
     def test_stencil_1_m1_1_converges(self, tmp_path, n):
         # |s| = |2x - 1| vanishes at x = 1/2, which keeps 1,-1,1 on the LP
         # path, and x = 1 holds every level at |s(1)| = 1
@@ -603,7 +603,9 @@ def test_remez_optimize_leaves_scipy_optimize_unloaded(problem, tmp_path):
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # importing the CLI loads no scipy module, and neither does any command
     # after it: the LP rounds run the package's own simplex, and continuum
-    # and verify prop8 take their Gauss-Legendre rules from numpy
+    # and verify prop8 take their Gauss-Legendre rules from numpy.  Nor
+    # numpy.ma, which np.unique imports: the LP active sets merge by a sort
+    modules = f"{SCIPY_MODULES} + ['numpy.ma'] * ('numpy.ma' in sys.modules)"
     data = tmp_path / "in.csv"
     data.write_text("\n".join(str(math.sin(0.1 * i)) for i in range(200)) + "\n")
     kernel = tmp_path / "tri.json"
@@ -618,11 +620,11 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     ]
     code = ("import contextlib, io, json, sys\n"
             "import smoothavg.cli\n"
-            f"loaded = [{SCIPY_MODULES}]\n"
+            f"loaded = [{modules}]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = smoothavg.cli.main(argv)\n"
-            f"    loaded.append([code, {SCIPY_MODULES}])\n"
+            f"    loaded.append([code, {modules}])\n"
             "print(json.dumps(loaded))")
     env = {**os.environ, "PYTHONPATH": str(Path(smoothavg.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],

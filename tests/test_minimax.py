@@ -155,6 +155,14 @@ class TestEquioscillation:
         assert len(collapsed) >= n + 2
         assert all(a != b for a, b in zip(collapsed, collapsed[1:]))
 
+    def test_triangle_certificate_is_the_chebyshev_reference(self):
+        # laplacian-nonneg's active points are the n+2 alternation points
+        # cos(pi j/(n+1)) that certify L(u) >= 4/(n+1)^2, bitwise
+        for n in range(N_CAP + 1):
+            sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
+            expect = np.sort(np.cos(np.pi * np.arange(n + 2) / (n + 1)))
+            assert sol.active_points == expect.tolist(), n
+
 
 class TestRecovery:
     def test_first_deriv_n1(self):
@@ -276,10 +284,30 @@ class TestStalled:
         assert len(calls) == 2 and calls[0] == 2 * 7
 
     def test_next_set_keeps_the_optimal_basis(self, monkeypatch):
-        # with an empty band, round 2 still starts from round 1's optimum
-        monkeypatch.setattr(mm, "_band", lambda problem, p, xs, level: np.zeros(xs.size, bool))
-        sol = solve(MinimaxProblem("operator", 6, LP_STENCIL), 1e-9)
-        assert sol.converged and sol.iterations > 1
+        # every LP round after the first runs on the previous round's optimal
+        # basis points plus that round's cuts, and on no other point
+        real, rounds = mm._solve_restricted, []
+
+        def record(problem, xs, start):
+            level, p, fields = real(problem, xs, start)
+            rounds.append((xs, level, p, fields["basis"][0]))
+            return level, p, fields
+
+        monkeypatch.setattr(mm, "_solve_restricted", record)
+        problem = MinimaxProblem("operator", 6, LP_STENCIL)
+        sol = solve(problem, 1e-9)
+        assert sol.converged and sol.iterations == len(rounds) > 1
+        for (prev, level, p, basis), (xs, *_), row, done in zip(rounds, rounds[1:], sol.trace, sol.trace[1:]):
+            assert np.all(np.diff(xs) > 0)
+            cuts = np.array(sorted(set(xs.tolist()) - set(basis.tolist())))
+            assert set(basis.tolist()) <= set(xs.tolist())
+            assert cuts.size == row["cuts"] > 0
+            assert not set(cuts.tolist()) & set(prev.tolist())
+            objective = np.abs(problem.symbol.magnitude(cuts) * npcheb.chebval(cuts, p.coeffs))
+            assert np.all(objective > level + 1e-9)
+            assert done["lp_rows"] == 2 * xs.size
+        # the certificate: the last optimal basis points and x = 1
+        assert sol.active_points == sorted({*rounds[-1][3].tolist(), 1.0})
 
     def test_first_lp_failure_propagates(self, monkeypatch):
         def fail(cost, G, h, start=None):
