@@ -77,8 +77,11 @@ EXIT_STALL = 4
 
 N_CAP = 64
 VERIFY_N_MAX = 30
-# the half-integer scan transforms n_max + 1 frequencies at once, so its
-# memory grows linearly in n_max; the slope's sup needs at least 50
+# the half-integer scan transforms n_max + 1 frequencies at once; its
+# phase arrays stay within a fixed budget, so its memory grows linearly in
+# n_max only through a few doubles per frequency of its outputs.  Profiles
+# here are tables, which have no resolution limit.  The slope's sup needs
+# at least 50
 CONTINUUM_N_MAX_RANGE = (50, 100_000)
 TOL_RANGE = (1e-14, 1e-2)
 

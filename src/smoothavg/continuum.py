@@ -53,6 +53,11 @@ _RULE_NODES = 64
 # scans multiply transforms by xi^2 up to ~1e6, so the target sits just
 # above the summation roundoff floor
 _QUAD_TOL = 2e-14
+# pi xi times a sub-panel's width up to which the 64-node rule keeps
+# cos(2 pi xi x) within the transforms' noise floor 1e-15 (1 + |xi|):
+# on the cos^2 factor at the top level, against 40-digit mpmath, the
+# error is 0.06 of the floor at 100 and 3.6 times it at 104
+_MAX_SUB_PANEL_PHASE = 100.0
 _POLISH_POINTS = 33  # frequencies per round of the bracket refinement of J's peak
 
 
@@ -289,22 +294,33 @@ def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
     A level counts nodes per panel: the 64-node rule on level / 64 equal
     sub-panels.  An autoconvolution starts where its factor does at a xi;
     a table's knot sum ignores the level, so it starts at the top one and
-    takes one evaluation.
+    takes one evaluation.  A frequency that even the top level does not
+    resolve raises ValueError naming the largest |xi| it resolves.
     """
+    xis = np.asarray(xis, dtype=float)
+    scale = 1.0
     if f._factor is not None:
-        g, a = f._factor
-        return _fourier_start_level(g, a * np.asarray(xis))
+        f, scale = f._factor
     if f.linear_table is not None:
-        return np.full(np.shape(xis), _LEVELS[-1])
+        return np.full(xis.shape, _LEVELS[-1])
     # the 64-node rule integrates cos(2 pi xi x) to ~1e-16 while pi xi
     # times its sub-panel's width stays below ~80 (1.26 pi xi w per node
-    # of the level); one node per pi xi w keeps a 25% margin
-    need = _PI * np.abs(xis) * f.max_panel_width + 48.0
+    # of the level); one node per pi xi w keeps a 25% margin.  The margin
+    # may shrink at the top level, but not past _MAX_SUB_PANEL_PHASE.
+    phase = _PI * np.abs(scale * xis) * f.max_panel_width
+    top = _MAX_SUB_PANEL_PHASE * (_LEVELS[-1] // _RULE_NODES)
+    if np.any(phase > top):
+        limit = top / (_PI * scale * f.max_panel_width)
+        raise ValueError(
+            f"|xi| = {np.max(np.abs(xis)):.6g} needs more than {_LEVELS[-1]} quadrature "
+            f"nodes per panel; the largest resolvable |xi| is {limit:.6g}")
     levels = np.array(_LEVELS)
-    return levels[np.minimum(np.searchsorted(levels, need), levels.size - 1)]
+    return levels[np.minimum(np.searchsorted(levels, phase + 48.0), levels.size - 1)]
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
+# elements of each phase array that ``_cos_sum`` builds per block of nodes
+_PHASE_ELEMENTS = 2**14
 
 
 def _sincos_2pi_prod(xi, x: np.ndarray):
@@ -312,7 +328,10 @@ def _sincos_2pi_prod(xi, x: np.ndarray):
 
     A plain product loses ~xi*eps of phase, which the half-integer scans
     amplify by xi^2; splitting the product and reducing mod 1 exactly
-    keeps the values accurate to a few ulp at any frequency."""
+    keeps the values accurate to a few ulp at any frequency.  The
+    (rows, nodes) work runs in place on four arrays, in the order of
+    the formulas in the comments, so the values are those of the
+    formulas evaluated with fresh temporaries."""
     hi = xi * x
     c = _SPLIT * xi
     xi_hi = c - (c - xi)
@@ -320,12 +339,25 @@ def _sincos_2pi_prod(xi, x: np.ndarray):
     cx = _SPLIT * x
     x_hi = cx - (cx - x)
     x_lo = x - x_hi
-    lo = ((xi_hi * x_hi - hi) + xi_hi * x_lo + xi_lo * x_hi) + xi_lo * x_lo
-    frac = hi - np.floor(hi)  # exact: both are multiples of ulp(hi)
-    angle = (2.0 * _PI) * frac
-    sin, cos = np.sin(angle), np.cos(angle)
-    two_pi_lo = (2.0 * _PI) * lo
-    return sin + two_pi_lo * cos, cos - two_pi_lo * sin
+    # lo = ((xi_hi x_hi - hi) + xi_hi x_lo + xi_lo x_hi) + xi_lo x_lo
+    lo = xi_hi * x_hi
+    lo -= hi
+    tmp = np.multiply(xi_hi, x_lo)
+    lo += tmp
+    lo += np.multiply(xi_lo, x_hi, out=tmp)
+    lo += np.multiply(xi_lo, x_lo, out=tmp)
+    # angle = 2 pi (hi - floor(hi)); the difference is exact, as both are
+    # multiples of ulp(hi)
+    hi -= np.floor(hi, out=tmp)
+    hi *= 2.0 * _PI
+    sin = np.sin(hi)
+    cos = np.cos(hi, out=hi)
+    lo *= 2.0 * _PI
+    # (sin + 2 pi lo cos, cos - 2 pi lo sin)
+    np.multiply(lo, cos, out=tmp)
+    cos -= np.multiply(lo, sin, out=lo)
+    sin += tmp
+    return sin, cos
 
 
 def _cos_sum(x: np.ndarray, w: np.ndarray, xi0: float, h: float, count: int) -> np.ndarray:
@@ -335,11 +367,35 @@ def _cos_sum(x: np.ndarray, w: np.ndarray, xi0: float, h: float, count: int) -> 
     e^{2 pi i (xi0 + q m h) x} e^{2 pi i r h x}, so about 2 sqrt(count)
     double-double phase rows and the real part of one complex matrix
     product (two real ones) give every frequency.
+
+    The nodes run in blocks of _PHASE_ELEMENTS // m (at least one), so
+    each phase array, of at most m rows, holds at most _PHASE_ELEMENTS =
+    2^14 doubles, 128 KB.  At most eight are alive at once (a block's four
+    phase arrays and the four work arrays of the next ``_sincos_2pi_prod``
+    call), so the working set stays near 1 MB at any level and count,
+    besides two arrays of one double per frequency: the result and a
+    block's product.  Each block adds its
+    two real products into the result; with one block the sum is the
+    single product over all nodes, value for value.  2^14 is the fastest
+    budget on the autoconvolution report and on its scan to n_max = 8000
+    (2 vCPU Xeon, 2 MB L2 per core, one BLAS thread): 2^10 takes 1.6
+    times as long on the scan, through per-block overhead, and one block
+    over all nodes up to 1.4 times as long.
     """
     m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
-    sin_a, cos_a = _sincos_2pi_prod(xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
-    sin_b, cos_b = _sincos_2pi_prod(h * np.arange(m)[:, None], x)
-    return (cos_a @ (w * cos_b).T - sin_a @ (w * sin_b).T).ravel()[:count]
+    xi_a = xi0 + (m * h) * np.arange(-(-count // m))[:, None]
+    xi_b = h * np.arange(m)[:, None]
+    out = np.zeros((xi_a.size, m))
+    block = max(1, _PHASE_ELEMENTS // m)
+    for start in range(0, x.size, block):
+        xs, ws = x[start:start + block], w[start:start + block]
+        sin_a, cos_a = _sincos_2pi_prod(xi_a, xs)
+        sin_b, cos_b = _sincos_2pi_prod(xi_b, xs)
+        cos_b *= ws
+        sin_b *= ws
+        out += cos_a @ cos_b.T
+        out -= sin_a @ sin_b.T
+    return out.ravel()[:count]
 
 
 def _sin_2pi(xi: np.ndarray) -> np.ndarray:
@@ -417,16 +473,19 @@ def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     """fhat on the uniform grid xi0 + k h, k < count, node-doubled per
     frequency from a level high enough to resolve its oscillation until
     two levels agree; each level is one ``_hat`` call (an autoconvolution's
-    on its factor, then squared)."""
+    on its factor, then squared).  Raises ValueError past the largest
+    |xi| that the top level resolves."""
+    xis = xi0 + h * np.arange(count)
+    # checked here, so that an error names f's frequencies, not its factor's
+    start = _fourier_start_level(f, xis)
     if f._factor is not None:
         g, a = f._factor
         return (a * _transform(g, a * xi0, a * h, count)) ** 2
-    xis = xi0 + h * np.arange(count)
     # O(eps) rounding of node positions perturbs the oscillatory integrand
     # by O(eps * xi), an irreducible quadrature noise floor
     return _node_doubling(
         lambda level, lo, hi: _hat(f, xis[lo], h, hi - lo, level),
-        _fourier_start_level(f, xis),
+        start,
         1e-15 * (1.0 + np.abs(xis)),
     )
 
@@ -471,7 +530,8 @@ def j_functional(u: PerturbationFunction, xi_cutoff: float = 60.0, grid: int | N
     the window may be too short.
     Integrands with |u| are spectrally accurate only when u keeps one
     sign per quadrature panel, which holds for the perturbations studied
-    here.
+    here.  A cutoff past ``gamma_half_integer``'s resolution limit raises
+    ValueError.
     """
     if xi_cutoff < 10.0:
         raise ValueError("xi_cutoff must be at least 10")
@@ -520,6 +580,13 @@ def gamma_half_integer(f: PerturbationFunction, n_max: int) -> tuple[float, floa
     makes the truncation auditable: smooth perturbations decay fast, but
     merely continuous ones (like the triangle itself) do not decay at
     all, and the sup is then reached already at small n.
+
+    A profile without a linear table resolves xi only while pi |xi| w <=
+    12800, with w its widest panel (pi a |xi| w on an autoconvolution's
+    factor): 100 for pi |xi| times the width of each of the top level's
+    128 sub-panels.  Past it the scan raises ValueError naming the largest
+    resolvable |xi|, 8148.7 for the cos^2 autoconvolution.  Tables have no
+    such limit.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -601,6 +668,8 @@ def prop8_sides(f: PerturbationFunction, n_max: int = 1000) -> Prop8Sides:
     the minimum of those samples is reported rather than enforced, so a
     violated hypothesis shows up as a negative diagnostic instead of an
     error.  Equality holds exactly for multiples of the triangle.
+    Both scans share ``gamma_half_integer``'s resolution limit: past it
+    they raise ValueError.
     """
     lhs, _ = gamma_half_integer(f, n_max)
     min_hat = float(np.min(_transform(f, 1.0, 1.0, n_max)))

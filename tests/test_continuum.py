@@ -1,6 +1,7 @@
 """Tests for the continuous perturbation analysis around the triangle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,102 @@ class TestLevelBatchedScans:
                 assert start[k] in used[k] <= {start[k], after}
             per_level = [level for level, _, _ in calls]
             assert len(per_level) == len(set(per_level))
+
+
+class TestBlockedCosineSum:
+    """The cosine sum runs over blocks of nodes, in a working set bounded
+    at any level and frequency count."""
+
+    @staticmethod
+    def one_product(x, w, xi0, h, count):
+        # the sum as one complex matrix product over all nodes, kept as
+        # the reference
+        m = math.isqrt(count - 1) + 1
+        sin_a, cos_a = continuum._sincos_2pi_prod(
+            xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
+        sin_b, cos_b = continuum._sincos_2pi_prod(h * np.arange(m)[:, None], x)
+        return (cos_a @ (w * cos_b).T - sin_a @ (w * sin_b).T).ravel()[:count]
+
+    @pytest.fixture(scope="class")
+    def factor(self):
+        return autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)._factor[0]
+
+    # the half-integer scan, J's default sweep and a polish round; at 8192
+    # nodes they take 16, 63 and 4 blocks
+    @pytest.mark.parametrize("xi0, h, count", [
+        (0.25, 0.5, 1001), (0.0, 30.0 / 15360, 15361), (3.0, 0.1, 33),
+    ], ids=["scan", "sweep", "polish"])
+    def test_blocks_match_one_product(self, factor, monkeypatch, xi0, h, count):
+        x, w, fx = factor.samples(8192)
+        wf = w * fx
+        ref = self.one_product(x, wf, xi0, h, count)
+        # the blocks sum in another order: measured within 1.1e-15 sum |w|
+        blocked = continuum._cos_sum(x, wf, xi0, h, count)
+        assert np.max(np.abs(blocked - ref)) <= 4e-15 * np.sum(np.abs(wf))
+        # one block sums as the single product does
+        x64, w64, fx64 = factor.samples(64)
+        assert np.array_equal(continuum._cos_sum(x64, w64 * fx64, xi0, h, count),
+                              self.one_product(x64, w64 * fx64, xi0, h, count))
+        monkeypatch.setattr(continuum, "_PHASE_ELEMENTS", 2**30)
+        assert np.array_equal(continuum._cos_sum(x, wf, xi0, h, count), ref)
+
+    def test_scan_working_set(self):
+        # one product over all 8192 nodes of the top level held 66 MB
+        f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gamma, _ = gamma_half_integer(f, 8000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert gamma == pytest.approx(4.0 / (9.0 * PI**2), rel=1e-13, abs=0.0)
+        assert peak < 4e6
+
+
+class TestResolutionLimit:
+    """A frequency that the top quadrature level cannot resolve raises
+    instead of returning that level's unconverged value."""
+
+    # pi |xi| a w <= 100 * 8192 / 64 on the cos^2 factor: a = 1/2, w = 1
+    LIMIT = 100.0 * 128 / (PI * 0.5)
+
+    @pytest.fixture(scope="class")
+    def f(self):
+        return autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
+
+    def test_scan_past_the_limit_raises(self, f):
+        # at the parent n_max = 10000 gave gamma = 43434, not 4/(9 pi^2)
+        with pytest.raises(ValueError, match=r"largest resolvable \|xi\| is 8148\.73"):
+            gamma_half_integer(f, 10000)
+        with pytest.raises(ValueError, match="8148.73"):
+            prop8_sides(f, 8500)
+        with pytest.raises(ValueError, match="8148.73"):
+            j_functional(f, xi_cutoff=9000.0)
+
+    def test_limit_is_sharp(self, f):
+        assert ct_fourier(f, self.LIMIT * (1.0 - 1e-12)) >= 0.0
+        with pytest.raises(ValueError, match="8148.73"):
+            ct_fourier(f, self.LIMIT * (1.0 + 1e-12))
+        quad = PerturbationFunction(lambda x: 1.0 - x)  # one panel, no factor
+        with pytest.raises(ValueError, match="4074.37"):
+            ct_fourier(quad, -4075.0)
+
+    def test_within_the_limit_unchanged(self, f):
+        gamma, last = gamma_half_integer(f, 1000)
+        assert gamma == pytest.approx(4.0 / (9.0 * PI**2), rel=1e-13, abs=0.0)
+        assert gamma_half_integer(f, 8000)[0] == gamma
+        xi = 1000.5  # fhat(xi) xi^2 = 1/(4 pi^2 (1 - xi^2)^2) at half-integers
+        assert last == pytest.approx(1.0 / (4.0 * PI**2 * (1.0 - xi * xi) ** 2), rel=1e-6)
+
+    def test_tables_have_no_limit(self):
+        # the knot sum is exact at every frequency
+        assert ct_fourier(triangle_profile(), 1e6 + 0.5) == pytest.approx(
+            triangle_hat(1e6 + 0.5), rel=1e-9)
 
 
 class TestGaussLegendreRule:
