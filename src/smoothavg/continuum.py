@@ -258,14 +258,22 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
     factor = PerturbationFunction(lambda s: g_half(a * s))  # g(t) = factor(t / a)
 
     def half(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        shape = np.shape(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         lo = np.maximum(x - a, -a)
         hi = np.full_like(x, a)
         rad = 0.5 * np.maximum(hi - lo, 0.0)
         mid = 0.5 * (hi + lo)
-        t = mid[:, None] + rad[:, None] * base_x[None, :]
-        vals = factor(t / a) * factor((x[:, None] - t) / a)
-        return (rad * (vals @ base_w)).reshape(np.shape(x))
+        out = np.empty_like(x)
+        # the points run in blocks, so each (points, nodes) temporary holds
+        # at most _PHASE_ELEMENTS doubles, as in _cos_sum
+        block = max(1, _PHASE_ELEMENTS // nodes)
+        for start in range(0, x.size, block):
+            cut = slice(start, start + block)
+            t = mid[cut, None] + rad[cut, None] * base_x[None, :]
+            vals = factor(t / a) * factor((x[cut, None] - t) / a)
+            out[cut] = rad[cut] * (vals @ base_w)
+        return out.reshape(shape)
 
     bps = set(breakpoints) | {min(2.0 * a, 1.0)}
     f = PerturbationFunction(half, breakpoints=bps)

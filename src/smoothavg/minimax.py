@@ -271,6 +271,44 @@ def _reference_start(problem: MinimaxProblem):
     return xs, (points, np.arange(n + 1) % 2 == 0)
 
 
+def _remez_start(problem: MinimaxProblem) -> np.ndarray:
+    """Round 1's reference on the Remez path: degree+1 points of [-1, 1).
+
+    On a model stencil, c (1 - z)^m (1 + z)^m' up to a shift
+    (``OperatorSymbol.model_orders``) with (m, m') one of (1, 0), (1, 1) and
+    (2, 0), it is the set where a known p of degree n with p(1) = 1 makes
+    the error w p level out with alternating signs, ascending:
+
+    * (1, 0), the first difference: w is a multiple of sin(xi/2), the box
+      kernel's p is the Dirichlet kernel sin((n+1/2) xi) / ((2n+1) sin(xi/2)),
+      and w p a multiple of sin((n+1/2) xi), extremal at
+      xi_j = (j+1/2) pi/(n+1/2), j = 0..n;
+    * (1, 1): w is a multiple of sin xi, p = U_n(x)/(n+1) and w p a multiple
+      of sin((n+1) xi), extremal at xi_j = (j+1/2) pi/(n+1), j = 0..n;
+    * (2, 0), the unconstrained second-difference problem: w is a multiple
+      of 1 - x and (1 - x) p a multiple of T_N(lam (x+1) - 1), with N = n+1
+      and lam = cos^2(pi/(4N)), which vanishes at x = 1; it is extremal at
+      x_k = (1 + cos(k pi/N))/lam - 1, k = 1..N (k = 0 lies past x = 1).
+
+    The reference system then has that p as its solution, so round 1's
+    continuum max meets the level and the solve stops there.  The start
+    only decides where the exchange begins: the certificate, as on any
+    other reference, decides whether it has converged.  Every other
+    stencil starts from the Chebyshev points cos(pi j/(n+1)), j = 1..n+1.
+    """
+    n = problem.degree
+    orders = problem.symbol.model_orders
+    j = np.arange(n, -1, -1)
+    if orders == (1, 0):
+        return np.cos((j + 0.5) * np.pi / (n + 0.5))
+    if orders == (1, 1):
+        return np.cos((j + 0.5) * np.pi / (n + 1))
+    if orders == (2, 0):
+        lam = math.cos(math.pi / (4 * (n + 1))) ** 2
+        return (1.0 + np.cos(np.pi * (j + 1) / (n + 1))) / lam - 1.0
+    return np.cos(np.pi * np.arange(1, n + 2) / (n + 1))
+
+
 def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
     """Remez step on the reference xs (degree+1 points in monotone order):
     solve w(x_i) p(x_i) = (-1)^i E for c_1..c_n and E, with p(1) = 1
@@ -342,7 +380,10 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     (``OperatorSymbol.vanishes_inside``), the problem is best approximation
     from a Haar system and each round is a Remez step: solve the levelled
     system on the degree+1 reference points (``method`` "remez"), starting
-    from cos(pi j/(degree+1)), j = 1..degree+1.  Otherwise each round solves
+    from ``_remez_start``: on the model stencils c (1-z), c (1-z^2) and
+    c (1-z)^2 (first-deriv and laplacian among them) the equioscillation
+    set of the known optimum, where round 1 certifies, and otherwise
+    cos(pi j/(degree+1)), j = 1..degree+1.  Otherwise each round solves
     the LP on the active set (``method`` "lp"), starting from the degree+2
     points cos(pi j/(degree+1)), j = 0..degree+1.  Each LP starts from a
     dual feasible basis: round 1 from alternating rows at j = 1..degree+1
@@ -384,7 +425,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     spec, n = problem.spec, problem.degree
     remez = not spec.positivity and not problem.symbol.vanishes_inside
     if remez:
-        xs = np.cos(np.pi * np.arange(1, n + 2) / (n + 1))
+        xs = _remez_start(problem)
     else:
         xs, start = _reference_start(problem)
     trace: list[dict] = []

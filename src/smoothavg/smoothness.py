@@ -146,15 +146,19 @@ class OperatorSymbol:
     ``magnitude_squared_cheb`` holds |s(xi)|^2 in the variable x = cos xi,
     computed exactly from the tap autocorrelation, and ``magnitude``
     evaluates |s| itself.  ``vanishes_inside`` tells whether |s| has a zero
-    in the open interval (-1, 1).  All are built once, here.  The constants
-    below are sup |s| * |uhat|, so the first and second differences are
-    special cases.  Two symbols are equal when their taps and offsets are.
+    in the open interval (-1, 1).  ``model_orders`` is (m, m') when the taps
+    are c (1 - z)^m (1 + z)^m' z^k for constants c and k, so that |s| is
+    |c| |2 sin(xi/2)|^m |2 cos(xi/2)|^m', and None otherwise.  All are built
+    once, here.  The constants below are sup |s| * |uhat|, so the first and
+    second differences are special cases.  Two symbols are equal when their
+    taps and offsets are.
     """
 
     taps: np.ndarray
     offset: int = 0
     magnitude_squared_cheb: ChebPoly = field(init=False, repr=False, compare=False)
     vanishes_inside: bool = field(init=False, repr=False, compare=False)
+    model_orders: tuple[int, int] | None = field(init=False, repr=False, compare=False)
     # taps = (1 - z)^order * quotient as polynomials in z; |quotient|^2 in x
     _order: int = field(init=False, repr=False, compare=False)
     _quotient_squared: np.ndarray = field(init=False, repr=False, compare=False)
@@ -176,7 +180,10 @@ class OperatorSymbol:
         # z = e^{i xi}; with the roots z = 1 and z = -1 (x = 1 and x = -1)
         # divided out, or within _CIRCLE_TOL of a root left, any other root
         # on the unit circle is inside (-1, 1)
-        z = np.roots(_divide_out_root(q, -1.0)[0][::-1])
+        rest, order_minus = _divide_out_root(q, -1.0)
+        object.__setattr__(self, "model_orders", (order, order_minus)
+                           if np.count_nonzero(rest) == 1 else None)
+        z = np.roots(rest[::-1])
         on_circle = np.abs(np.abs(z) - 1.0) <= _CIRCLE_TOL
         inside = on_circle & (np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) > _CIRCLE_TOL)
         object.__setattr__(self, "vanishes_inside", bool(np.any(inside)))

@@ -531,6 +531,28 @@ class TestBlockedCosineSum:
         assert gamma == pytest.approx(4.0 / (9.0 * PI**2), rel=1e-13, abs=0.0)
         assert peak < 4e6
 
+    def test_autoconvolution_values_working_set(self, monkeypatch):
+        # f's values convolve in blocks of points; one (points, 96) pass over
+        # the top level's 8192 nodes held 49.2 MB
+        f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
+        profile = combine(triangle_profile(), f, 1e-2)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            x, _, fx = profile.samples(8192)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8e6
+        # blocking leaves each point's value as one pass over all points
+        monkeypatch.setattr(continuum, "_PHASE_ELEMENTS", 2**30)
+        np.testing.assert_allclose(fx, combine(triangle_profile(), f, 1e-2).half(x),
+                                   rtol=1e-15, atol=0.0)
+
 
 class TestResolutionLimit:
     """A frequency that the top quadrature level cannot resolve raises

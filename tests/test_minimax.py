@@ -29,6 +29,9 @@ from smoothavg.smoothness import OperatorSymbol
 # |s| of these taps vanishes inside (-1, 1), at x = -1/2, which keeps the
 # problem on the LP path
 LP_STENCIL = [-1.0, 0.0, 0.0, 1.0]
+# the third difference: on the Remez path, and not a model stencil, so it
+# takes several rounds (4 at n = 5 and 6)
+REMEZ_STENCIL = [-1.0, 3.0, -3.0, 1.0]
 
 
 def taps_of(text):
@@ -253,12 +256,12 @@ class TestStalled:
     def test_stall_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(mm, "_MAX_ROUNDS", 1)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem("first-deriv", 6), 1e-13)
+            solve(MinimaxProblem("operator", 6, REMEZ_STENCIL), 1e-13)
         sol = exc.value.solution
         assert isinstance(sol, MinimaxSolution)
         assert not sol.converged
         assert sol.value > 0
-        assert sol.constant == math.sqrt(2.0) * sol.value
+        assert sol.constant == PROBLEMS["operator"].scale * sol.value
         np.testing.assert_array_equal(sol.kernel.half, kernel_from_symbol(sol.coeffs).half)
 
 
@@ -578,7 +581,7 @@ class TestRemez:
 
         monkeypatch.setattr(np.linalg, "solve", singular_after_first)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem("first-deriv", 6), 1e-9)
+            solve(MinimaxProblem("operator", 6, REMEZ_STENCIL), 1e-9)
         sol = exc.value.solution
         assert isinstance(exc.value.__cause__, mm.Infeasible)
         assert calls == [(7, 7), (7, 7)]
@@ -597,10 +600,57 @@ class TestRemez:
     def test_lost_alternation_stalls_with_iterate(self, monkeypatch):
         monkeypatch.setattr(mm, "_exchange", lambda problem, cands, e: None)
         with pytest.raises(Stalled) as exc:
-            solve(MinimaxProblem("laplacian", 6), 1e-9)
+            solve(MinimaxProblem("operator", 6, REMEZ_STENCIL), 1e-9)
         sol = exc.value.solution
         assert not sol.converged
         assert sol.iterations == 1 and sol.trace[0]["cuts"] == 0
+
+
+def model_reference(orders, n):
+    """The equioscillation set of a model stencil's optimum, ascending."""
+    j = np.arange(n + 1)
+    if orders == (1, 0):
+        return np.sort(np.cos((j + 0.5) * math.pi / (n + 0.5)))
+    if orders == (1, 1):
+        return np.sort(np.cos((j + 0.5) * math.pi / (n + 1)))
+    lam = math.cos(math.pi / (4 * (n + 1))) ** 2
+    return np.sort((1.0 + np.cos((j + 1) * math.pi / (n + 1))) / lam - 1.0)
+
+
+MODEL_PROBLEMS = (("first-deriv", None, (1, 0)), ("laplacian", None, (2, 0)),
+                  ("operator", "-2,2", (1, 0)), ("operator", "1,0,-1", (1, 1)),
+                  ("operator", "3,0,-3", (1, 1)), ("operator", "1,-2,1", (2, 0)))
+
+
+class TestRemezStart:
+    @pytest.mark.parametrize("name,stencil,orders", MODEL_PROBLEMS)
+    def test_model_stencils_certify_in_round_one(self, name, stencil, orders):
+        for n in range(N_CAP + 1):
+            problem = MinimaxProblem(name, n, None if stencil is None else taps_of(stencil))
+            assert problem.symbol.model_orders == orders
+            sol = solve(problem, 1e-9)
+            assert sol.converged and sol.iterations == 1, n
+            assert sol.certificate_gap <= 1e-13, n
+            np.testing.assert_allclose(sol.active_points, model_reference(orders, n),
+                                       rtol=0, atol=1e-15)
+
+    def test_model_values_match_closed_forms(self):
+        # observed, not proved: the box kernel's constant is the theorem's
+        # 2/(2n+1), and the unconstrained second-difference value matches
+        # (2/(n+1)) tan(pi/(4(n+1))); the worst errors at n <= 64 are
+        # 1.7e-14 (first-deriv, n = 50) and 7.1e-15 (laplacian, n = 64)
+        for n in range(N_CAP + 1):
+            box = solve(MinimaxProblem("first-deriv", n), 1e-9)
+            assert box.constant == pytest.approx(2 / (2 * n + 1), rel=2e-14, abs=0), n
+            lap = solve(MinimaxProblem("laplacian", n), 1e-9)
+            exact = 2 / (n + 1) * math.tan(math.pi / (4 * (n + 1)))
+            assert lap.value == pytest.approx(exact, rel=1e-13, abs=0), n
+
+    @pytest.mark.parametrize("stencil", ["2,-3,1", "-1,3,-3,1", "1,1", "1,-1,1"])
+    def test_other_stencils_start_on_the_chebyshev_points(self, stencil):
+        problem = MinimaxProblem("operator", 7, taps_of(stencil))
+        np.testing.assert_array_equal(mm._remez_start(problem),
+                                      np.cos(np.pi * np.arange(1, 9) / 8))
 
 
 class TestSerialization:

@@ -169,6 +169,20 @@ class TestOperatorConstant:
     def test_vanishes_inside(self, taps, inside):
         assert OperatorSymbol(taps).vanishes_inside is inside
 
+    @pytest.mark.parametrize("taps,orders", [
+        ([-1.0, 1.0], (1, 0)),
+        ([-2.0, 2.0], (1, 0)),
+        ([1.0, -2.0, 1.0], (2, 0)),
+        ([3.0, 0.0, -3.0], (1, 1)),
+        ([-1.0, 3.0, -3.0, 1.0], (3, 0)),
+        ([0.0, 1.0, -1.0], (1, 0)),  # z (1 - z): a shift leaves |s| alone
+        ([1.0, 1.0], (0, 1)),
+        ([2.0, -3.0, 1.0], None),  # (1 - z)(2 - z)
+        ([-1.0, 0.0, 0.0, 1.0], None),
+    ])
+    def test_model_orders(self, taps, orders):
+        assert OperatorSymbol(taps).model_orders == orders
+
 
 def _mp_dirichlet(n):
     """uhat of the box kernel, (T_n - T_{n+1}) / ((2n+1) (1 - x)) at x = cos t."""
