@@ -29,10 +29,9 @@ __all__ = [
     "cheb_mul",
     "mul_one_minus_x",
     "sup_abs",
-    "sup_abs_rows",
     "signed_max",
     "signed_min",
-    "signed_min_rows",
+    "extrema",
     "extreme_points",
     "make_g",
     "make_h",
@@ -176,10 +175,17 @@ def _from_zseries(z: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _weight_series(weight: ChebPoly) -> tuple[np.ndarray, np.ndarray]:
-    """The Laurent series of W and of W', kept per weight: the sups of one
-    operator all share them."""
-    series = _zseries(weight.coeffs), _zseries(_der(weight.coeffs))
+def _weight_series(weight: tuple[int, ChebPoly]) -> tuple[np.ndarray, np.ndarray]:
+    """The Laurent series of A and B in ``extreme_points``' r = A p' + B p,
+    kept per factored weight (m, Q): the sups of one operator all share them."""
+    m, q = weight
+    dq = _der(q.coeffs)
+    if m == 0:
+        a, b = 2.0 * q.coeffs, dq
+    else:
+        a, b = 4.0 * mul_one_minus_x(q).coeffs, 2.0 * mul_one_minus_x(ChebPoly(dq)).coeffs
+        b[: q.coeffs.size] -= 2.0 * m * q.coeffs
+    series = _zseries(a), _zseries(b)
     for z in series:
         z.setflags(write=False)
     return series
@@ -251,19 +257,19 @@ def _real_roots(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, (np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(x) <= 1.0)
 
 
-def _r(c: np.ndarray, weight: ChebPoly | None) -> np.ndarray:
-    """Rows of r = 2 W p' + W' p = (W p^2)' / p for the rows p of the stack c
-    and the weight W (r = p' when ``weight`` is None)."""
+def _r(c: np.ndarray, weight: tuple[int, ChebPoly] | None) -> np.ndarray:
+    """Rows of r = A p' + B p (``_weight_series``) for the rows p of the
+    stack c and the factored weight (m, Q) (r = p' when ``weight`` is None)."""
     r = _der(c)
     if weight is not None:
-        zw, zdw = _weight_series(weight)
-        r, q = 2.0 * _times(zw, r), _times(zdw, c)
-        k = min(r.shape[-1], q.shape[-1])  # they differ only by zero tails, when W or p is constant
+        za, zb = _weight_series(weight)
+        r, q = _times(za, r), _times(zb, c)
+        k = min(r.shape[-1], q.shape[-1])  # they differ only by zero tails, when Q or p is constant
         r[:, :k] += q[:, :k]
     return r
 
 
-def _stationary_points(c: np.ndarray, weight: ChebPoly | None = None) -> np.ndarray:
+def _stationary_points(c: np.ndarray, weight: tuple[int, ChebPoly] | None = None) -> np.ndarray:
     """The points of ``extreme_points(p, weight)`` for each row p of a (B, L)
     stack c of coefficients, padded to one length: row i holds -1, the
     roots of r_i and 1, with -1.0 in place of each root that is not real or
@@ -290,14 +296,18 @@ def _stationary_points(c: np.ndarray, weight: ChebPoly | None = None) -> np.ndar
     return xs
 
 
-def extreme_points(p: ChebPoly, weight: ChebPoly | None = None) -> np.ndarray:
-    """Candidate maximizers of sqrt(W) |p| on [-1, 1] for a weight W >= 0
-    there (W = 1 when ``weight`` is None): both endpoints and the real roots
-    in [-1, 1] of r = 2 W p' + W' p, ascending.
+def extreme_points(p: ChebPoly, weight: tuple[int, ChebPoly] | None = None) -> np.ndarray:
+    """Candidate maximizers of sqrt(W) |p| on [-1, 1] for the factored weight
+    (m, Q), W = (2 (1 - x))^m Q >= 0 there (W = 1 when ``weight`` is None):
+    both endpoints and the real roots in [-1, 1] of r, ascending.
 
-    r is (W p^2)' / p, so every local maximum of sqrt(W) |p| where p != 0
-    is among the points, and r has degree deg p + deg W - 1, not the
-    2 deg p + deg W - 1 of (W p^2)'.  Without a weight r is p', and the
+    For m = 0, r = 2 Q p' + Q' p; for m >= 1, r = 4 (1 - x) Q p'
+    + (2 (1 - x) Q' - 2 m Q) p.  r is (W p^2)' / p with the factor
+    (2 (1 - x))^(m-1) divided out, so the eigensolve never meets that
+    multiple root at x = 1 (an endpoint) and cannot smear it over the
+    roots next to it.  Every local maximum of sqrt(W) |p| where p != 0 is
+    among the points, and r has degree deg p + deg Q (deg p + deg Q - 1
+    for m = 0), not the 2 deg p + deg W - 1 of (W p^2)'.  Without a weight r is p', and the
     points hold every local extremum of p.  The roots are the eigenvalues of
     the colleague matrix of r (Trefethen, ATAP ch. 18), and those within
     ``_REAL_ROOT_TOL`` of the real axis count as real.  This is the stacked
@@ -328,10 +338,15 @@ def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vmax, xs[np.arange(xs.shape[0]), i]
 
 
-def _signed_max(c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of c: (max of sign * p on [-1, 1], one maximizer)."""
+def extrema(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(maxima, maximizers, minima, minimizers) on [-1, 1] of the rows of a
+    (B, L) stack of coefficients, from one stacked extrema pass, bitwise
+    those of each row on its own; near-ties go to the largest x."""
     xs = _stationary_points(c)
-    return _top(xs, sign * _evaluate(xs, c))
+    vals = _evaluate(xs, c)
+    vmax, xmax = _top(xs, vals)
+    vneg, xmin = _top(xs, -vals)
+    return vmax, xmax, -vneg, xmin
 
 
 def signed_max(p: ChebPoly) -> tuple[float, float]:
@@ -341,16 +356,8 @@ def signed_max(p: ChebPoly) -> tuple[float, float]:
     near-ties the one with the largest x is reported.  Only tests and
     library users call it.
     """
-    v, x = _signed_max(p.coeffs[None], 1.0)
+    v, x, _, _ = extrema(p.coeffs[None])
     return float(v[0]), float(x[0])
-
-
-def signed_min_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``signed_min`` of each row of a (B, L) stack of coefficients, from one
-    stacked extrema pass: (minima, minimizers), bitwise those of the rows on
-    their own."""
-    v, x = _signed_max(c, -1.0)
-    return -v, x
 
 
 def signed_min(p: ChebPoly) -> tuple[float, float]:
@@ -360,20 +367,8 @@ def signed_min(p: ChebPoly) -> tuple[float, float]:
     deg^2 eps ||c||_1 bound (for |s|^2 g_8^2 with the stencil -1,3,-3,1 it
     returns -3.7e-16, not +1.7e-16); ``kernel.NONNEG_TOL`` absorbs that.
     """
-    v, x = signed_min_rows(p.coeffs[None])
+    _, _, v, x = extrema(p.coeffs[None])
     return float(v[0]), float(x[0])
-
-
-def sup_abs_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sup_abs`` of each row of a (B, L) stack of coefficients, from one
-    stacked extrema pass: (sups, maximizers), bitwise those of the rows on
-    their own."""
-    xs = _stationary_points(c)
-    vals = _evaluate(xs, c)
-    vmax, xmax = _top(xs, vals)
-    vneg, xneg = _top(xs, -vals)
-    neg = vneg > vmax
-    return np.where(neg, vneg, vmax), np.where(neg, xneg, xmax)
 
 
 def sup_abs(p: ChebPoly) -> tuple[float, float]:
@@ -383,8 +378,8 @@ def sup_abs(p: ChebPoly) -> tuple[float, float]:
     endpoints and the real stationary points of p.  On a tie between the
     two signs the maximum of p wins.
     """
-    v, x = sup_abs_rows(p.coeffs[None])
-    return float(v[0]), float(x[0])
+    vmax, xmax, vmin, xmin = (float(v[0]) for v in extrema(p.coeffs[None]))
+    return (-vmin, xmin) if -vmin > vmax else (vmax, xmax)
 
 
 def make_g(n: int) -> ChebPoly:

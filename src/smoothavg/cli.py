@@ -21,12 +21,12 @@ from . import minimax
 from .chebyshev import (
     ChebPoly,
     cheb_mul,
+    extrema,
     make_g,
     make_h,
     monomial_to_cheb,
     mul_one_minus_x,
     sup_abs,
-    sup_abs_rows,
 )
 from .continuum import (
     ZeroMass,
@@ -324,7 +324,8 @@ def _suite_thm3(n_max: int, rng) -> list:
     stack = np.zeros((len(polys), max(p.coeffs.size for p in polys)))
     for row, p in zip(stack, polys):
         row[: p.coeffs.size] = p.coeffs
-    sups = sup_abs_rows(stack)[0].tolist()
+    vmax, _, vmin, _ = extrema(stack)
+    sups = np.maximum(vmax, -vmin).tolist()
     strict_ok = True
     worst = ""
     for p, sup in zip(polys, sups):

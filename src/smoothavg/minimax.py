@@ -16,9 +16,11 @@ k = 1..degree, and each round is a Remez step (Pachon & Trefethen, BIT 49
 error w p levels out with alternating signs on the reference.  Under
 positivity, or when |s| vanishes inside (-1, 1), where the Haar condition
 fails, each round solves a linear program (``lp``) on an active set
-instead.  Both kinds share the candidate pass: ``extreme_points(p, |s|^2)``
-gives the endpoints and the real roots of 2 |s|^2 p' + (|s|^2)' p, which
-hold every local maximum of the objective (and under positivity the
+instead.  Both kinds share the candidate pass: ``extreme_points(p, w)``
+on the stencil's factored weight w = (m, Q), |s|^2 = (2 (1 - x))^m Q
+(``OperatorSymbol.weight``), gives the endpoints and the real roots of
+(|s|^2 p^2)' / p with the factor (2 (1 - x))^(m-1) of m >= 1 divided out,
+which hold every local maximum of the objective (and under positivity the
 extrema of p, from a second pass).  The same pass gives the certified
 continuum maximum, so the reported certificate gap is the sup of the
 objective above the level, not a sampled estimate, and it supplies the
@@ -38,7 +40,6 @@ final reference, or the last LP's basis points and x = 1 (where p(1) = 1).
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ from numpy.polynomial import chebyshev as npcheb
 from .chebyshev import ChebPoly, extreme_points
 from .kernel import GRAD_STENCIL, LAPLACIAN_STENCIL, DiscreteKernel, kernel_from_symbol
 from .lp import Infeasible, solve_origin_feasible
-from .smoothness import OperatorSymbol
+from .smoothness import OperatorSymbol, _stencil_symbol
 
 __all__ = [
     "ProblemSpec",
@@ -91,13 +92,6 @@ PROBLEMS = {
     "laplacian-nonneg": ProblemSpec(LAPLACIAN_STENCIL, True, 2.0, False),
     "operator": ProblemSpec(None, False, 1.0, True),
 }
-
-
-@functools.cache
-def _stencil_symbol(taps: tuple[float, ...]) -> OperatorSymbol:
-    """The symbol of a stencil of PROBLEMS, built on its first problem and
-    shared by every later one (symbols are immutable)."""
-    return OperatorSymbol(taps)
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: the stencil may be an array
@@ -442,7 +436,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
             if best is None:
                 raise
             raise Stalled(_solution(problem, *best, trace, converged=False)) from exc
-        cands = extreme_points(p, problem.symbol.magnitude_squared_cheb)
+        cands = extreme_points(p, problem.symbol.weight)
         # the signed error w p, evaluated once: the objective is e under
         # positivity and |e| otherwise, and the Remez exchange reads its signs
         e = _weight_values(problem, cands) * npcheb.chebval(cands, p.coeffs)

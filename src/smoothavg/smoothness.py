@@ -12,10 +12,13 @@ constant here is that one weighted sup (``_weighted_sup``) for its stencil:
   only by the triangle kernel;
 * any other stencil: ``operator_constant``, with no known sharp bound.
 
-The candidate maximizers are the endpoints and the real roots of
-2 |s|^2 p_u' + (|s|^2)' p_u (``chebyshev.extreme_points``), and |s| is
-evaluated by ``OperatorSymbol.magnitude``, which splits the factor
-(1 - z)^m off the taps so that |s| keeps its relative accuracy near x = 1.
+Both the candidates and |s| come from one factored form of the weight,
+``OperatorSymbol.weight`` = (m, Q) with |s|^2 = (2 (1 - x))^m Q, where
+(1 - z)^m is split off the taps.  The candidate maximizers are the
+endpoints and the real roots of (|s|^2 p_u^2)' / p_u, for m >= 1 with
+its factor (2 (1 - x))^(m-1) divided out (``chebyshev.extreme_points``), and
+``OperatorSymbol.magnitude`` evaluates |s| with its relative accuracy kept
+near x = 1.
 Every constant and check takes a list of kernels of one radius, with one
 colleague-matrix eigensolve for the whole list (``_reports`` builds the
 reports, ``verify_theorem*_batch`` the exceptions), and each single-kernel
@@ -24,13 +27,14 @@ name is that on a stack of one, so a kernel gets bitwise the same anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .chebyshev import ChebPoly, _evaluate, _stationary_points, _top, signed_min_rows
+from .chebyshev import ChebPoly, _evaluate, _stationary_points, _top, extrema
 from .kernel import (
     GRAD_STENCIL,
     LAPLACIAN_STENCIL,
@@ -114,13 +118,6 @@ class SmoothnessReport:
         return asdict(self)
 
 
-def _magnitude_squared(taps: np.ndarray) -> ChebPoly:
-    """|sum_k taps[k] e^{ik xi}|^2 = r(0) + 2 sum_k r(k) T_k(x), r the tap
-    autocorrelation."""
-    r = np.correlate(taps, taps, mode="full")[taps.size - 1 :]
-    return ChebPoly(np.concatenate([[r[0]], 2.0 * r[1:]]))
-
-
 # A root of the taps within this distance of the unit circle lies on it, and
 # one within it of z = 1 or z = -1 is that endpoint's: rounding splits a
 # double root by about sqrt(eps) ~ 1e-8.
@@ -143,39 +140,41 @@ def _divide_out_root(taps: np.ndarray, root: float) -> tuple[np.ndarray, int]:
 class OperatorSymbol:
     """Difference operator (D f)(k) = sum_i taps[i] f(k + offset + i).
 
-    ``magnitude_squared_cheb`` holds |s(xi)|^2 in the variable x = cos xi,
-    computed exactly from the tap autocorrelation, and ``magnitude``
-    evaluates |s| itself.  ``vanishes_inside`` tells whether |s| has a zero
-    in the open interval (-1, 1).  ``model_orders`` is (m, m') when the taps
-    are c (1 - z)^m (1 + z)^m' z^k for constants c and k, so that |s| is
-    |c| |2 sin(xi/2)|^m |2 cos(xi/2)|^m', and None otherwise.  All are built
-    once, here.  The constants below are sup |s| * |uhat|, so the first and
-    second differences are special cases.  Two symbols are equal when their
-    taps and offsets are.
+    ``weight`` is the one form of |s(xi)|^2 in x = cos xi, factored as
+    (m, Q): the taps are (1 - z)^m q(z) in z, Q = |q|^2 is exact from the
+    autocorrelation of q, and |s|^2 = (2 (1 - x))^m Q.  ``magnitude``
+    evaluates |s| from it and ``chebyshev.extreme_points`` roots it.
+    ``vanishes_inside`` tells whether |s| has a zero in (-1, 1).
+    ``model_orders`` is (m, m') when the taps are c (1 - z)^m (1 + z)^m' z^k
+    for constants c and k, and None otherwise.  All are built once, here;
+    taps that are not finite or whose |s|^2 overflows are rejected by name.
+    Two symbols are equal when their taps and offsets are.
     """
 
     taps: np.ndarray
     offset: int = 0
-    magnitude_squared_cheb: ChebPoly = field(init=False, repr=False, compare=False)
+    weight: tuple[int, ChebPoly] = field(init=False, repr=False, compare=False)
     vanishes_inside: bool = field(init=False, repr=False, compare=False)
     model_orders: tuple[int, int] | None = field(init=False, repr=False, compare=False)
-    # taps = (1 - z)^order * quotient as polynomials in z; |quotient|^2 in x
-    _order: int = field(init=False, repr=False, compare=False)
-    _quotient_squared: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.taps, dtype=float)).copy()
         if t.ndim != 1 or t.size == 0:
             raise ValueError("taps must be a nonempty 1-d real sequence")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"stencil taps {t.tolist()} must be finite")
         if not np.any(t):
             raise DegenerateOperator("all stencil taps are zero")
         t.setflags(write=False)
         object.__setattr__(self, "taps", t)
         object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "magnitude_squared_cheb", _magnitude_squared(t))
-        q, order = _divide_out_root(t, 1.0)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_quotient_squared", _magnitude_squared(q).coeffs)
+        with np.errstate(over="ignore"):
+            q, order = _divide_out_root(t, 1.0)
+            r = np.correlate(q, q, mode="full")[q.size - 1 :]
+            quotient = np.concatenate([r[:1], 2.0 * r[1:]])
+        if not np.all(np.isfinite(quotient)):
+            raise ValueError(f"|s|^2 of the stencil taps {t.tolist()} overflows")
+        object.__setattr__(self, "weight", (order, ChebPoly(quotient)))
         # |s| vanishes at x = cos xi exactly where the taps vanish at
         # z = e^{i xi}; with the roots z = 1 and z = -1 (x = 1 and x = -1)
         # divided out, or within _CIRCLE_TOL of a root left, any other root
@@ -197,16 +196,19 @@ class OperatorSymbol:
         return hash((self.taps.tobytes(), self.offset))
 
     def magnitude(self, x) -> np.ndarray:
-        """|s| at x = cos xi, as (2 (1 - x))^(m/2) * sqrt(|q|^2(x)) with the
-        factor (1 - z)^m of the taps split off: the relative accuracy holds
-        near x = 1, where |s| vanishes to order m/2 in 1 - x."""
+        """|s| at x = cos xi, as (2 (1 - x))^(m/2) * sqrt(Q(x)) from the
+        factored weight: the relative accuracy holds near x = 1, where |s|
+        vanishes to order m/2 in 1 - x."""
         x = np.asarray(x, dtype=float)
-        q2 = np.clip(npcheb.chebval(x, self._quotient_squared), 0.0, None)
-        return (2.0 * (1.0 - x)) ** (0.5 * self._order) * np.sqrt(q2)
+        order, quotient = self.weight
+        q2 = np.clip(npcheb.chebval(x, quotient.coeffs), 0.0, None)
+        return (2.0 * (1.0 - x)) ** (0.5 * order) * np.sqrt(q2)
 
 
-_GRAD = OperatorSymbol(GRAD_STENCIL)
-_LAPLACIAN = OperatorSymbol(LAPLACIAN_STENCIL)
+@functools.cache
+def _stencil_symbol(taps: tuple[float, ...]) -> OperatorSymbol:
+    """The symbol of a fixed stencil, built on first use and then shared."""
+    return OperatorSymbol(taps)
 
 
 def _symbols(kernels) -> np.ndarray:
@@ -222,13 +224,15 @@ def _weighted_sup(c: np.ndarray, s: OperatorSymbol) -> tuple[np.ndarray, np.ndar
     """Per row p of a (B, n+1) stack c of symbol rows: the sup over [-1, 1]
     of |s(x)| * |p(x)| and one maximizer, as two arrays.
 
-    The candidates are the points of ``extreme_points(p, |s|^2)``, the
-    endpoints and the real roots of 2 |s|^2 p' + (|s|^2)' p, and every
-    local maximum where p != 0 is among them.  The B rows take one stacked
+    The candidates are the points of ``extreme_points(p, s.weight)``: the
+    endpoints and the real roots of 4 (1 - x) Q p' + (2 (1 - x) Q' - 2 m Q) p
+    for the factored weight (m, Q), m >= 1 (2 Q p' + Q' p for m = 0), which
+    is (|s|^2 p^2)' / p over (2 (1 - x))^(m-1), so every local maximum
+    where p != 0 is among them.  The B rows take one stacked
     pass (``chebyshev._stationary_points``), and each row's result is
     bitwise that of a stack of one.  Near-ties go to the largest x.
     """
-    xs = _stationary_points(c, s.magnitude_squared_cheb)
+    xs = _stationary_points(c, s.weight)
     return _top(xs, s.magnitude(xs) * np.abs(_evaluate(xs, c)))
 
 
@@ -252,7 +256,8 @@ def first_deriv_constants(kernels) -> list:
     """M(u) = max sqrt(2 (1-x)) |p_u(x)| of each of a list of kernels of one
     radius n, from one stacked sup, as reports; sharp bound 2/(2n+1),
     attained only by the box kernel."""
-    return _reports(kernels, _GRAD, 2.0 / (2 * kernels[0].n + 1), box_kernel)
+    return _reports(kernels, _stencil_symbol(GRAD_STENCIL), 2.0 / (2 * kernels[0].n + 1),
+                    box_kernel)
 
 
 def laplacian_constants(kernels) -> list:
@@ -263,7 +268,8 @@ def laplacian_constants(kernels) -> list:
     changes sign; the bound (and the extremal flag) are meaningful under
     the nonnegative-transform hypothesis, which verify_theorem2 enforces.
     """
-    return _reports(kernels, _LAPLACIAN, 4.0 / (kernels[0].n + 1) ** 2, triangle_kernel)
+    return _reports(kernels, _stencil_symbol(LAPLACIAN_STENCIL), 4.0 / (kernels[0].n + 1) ** 2,
+                    triangle_kernel)
 
 
 def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
@@ -327,11 +333,11 @@ def verify_theorem1_batch(kernels) -> list:
 def verify_theorem2_batch(kernels) -> list:
     """Check L(u) >= 4/(n+1)^2 on a list of kernels of one radius n whose
     transforms are nonnegative, from one stacked minimum of the symbols
-    (``signed_min_rows``) and one stacked sup (``laplacian_constants``):
+    (``extrema``) and one stacked sup (``laplacian_constants``):
     entry i is the report of kernels[i], the HypothesisViolated of a
     transform whose minimum is below -NONNEG_TOL (with a minimizer as the
     witness), or else the BoundViolated of a constant below the bound."""
-    minima, witnesses = signed_min_rows(_symbols(kernels))
+    _, _, minima, witnesses = extrema(_symbols(kernels))
     return [HypothesisViolated(u, witness) if vmin < -NONNEG_TOL else outcome
             for u, vmin, witness, outcome in zip(kernels, minima.tolist(), witnesses.tolist(),
                                                  _checked(kernels, laplacian_constants(kernels)))]

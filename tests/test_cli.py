@@ -162,6 +162,20 @@ class TestGenerateAnalyze:
         assert captured.out == ""
         assert captured.err.count("all stencil taps are zero") == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("nan,1", "stencil taps [nan, 1.0] must be finite"),
+        ("1,-inf", "stencil taps [1.0, -inf] must be finite"),
+        ("1e308,-1e308", "|s|^2 of the stencil taps [1e+308, -1e+308] overflows"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_unusable_stencil_exit2(self, tmp_path, capsys, text, message):
+        kfile = tmp_path / "box.json"
+        write_kernel_file(kfile, box_kernel(2))
+        assert run(["analyze", kfile, f"--operator={text}"]) == 2
+        assert run(["optimize", "operator", f"--stencil={text}", "-n", 3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message, message]
+
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         kfile = tmp_path / "box.json"
         write_kernel_file(kfile, box_kernel(3))
@@ -363,8 +377,8 @@ class TestVerifyViolations:
     def test_hypothesis_violation_is_not_ok(self, monkeypatch, capsys):
         # the battery's stacked check takes the symbols' minima from
         # smoothness; the sign-changing rows, stacks of one, stay rejected
-        monkeypatch.setattr(smoothness, "signed_min_rows",
-                            lambda c: (np.full(len(c), -1.0), np.full(len(c), 0.25)))
+        monkeypatch.setattr(smoothness, "extrema", lambda c: (
+            None, None, np.full(len(c), -1.0), np.full(len(c), 0.25)))
         assert run(["verify", "thm2", "--n-max", 2]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "1..5"

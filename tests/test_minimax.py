@@ -78,8 +78,8 @@ class TestProblemTable:
         assert MinimaxProblem(name, 7).symbol is symbol
         fresh = OperatorSymbol(PROBLEMS[name].stencil)
         assert symbol == fresh
-        np.testing.assert_array_equal(symbol.magnitude_squared_cheb.coeffs,
-                                      fresh.magnitude_squared_cheb.coeffs)
+        assert symbol.weight[0] == fresh.weight[0]
+        np.testing.assert_array_equal(symbol.weight[1].coeffs, fresh.weight[1].coeffs)
         assert symbol.vanishes_inside == fresh.vanishes_inside
         xs = np.linspace(-1.0, 1.0, 101)
         np.testing.assert_array_equal(symbol.magnitude(xs), fresh.magnitude(xs))
@@ -604,6 +604,34 @@ class TestRemez:
         sol = exc.value.solution
         assert not sol.converged
         assert sol.iterations == 1 and sol.trace[0]["cuts"] == 0
+
+
+def binomial(m):
+    """The taps of (1 - z)^m, the m-th difference."""
+    return [float((-1) ** k * math.comb(m, k)) for k in range(m + 1)]
+
+
+class TestBinomialStencils:
+    """(1 - z)^m puts an (m-1)-fold root at x = 1 into (|s|^2 p^2)' / p; the
+    candidate pass divides it out, so the roots next to x = 1 stay apart."""
+
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_converge_inside_n_cap(self, m):
+        for n in (25, 40, 53, 64):
+            assert solve(MinimaxProblem("operator", n, binomial(m)), 1e-9).converged, n
+
+    @pytest.mark.parametrize("m,n", [(5, 128), (5, 256), (6, 128), (6, 256)])
+    def test_certified_max_holds_on_a_grid(self, m, n):
+        problem = MinimaxProblem("operator", n, binomial(m))
+        sol = solve(problem, 1e-9)
+        assert sol.converged
+        top = sol.trace[-1]["continuum_max"]
+        grid = np.cos(np.linspace(0.0, np.pi, 200_001))
+        s = problem.symbol.magnitude(grid)
+        c = sol.coeffs.coeffs
+        values = s * np.abs(npcheb.chebval(grid, c))
+        rounding = np.finfo(float).eps * c.size * np.abs(c).sum() * s.max()
+        assert values.max() <= top * (1 + 1e-12) + rounding, (values.max() - top) / top
 
 
 def model_reference(orders, n):

@@ -1,9 +1,11 @@
 """The extremum engine against closed forms and a 50-digit mpmath oracle.
 
 ``extreme_points`` takes the stationary points from the roots of p' (or,
-under a weight W, of 2 W p' + W' p), so the sups built on it must match the
-oracle within rounding, including at the multiple roots that the named
-families and difference stencils have.
+under a factored weight W = (2 (1 - x))^m Q, of (W p^2)' / p with the
+factor (2 (1 - x))^(m-1) divided out), so the sups built on it must match
+the oracle within rounding, including at the multiple roots that the named
+families and difference stencils have.  The oracles build the full |s|^2
+from the taps themselves, independent of the factored form.
 """
 
 import numpy as np
@@ -18,15 +20,14 @@ from smoothavg.chebyshev import (
     _top,
     cheb_eval,
     cheb_mul,
+    extrema,
     extreme_points,
     make_g,
     make_h,
     mul_one_minus_x,
     signed_max,
     signed_min,
-    signed_min_rows,
     sup_abs,
-    sup_abs_rows,
 )
 from smoothavg.kernel import DiscreteKernel, box_kernel, symbol, triangle_kernel
 from smoothavg.smoothness import (
@@ -100,15 +101,16 @@ class TestRootEngine:
         rng = np.random.default_rng(11)
         for deg in (0, 1, 4, 33, 129):
             p = ChebPoly(rng.standard_normal(deg + 1))
-            assert np.array_equal(extreme_points(p, ChebPoly([1.0])), extreme_points(p)), deg
+            assert np.array_equal(extreme_points(p, (0, ChebPoly([1.0]))), extreme_points(p)), deg
 
     @pytest.mark.parametrize("taps", [(-1.0, 1.0), (1.0, -2.0, 1.0), (-1.0, 3.0, -3.0, 1.0),
                                       (1.0, 0.0, -1.0), (2.0, 1.0, -0.5)])
     def test_weighted_points_hold_the_max(self, taps):
         # no sample of |s| |p| on a dense grid may beat its max over the points
-        # of extreme_points(p, |s|^2); |s| is taken straight from the taps
+        # of extreme_points(p, (m, Q)); |s| is taken straight from the taps
         rng = np.random.default_rng(41)
-        w = OperatorSymbol(taps).magnitude_squared_cheb
+        w = OperatorSymbol(taps).weight
+        m, q = w
         grid = np.cos(np.linspace(np.pi, 0.0, 20_001))
 
         def phi(x, p):
@@ -118,7 +120,7 @@ class TestRootEngine:
         for deg in (0, 1, 5, 20, 64):
             p = ChebPoly(rng.standard_normal(deg + 1))
             pts = extreme_points(p, w)
-            assert pts.size <= deg + w.degree + 1, deg  # endpoints and deg r roots
+            assert pts.size <= deg + m + q.degree + 1, deg  # endpoints and deg r roots
             assert phi(pts, p).max() >= phi(grid, p).max() * (1 - 1e-13), deg
 
 
@@ -189,6 +191,14 @@ def _assert_matches_oracle(p, label, min_tol=None):
     assert signed_min(p)[0] == pytest.approx(vmin, rel=0, abs=min_tol or tol), label
 
 
+def _magnitude_squared(taps):
+    """|s|^2 of the taps in x = cos xi, r(0) + 2 sum_k r(k) T_k(x) with r the
+    tap autocorrelation, straight from np.correlate."""
+    t = np.asarray(taps, dtype=float)
+    r = np.correlate(t, t, mode="full")[t.size - 1 :]
+    return ChebPoly(np.concatenate([r[:1], 2.0 * r[1:]]))
+
+
 def _multiple_root_polys():
     """(label, p, tolerance of signed_min or None): (1-x)^k q, whose p' has
     a root of order k-1 at x = 1, and |s|^2 p^2 for the -1,3,-3,1 stencil,
@@ -204,7 +214,7 @@ def _multiple_root_polys():
     # the minima of |s|^2 p^2 are its double zeros, where the value is
     # Clenshaw's rounding: -3.7e-16 against the oracle's 1.7e-16 for g_8,
     # beyond 4 deg eps ||c||_1 but within the a priori deg^2 eps ||c||_1
-    mag = OperatorSymbol([-1.0, 3.0, -3.0, 1.0]).magnitude_squared_cheb
+    mag = _magnitude_squared([-1.0, 3.0, -3.0, 1.0])
     for label, p in (("h_8", make_h(8)), ("g_8", make_g(8)), ("random", ChebPoly(rng.standard_normal(9)))):
         sq = cheb_mul(mag, cheb_mul(p, p))
         cases.append((f"|s|^2 {label}^2", sq, sq.degree**2 * np.finfo(float).eps * np.abs(sq.coeffs).sum()))
@@ -227,10 +237,11 @@ class TestMpmathOracle:
         _assert_matches_oracle(p, label, min_tol)
 
 
-def _reference_points(p, weight):
-    """extreme_points by numpy.polynomial's generic routines, with the same
-    candidate rule: the roots of 2 W p' + W' p (W = 1 without a weight)."""
-    w = np.array([1.0]) if weight is None else weight.coeffs
+def _reference_points(p, symbol):
+    """extreme_points by numpy.polynomial's generic routines, with the
+    undeflated candidate rule: the roots of 2 W p' + W' p, W the full |s|^2
+    of the symbol's taps (W = 1 without a symbol)."""
+    w = np.array([1.0]) if symbol is None else _magnitude_squared(symbol.taps).coeffs
     r = npcheb.chebadd(2.0 * npcheb.chebmul(w, npcheb.chebder(p.coeffs)),
                        npcheb.chebmul(npcheb.chebder(w), p.coeffs))
     roots = npcheb.chebroots(r)
@@ -266,11 +277,11 @@ class TestAgainstNumpyPolynomial:
     @pytest.mark.parametrize("deg", [0, 1, 2, 8, 30, 64, 131])
     def test_points_and_sups(self, deg, name):
         symbol = _REFERENCE_WEIGHTS[name]
-        weight = None if symbol is None else symbol.magnitude_squared_cheb
+        weight = None if symbol is None else symbol.weight
         rng = np.random.default_rng(1000 + deg)
         for _ in range(3):
             p = ChebPoly(rng.standard_normal(deg + 1))
-            got, want = extreme_points(p, weight), _reference_points(p, weight)
+            got, want = extreme_points(p, weight), _reference_points(p, symbol)
             assert got[0] == -1.0 and got[-1] == 1.0 and np.all(np.diff(got) >= 0)
             self._assert_points_match(got, want, (deg, name))
             self._assert_points_match(want, got, (deg, name))
@@ -290,7 +301,7 @@ class TestAgainstNumpyPolynomial:
         # under a weight the roots of W' (at x = 1 for these stencils) are
         # candidates too, so only the endpoints may appear
         symbol = _REFERENCE_WEIGHTS[name]
-        weight = None if symbol is None else symbol.magnitude_squared_cheb
+        weight = None if symbol is None else symbol.weight
         for value in (1.0, -2.5, 0.0):
             pts = extreme_points(ChebPoly([value]), weight)
             assert pts[0] == -1.0 and pts[-1] == 1.0
@@ -312,12 +323,13 @@ def _assert_rows_match(c, weight):
     its own, as ChebPoly(p) with its zero tail trimmed: the stacked points
     (padding dropped) are its extreme_points, and its sups are the maxima
     over those points (the weighted sup as smoothness took it, from
-    |s| * |p| at extreme_points(p, |s|^2))."""
-    w = None if weight is None else weight.magnitude_squared_cheb
+    |s| * |p| at extreme_points(p, (m, Q)))."""
+    w = None if weight is None else weight.weight
     xs = _stationary_points(c, w)
     if weight is None:
-        sups, sup_args = sup_abs_rows(c)
-        minima, min_args = signed_min_rows(c)
+        maxima, max_args, minima, min_args = extrema(c)
+        neg = -minima > maxima
+        sups, sup_args = np.where(neg, -minima, maxima), np.where(neg, min_args, max_args)
     else:
         sups, sup_args = _weighted_sup(c, weight)
     for i, row in enumerate(c):
@@ -326,6 +338,7 @@ def _assert_rows_match(c, weight):
         assert np.array_equal(np.sort(xs[i][xs[i] > -1.0]), alone[alone > -1.0]), i
         if weight is None:
             assert (sups[i], sup_args[i]) == sup_abs(p), i
+            assert (maxima[i], max_args[i]) == signed_max(p), i
             assert (minima[i], min_args[i]) == signed_min(p), i
         else:
             vals = weight.magnitude(alone) * np.abs(cheb_eval(p, alone))
