@@ -177,14 +177,21 @@ def _from_zseries(z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _weight_series(weight: tuple[int, ChebPoly]) -> tuple[np.ndarray, np.ndarray]:
     """The Laurent series of A and B in ``extreme_points``' r = A p' + B p,
-    kept per factored weight (m, Q): the sups of one operator all share them."""
+    kept per factored weight (m, Q): the sups of one operator all share them.
+
+    Q is first scaled by the power of two that brings its largest
+    coefficient into [1/2, 1), so taps whose |s|^2 is near the top of the
+    double range do not overflow in the factors 2, 4 and 2m.  Scaling by a
+    power of two is exact, so r is scaled exactly and its roots, which
+    depend only on the ratios of its coefficients, are bitwise unchanged."""
     m, q = weight
-    dq = _der(q.coeffs)
+    q = np.ldexp(q.coeffs, -np.frexp(np.max(np.abs(q.coeffs)))[1])
+    dq = _der(q)
     if m == 0:
-        a, b = 2.0 * q.coeffs, dq
+        a, b = 2.0 * q, dq
     else:
-        a, b = 4.0 * mul_one_minus_x(q).coeffs, 2.0 * mul_one_minus_x(ChebPoly(dq)).coeffs
-        b[: q.coeffs.size] -= 2.0 * m * q.coeffs
+        a, b = 4.0 * mul_one_minus_x(ChebPoly(q)).coeffs, 2.0 * mul_one_minus_x(ChebPoly(dq)).coeffs
+        b[: q.size] -= 2.0 * m * q
     series = _zseries(a), _zseries(b)
     for z in series:
         z.setflags(write=False)
@@ -200,13 +207,17 @@ def _times(za: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _from_zseries(np.array([np.convolve(za, row) for row in zb]))
 
 
-def _by_length(rows: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(indices, length) for each group of rows that share their length
-    without a tail of exact zeros (1 for a row of zeros).  The lengths are
-    grouped by a set: np.unique would import numpy.ma."""
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """The length of each row without its tail of exact zeros (1 for a row
+    of zeros)."""
     nz = rows != 0.0
-    lengths = np.where(nz.any(axis=1), rows.shape[1] - np.argmax(nz[:, ::-1], axis=1), 1)
-    return [(np.flatnonzero(lengths == k), k) for k in sorted(set(lengths.tolist()))]
+    return np.where(nz.any(axis=1), rows.shape[1] - np.argmax(nz[:, ::-1], axis=1), 1)
+
+
+def _groups(keys: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(indices, key) for each distinct integer key, ascending.  The keys
+    are collected in a set: np.unique would import numpy.ma."""
+    return [(np.flatnonzero(keys == k), k) for k in sorted(set(keys.tolist()))]
 
 
 @functools.lru_cache(maxsize=256)
@@ -241,7 +252,7 @@ def _real_roots(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(r[:, -1]) < b:
         x = np.full((b, m), -1.0)
         real = np.zeros((b, m), dtype=bool)
-        for rows, length in _by_length(r):
+        for rows, length in _groups(_lengths(r)):
             x[rows, : length - 1], real[rows, : length - 1] = _real_roots(r[rows, :length])
         return x, real
     if m == 1:
@@ -269,28 +280,33 @@ def _r(c: np.ndarray, weight: tuple[int, ChebPoly] | None) -> np.ndarray:
     return r
 
 
-def _stationary_points(c: np.ndarray, weight: tuple[int, ChebPoly] | None = None) -> np.ndarray:
-    """The points of ``extreme_points(p, weight)`` for each row p of a (B, L)
-    stack c of coefficients, padded to one length: row i holds -1, the
-    roots of r_i and 1, with -1.0 in place of each root that is not real or
-    not in [-1, 1].  The padding repeats a point of the row, so a max over
-    a row needs no mask.
+def _stationary_points(c: np.ndarray, weights=None) -> np.ndarray:
+    """The points of ``extreme_points(p, w)`` for each row p of a (B, L)
+    stack c of coefficients and its own factored weight w = weights[i]
+    (None for no weight; ``weights`` None for none on every row), padded to
+    one length: row i holds -1, the roots of r_i and 1, with -1.0 in place
+    of each root that is not real or not in [-1, 1].  The padding repeats a
+    point of the row, so a max over a row needs no mask.
 
-    r is formed row by row with the arithmetic of a stack of one, and the
-    B colleague matrices of one length take one eigensolve, so each row's
-    points are bitwise those of ChebPoly(p) on its own.  Rows that end in
-    exact zeros are trimmed as ChebPoly trims them, one group per length,
-    since a zero tail changes how np.convolve rounds the weighted product.
+    Rows may differ in degree (a row of lower degree ends in exact zeros)
+    and in weight.  Each row is trimmed as ChebPoly trims it, since a zero
+    tail changes how np.convolve rounds the weighted product, and r is
+    formed once for each group of rows that share their trimmed length and
+    weight, row by row with the arithmetic of a stack of one.  Every row of
+    r whose trimmed length is the same, whatever its degree or weight, then
+    joins one eigensolve (``_real_roots``), so each row's points are
+    bitwise those of ``extreme_points(ChebPoly(p), w)`` on its own.
     """
     b = c.shape[0]
-    if c.shape[1] > 1 and np.count_nonzero(c[:, -1]) < b:
-        groups = [(rows, _stationary_points(c[rows, :length], weight))
-                  for rows, length in _by_length(c)]
-        xs = np.full((b, max(g.shape[1] for _, g in groups)), -1.0)
-        for rows, g in groups:
-            xs[rows, : g.shape[1]] = g
-        return xs
-    x, real = _real_roots(_r(c, weight))
+    if weights is None:
+        weights = (None,) * b
+    ids: dict = {}
+    keys = _lengths(c) * b + np.array([ids.setdefault(w, len(ids)) for w in weights])
+    parts = [(rows, _r(c[rows, : key // b], weights[rows[0]])) for rows, key in _groups(keys)]
+    r = np.zeros((b, max((part.shape[1] for _, part in parts), default=1)))
+    for rows, part in parts:
+        r[rows, : part.shape[1]] = part
+    x, real = _real_roots(r)
     xs = np.empty((b, x.shape[1] + 2))
     xs[:, 0], xs[:, 1:-1], xs[:, -1] = -1.0, np.where(real, x, -1.0), 1.0
     return xs
@@ -311,8 +327,8 @@ def extreme_points(p: ChebPoly, weight: tuple[int, ChebPoly] | None = None) -> n
     points hold every local extremum of p.  The roots are the eigenvalues of
     the colleague matrix of r (Trefethen, ATAP ch. 18), and those within
     ``_REAL_ROOT_TOL`` of the real axis count as real.  This is the stacked
-    engine on a stack of one: ``_stationary_points`` gives a stack of B
-    polynomials these same points, bitwise, from one eigensolve.  The
+    engine on a stack of one: ``_stationary_points`` gives every row of a
+    stack, whatever its degree and weight, these same points, bitwise.  The
     points depend on p only up to sign: the points of -p are bitwise the
     points of p.
     """
@@ -325,13 +341,16 @@ def extreme_points(p: ChebPoly, weight: tuple[int, ChebPoly] | None = None) -> n
 def _evaluate(xs: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Row i of the stack c evaluated at row i of xs, by chebval's Clenshaw
     recurrence on the flattened points, each with its row's coefficients
-    repeated (elementwise, so bitwise the value of the row on its own)."""
+    repeated.  This is elementwise, and the recurrence carries a tail of
+    exact zeros through unchanged, so each value is bitwise that of the
+    row on its own, trimmed or not."""
     cols = np.repeat(c.T, xs.shape[1], axis=1)
     return npcheb.chebval(xs.reshape(-1), cols, tensor=False).reshape(xs.shape)
 
 
 def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: (max of vals, the largest x among its near-ties)."""
+    """Per row: (max of vals, the largest x among its near-ties), each row
+    on its own, as in a stack of one."""
     vmax = vals.max(axis=1)
     tie = vals >= (vmax - 1e-13 * np.maximum(1.0, np.abs(vmax)))[:, None]
     i = np.where(tie, xs, -np.inf).argmax(axis=1)
@@ -341,7 +360,8 @@ def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def extrema(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(maxima, maximizers, minima, minimizers) on [-1, 1] of the rows of a
     (B, L) stack of coefficients, from one stacked extrema pass, bitwise
-    those of each row on its own; near-ties go to the largest x."""
+    those of each row on its own; near-ties go to the largest x.  Rows of
+    lower degree are padded with zeros."""
     xs = _stationary_points(c)
     vals = _evaluate(xs, c)
     vmax, xmax = _top(xs, vals)

@@ -14,19 +14,18 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import minimax
 from .chebyshev import (
-    ChebPoly,
     cheb_mul,
     extrema,
     make_g,
     make_h,
     monomial_to_cheb,
     mul_one_minus_x,
-    sup_abs,
 )
 from .continuum import (
     ZeroMass,
@@ -47,7 +46,6 @@ from .kernel import (
     box_kernel,
     convolve,
     grad,
-    has_nonneg_fourier,
     l2_norm,
     laplacian,
     random_nonneg_fourier_kernel,
@@ -61,11 +59,11 @@ from .smoothness import (
     BoundViolated,
     HypothesisViolated,
     OperatorSymbol,
-    first_deriv_constant,
-    laplacian_constant,
-    operator_constant,
+    first_deriv_constants,
+    kernel_constants,
+    laplacian_constants,
+    nonneg_violations,
     verify_theorem1_batch,
-    verify_theorem2,
     verify_theorem2_batch,
 )
 
@@ -171,17 +169,17 @@ def cmd_analyze(args) -> int:
     if u is None:
         return code
 
-    flag, witness = has_nonneg_fourier(u)
+    taps = _parse_stencil(args.operator) if args.operator else None
+    operator = None if taps is None else OperatorSymbol(taps)
+    reports, (flag, witness) = kernel_constants(u, operator, nonneg=True)
     payload = {
         "kernel": _kernel_payload(u),
-        "first_deriv": first_deriv_constant(u).to_dict(),
-        "laplacian": laplacian_constant(u).to_dict(),
+        "first_deriv": reports[0].to_dict(),
+        "laplacian": reports[1].to_dict(),
         "nonneg_fourier": {"flag": flag, "witness_x": witness},
     }
-    if args.operator:
-        taps = _parse_stencil(args.operator)
-        rep = operator_constant(u, OperatorSymbol(taps))
-        payload["operator"] = {"stencil": taps.tolist(), **rep.to_dict()}
+    if operator is not None:
+        payload["operator"] = {"stencil": taps.tolist(), **reports[2].to_dict()}
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -253,8 +251,7 @@ def _tap(results) -> int:
 
 def _suite_thm1(n_max: int, rng) -> list:
     out = []
-    for n in range(0, n_max + 1):
-        rep = first_deriv_constant(box_kernel(n))
+    for n, rep in enumerate(first_deriv_constants([box_kernel(n) for n in range(n_max + 1)])):
         ok = abs(rep.constant - 2 / (2 * n + 1)) <= 1e-10 and rep.is_extremal
         out.append((f"thm1: box kernel attains 2/(2n+1) at n={n}", ok,
                     f"constant={rep.constant!r}"))
@@ -278,8 +275,7 @@ def _suite_thm1(n_max: int, rng) -> list:
 
 def _suite_thm2(n_max: int, rng) -> list:
     out = []
-    for n in range(0, n_max + 1):
-        rep = laplacian_constant(triangle_kernel(n))
+    for n, rep in enumerate(laplacian_constants([triangle_kernel(n) for n in range(n_max + 1)])):
         ok = abs(rep.constant - 4 / (n + 1) ** 2) <= 1e-10 and rep.is_extremal
         out.append((f"thm2: triangle kernel attains 4/(n+1)^2 at n={n}", ok,
                     f"constant={rep.constant!r}"))
@@ -293,23 +289,25 @@ def _suite_thm2(n_max: int, rng) -> list:
                 witness = f" half={u.half.tolist()}" if isinstance(outcome, HypothesisViolated) else ""
                 worst = f"n={n} {outcome}{witness}"
     out.append(("thm2: nonneg-transform kernels respect the bound", bound_ok, worst))
-    hyp_ok = True
-    for n in range(1, min(8, n_max) + 1):
-        try:
-            verify_theorem2(box_kernel(n))
-            hyp_ok = False
-        except HypothesisViolated:
-            pass
+    boxes = [box_kernel(n) for n in range(1, min(8, n_max) + 1)]
+    hyp_ok = None not in nonneg_violations(boxes)
     out.append(("thm2: sign-changing transforms are rejected", hyp_ok, ""))
     return out
 
 
+def _sups(stack: np.ndarray) -> list:
+    """max |p| on [-1, 1] of each row p of a zero-padded stack, from one
+    stacked extrema pass: the value ``sup_abs`` gives the row."""
+    vmax, _, vmin, _ = extrema(stack)
+    return np.maximum(vmax, -vmin).tolist()
+
+
 def _suite_thm3(n_max: int, rng) -> list:
     out = []
-    for n in range(1, n_max + 1):
-        c = np.zeros(n + 1)
-        c[n] = 2.0 ** (1 - n)
-        sup, _ = sup_abs(ChebPoly(c))
+    degrees = np.arange(1, n_max + 1)
+    scaled = np.zeros((n_max, n_max + 1))
+    scaled[degrees - 1, degrees] = 2.0 ** (1 - degrees)  # row n-1 is 2^(1-n) T_n
+    for n, sup in zip(degrees.tolist(), _sups(scaled)):
         ok = abs(sup - 2.0 ** (1 - n)) <= 1e-12
         out.append((f"thm3: scaled degree-{n} Chebyshev polynomial has sup 2^(1-n)", ok,
                     f"sup={sup!r}"))
@@ -324,11 +322,9 @@ def _suite_thm3(n_max: int, rng) -> list:
     stack = np.zeros((len(polys), max(p.coeffs.size for p in polys)))
     for row, p in zip(stack, polys):
         row[: p.coeffs.size] = p.coeffs
-    vmax, _, vmin, _ = extrema(stack)
-    sups = np.maximum(vmax, -vmin).tolist()
     strict_ok = True
     worst = ""
-    for p, sup in zip(polys, sups):
+    for p, sup in zip(polys, _sups(stack)):
         bound = 2.0 ** (1 - p.degree)
         if not sup > bound + 1e-12:
             strict_ok = False
@@ -415,7 +411,7 @@ def cmd_verify(args) -> int:
     return _tap(results)
 
 
-def _read_series(path: str) -> np.ndarray:
+def _scan_series(path: str) -> np.ndarray:
     """The first column of a CSV series, in one streamed pass that names the
     first bad row: blank rows are skipped, and so is row 1 when it does not
     parse (a header)."""
@@ -439,7 +435,54 @@ def _read_series(path: str) -> np.ndarray:
     return np.array(values)
 
 
+def _read_series(path: str) -> np.ndarray:
+    """The first column of a CSV series: the values ``_scan_series`` gives,
+    or the error it raises.
+
+    np.loadtxt reads the column in C, skipping row 1 when the scan would
+    take it for a header (its first cell is not empty and float() cannot
+    read it).  Every cell loadtxt reads, float() reads to the same value,
+    but loadtxt raises on some rows the scan accepts: rows of whitespace,
+    an empty first cell, or a cell such as ``1_000``.  So only when
+    loadtxt raises, or returns no value or a non-finite one, does the scan
+    run, to skip those rows or to name the first bad one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cell = fh.readline().split(",", 1)[0].strip()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(path, delimiter=",", usecols=0, comments=None,
+                                skiprows=int(bool(cell) and not _parses(cell)), ndmin=1,
+                                encoding="utf-8")
+    except ValueError:
+        return _scan_series(path)
+    if values.size and np.all(np.isfinite(values)):
+        return values
+    return _scan_series(path)
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _write_series(fh, values: np.ndarray, block: int = 4096) -> None:
+    """One "%.17g" row per value, formatted a block of rows at a time: the
+    text of "{:.17g}".format, with a working set bounded by the block."""
+    for i in range(0, values.size, block):
+        part = tuple(values[i : i + block].tolist())
+        fh.write(("%.17g\n" * len(part)) % part)
+
+
 def cmd_smooth(args) -> int:
+    """Convolve the series with the kernel and write the valid interior, or
+    a same-length series under --pad, one "%.17g" row per value; print the
+    discrete gradient and Laplacian ratios ||D(f*u)|| / ||f|| next to their
+    ceilings M(u) and L(u), which come from one engine pass."""
     radius = args.box if args.box is not None else args.triangle
     _check_args([args.input, args.kernel, args.output], n=radius)
     sources = sum(1 for v in (args.kernel, args.box, args.triangle) if v is not None)
@@ -469,8 +512,8 @@ def cmd_smooth(args) -> int:
     norm_f = l2_norm(f)
     grad_ratio = l2_norm(grad(smoothed)) / norm_f
     lap_ratio = l2_norm(laplacian(smoothed)) / norm_f
-    m_u = first_deriv_constant(u).constant
-    l_u = laplacian_constant(u).constant
+    (m_rep, l_rep), _ = kernel_constants(u)
+    m_u, l_u = m_rep.constant, l_rep.constant
 
     full = smoothed.values
     if args.pad == "zero":
@@ -483,7 +526,7 @@ def cmd_smooth(args) -> int:
 
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(map("{:.17g}\n".format, out_values.tolist()))
+            _write_series(fh, out_values)
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -261,9 +261,14 @@ def has_nonneg_fourier(u: DiscreteKernel, tol: float = NONNEG_TOL):
     """Whether min of p_u on [-1, 1] is >= -tol.
 
     Returns (flag, witness); the witness is a minimizing x when the
-    transform goes negative, None otherwise.
+    transform goes negative, None otherwise (``_nonneg_verdict``).
     """
-    vmin, xmin = signed_min(symbol(u))
+    return _nonneg_verdict(*signed_min(symbol(u)), tol)
+
+
+def _nonneg_verdict(vmin: float, xmin: float, tol: float = NONNEG_TOL):
+    """``has_nonneg_fourier``'s (flag, witness) from the minimum vmin of p_u
+    and a minimizer xmin."""
     if vmin >= -tol:
         return True, None
     return False, xmin

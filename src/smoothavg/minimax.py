@@ -391,9 +391,10 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     points of the optimal basis and adds every candidate where the objective
     is above level + tol, and under positivity every one where p is below
     -tol.  The solve stops when neither the objective nor -p exceeds its
-    bound by more than tol.  The level (the LP optimum or w(1), or |E|, a de
-    la Vallee Poussin bound on an alternating reference) is a lower bound and
-    the certified continuum max an upper bound on the true optimal value;
+    bound by more than tol, and that round builds no next set.  The level
+    (the LP optimum or w(1), or |E|, a de la Vallee Poussin bound on an
+    alternating reference) is a lower bound and the certified continuum
+    max an upper bound on the true optimal value;
     certificate_gap is the final round's max(0, continuum max - level,
     -min p).  ``active_points`` hold the final round's certificate of the
     level: its reference, or its LP's optimal basis points and x = 1.
@@ -444,18 +445,21 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         cont_max = float(np.max(phi))
         obj_viol = cont_max - level
         pos_viol = -math.inf
-        if remez:
-            following = _exchange(problem, cands, e)
-            new = xs[:0] if following is None else following
-        else:
-            new = cands[phi > level + tol]
-            if spec.positivity:
-                cands = extreme_points(p)
-                neg_p = -npcheb.chebval(cands, p.coeffs)
-                pos_viol = float(np.max(neg_p))
-                new = np.concatenate([new, cands[neg_p > tol]])
-        new = new[np.min(np.abs(new[:, None] - xs[None, :]), axis=1) > 1e-13]
+        if spec.positivity:
+            p_cands = extreme_points(p)
+            neg_p = -npcheb.chebval(p_cands, p.coeffs)
+            pos_viol = float(np.max(neg_p))
         done = obj_viol <= tol and pos_viol <= tol
+        new = xs[:0]
+        if not done:  # a certified round needs no next set
+            if remez:
+                following = _exchange(problem, cands, e)
+                new = new if following is None else following
+            else:
+                new = cands[phi > level + tol]
+                if spec.positivity:
+                    new = np.concatenate([new, p_cands[neg_p > tol]])
+            new = new[np.min(np.abs(new[:, None] - xs[None, :]), axis=1) > 1e-13]
         trace.append(
             {
                 "round": round_no,
@@ -465,7 +469,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
                 "gap": obj_viol,
                 "positivity_violation": max(0.0, pos_viol),
                 **fields,
-                "cuts": 0 if done else int(new.size),
+                "cuts": int(new.size),
                 "seconds": time.perf_counter() - started,
             }
         )

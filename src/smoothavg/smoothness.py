@@ -19,9 +19,12 @@ endpoints and the real roots of (|s|^2 p_u^2)' / p_u, for m >= 1 with
 its factor (2 (1 - x))^(m-1) divided out (``chebyshev.extreme_points``), and
 ``OperatorSymbol.magnitude`` evaluates |s| with its relative accuracy kept
 near x = 1.
-Every constant and check takes a list of kernels of one radius, with one
-colleague-matrix eigensolve for the whole list (``_reports`` builds the
-reports, ``verify_theorem*_batch`` the exceptions), and each single-kernel
+Every constant and check takes a list of kernels of any radii, each row
+with its own stencil, in one engine pass (``_weighted_values``): rows
+whose candidate polynomial has one length share one colleague-matrix
+eigensolve, and all are evaluated in one Clenshaw pass.  ``_reports``
+builds the reports, ``verify_theorem*_batch`` the exceptions and
+``kernel_constants`` every constant of one kernel; each single-kernel
 name is that on a stack of one, so a kernel gets bitwise the same anywhere.
 """
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -42,6 +45,7 @@ from .kernel import (
     DiscreteKernel,
     Sequence,
     apply_stencil,
+    _nonneg_verdict,
     box_kernel,
     convolve,
     l2_norm,
@@ -61,6 +65,8 @@ __all__ = [
     "operator_constant",
     "first_deriv_constants",
     "laplacian_constants",
+    "kernel_constants",
+    "nonneg_violations",
     "ratio_witness",
     "verify_theorem1",
     "verify_theorem2",
@@ -115,7 +121,8 @@ class SmoothnessReport:
     is_extremal: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"constant": self.constant, "arg_x": self.arg_x, "sharp_bound": self.sharp_bound,
+                "gap": self.gap, "is_extremal": self.is_extremal}
 
 
 # A root of the taps within this distance of the unit circle lies on it, and
@@ -212,64 +219,125 @@ def _stencil_symbol(taps: tuple[float, ...]) -> OperatorSymbol:
 
 
 def _symbols(kernels) -> np.ndarray:
-    """The symbols p_u of kernels of one radius n as a (B, n+1) stack of
-    coefficient rows: those of ``symbol(u)``, zero tails kept."""
-    halves = np.array([u.half for u in kernels])
+    """The symbols p_u of kernels of any radii as a (B, N+1) stack of
+    coefficient rows, N the largest radius: those of ``symbol(u)``, each
+    padded with zeros."""
+    halves = np.zeros((len(kernels), max((u.n for u in kernels), default=0) + 1))
+    for row, u in zip(halves, kernels):
+        row[: u.half.size] = u.half
     c = 2.0 * halves
     c[:, 0] = halves[:, 0]
     return c
 
 
-def _weighted_sup(c: np.ndarray, s: OperatorSymbol) -> tuple[np.ndarray, np.ndarray]:
-    """Per row p of a (B, n+1) stack c of symbol rows: the sup over [-1, 1]
-    of |s(x)| * |p(x)| and one maximizer, as two arrays.
+def _weighted_values(c: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, vals) for a (B, L) stack c of symbol rows of any radii, each with
+    its own operator symbols[i] (None for none): row i of xs holds the
+    candidates of ``extreme_points(p, s.weight)`` for its row p and symbol
+    s, and row i of vals holds |s| * p at them (p for None).
 
-    The candidates are the points of ``extreme_points(p, s.weight)``: the
+    The candidates for the factored weight (m, Q), m >= 1, are the
     endpoints and the real roots of 4 (1 - x) Q p' + (2 (1 - x) Q' - 2 m Q) p
-    for the factored weight (m, Q), m >= 1 (2 Q p' + Q' p for m = 0), which
-    is (|s|^2 p^2)' / p over (2 (1 - x))^(m-1), so every local maximum
-    where p != 0 is among them.  The B rows take one stacked
-    pass (``chebyshev._stationary_points``), and each row's result is
-    bitwise that of a stack of one.  Near-ties go to the largest x.
+    (2 Q p' + Q' p for m = 0), which is (|s|^2 p^2)' / p over
+    (2 (1 - x))^(m-1), so every local maximum of |s| |p| where p != 0 is
+    among them.  All rows take one stacked pass
+    (``chebyshev._stationary_points``, ``_evaluate``) and one |s| per
+    symbol, so each row's result is bitwise that of a stack of one.
     """
-    xs = _stationary_points(c, s.weight)
-    return _top(xs, s.magnitude(xs) * np.abs(_evaluate(xs, c)))
+    xs = _stationary_points(c, [None if s is None else s.weight for s in symbols])
+    vals = _evaluate(xs, c)
+    rows_of: dict = {}
+    for i, s in enumerate(symbols):
+        if s is not None:
+            rows_of.setdefault(s, []).append(i)
+    for s, rows in rows_of.items():
+        vals[rows] *= s.magnitude(xs[rows])
+    return xs, vals
 
 
-def _reports(kernels, s: OperatorSymbol, bound: float, extremal=None) -> list:
-    """One ``SmoothnessReport`` per kernel of a list of one radius n, from one
-    stacked ``_weighted_sup``: the constant, a maximizer, ``bound`` and the
-    gap constant - bound.  A kernel is extremal when its gap is within
+def _weighted_sup(c: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
+    """Per row p of a (B, L) stack c of symbol rows of any radii, and its
+    own symbol s = symbols[i]: the sup over [-1, 1] of |s(x)| * |p(x)|
+    (of |p(x)| for None) and one maximizer, as two arrays, from one
+    ``_weighted_values`` pass.  Each row's result is bitwise that of a
+    stack of one; near-ties go to the largest x."""
+    xs, vals = _weighted_values(c, symbols)
+    return _top(xs, np.abs(vals))
+
+
+def _first_deriv(n: int) -> tuple:
+    """(symbol, sharp bound, extremal kernel) of M(u) at radius n."""
+    return _stencil_symbol(GRAD_STENCIL), 2.0 / (2 * n + 1), box_kernel
+
+
+def _laplacian(n: int) -> tuple:
+    """(symbol, sharp bound, extremal kernel) of L(u) at radius n."""
+    return _stencil_symbol(LAPLACIAN_STENCIL), 4.0 / (n + 1) ** 2, triangle_kernel
+
+
+def _report(u: DiscreteKernel, kind: tuple, constant: float, x: float) -> SmoothnessReport:
+    """The report of a computed constant of kind (symbol, bound, extremal):
+    the gap is constant - bound, and u is extremal when the gap is within
     GAP_TOL and its coefficients are within COEFF_TOL of ``extremal(n)``;
-    with no ``extremal`` none is."""
-    constants, xs = _weighted_sup(_symbols(kernels), s)
-    out = []
-    for u, constant, x in zip(kernels, constants.tolist(), xs.tolist()):
-        gap = constant - bound
-        is_extremal = (extremal is not None and gap <= GAP_TOL
-                       and bool(np.max(np.abs(u.half - extremal(u.n).half)) <= COEFF_TOL))
-        out.append(SmoothnessReport(constant, x, bound, gap, is_extremal))
-    return out
+    with no ``extremal`` it is not."""
+    _, bound, extremal = kind
+    gap = constant - bound
+    is_extremal = (extremal is not None and gap <= GAP_TOL
+                   and bool(np.max(np.abs(u.half - extremal(u.n).half)) <= COEFF_TOL))
+    return SmoothnessReport(constant, x, bound, gap, is_extremal)
+
+
+def _reports(kernels, kinds) -> list:
+    """One ``SmoothnessReport`` per kernel of a list of any radii, for its
+    kind (symbol, bound, extremal), from one stacked ``_weighted_sup``."""
+    constants, xs = _weighted_sup(_symbols(kernels), [s for s, _, _ in kinds])
+    return [_report(u, kind, constant, x)
+            for u, kind, constant, x in zip(kernels, kinds, constants.tolist(), xs.tolist())]
 
 
 def first_deriv_constants(kernels) -> list:
-    """M(u) = max sqrt(2 (1-x)) |p_u(x)| of each of a list of kernels of one
-    radius n, from one stacked sup, as reports; sharp bound 2/(2n+1),
+    """M(u) = max sqrt(2 (1-x)) |p_u(x)| of each of a list of kernels of any
+    radii, from one stacked sup, as reports; sharp bound 2/(2n+1),
     attained only by the box kernel."""
-    return _reports(kernels, _stencil_symbol(GRAD_STENCIL), 2.0 / (2 * kernels[0].n + 1),
-                    box_kernel)
+    return _reports(kernels, [_first_deriv(u.n) for u in kernels])
 
 
 def laplacian_constants(kernels) -> list:
-    """L(u) = max 2 (1-x) |p_u(x)| of each of a list of kernels of one radius
-    n, from one stacked sup, as reports; sharp bound 4/(n+1)^2.
+    """L(u) = max 2 (1-x) |p_u(x)| of each of a list of kernels of any
+    radii, from one stacked sup, as reports; sharp bound 4/(n+1)^2.
 
     Uses |p_u| so the value is the true operator norm even when uhat
     changes sign; the bound (and the extremal flag) are meaningful under
     the nonnegative-transform hypothesis, which verify_theorem2 enforces.
     """
-    return _reports(kernels, _stencil_symbol(LAPLACIAN_STENCIL), 4.0 / (kernels[0].n + 1) ** 2,
-                    triangle_kernel)
+    return _reports(kernels, [_laplacian(u.n) for u in kernels])
+
+
+def kernel_constants(u: DiscreteKernel, operator: OperatorSymbol | None = None,
+                     nonneg: bool = False) -> tuple[list, tuple | None]:
+    """(reports, nonneg_fourier) of one kernel from one engine pass.
+
+    ``reports`` are [M(u), L(u)], followed by ``operator_constant(u,
+    operator)`` when an operator is given.  With ``nonneg``,
+    ``nonneg_fourier`` is the (flag, witness) of ``has_nonneg_fourier(u)``,
+    from the minimum of p_u taken in the same pass; otherwise it is None.
+    The weighted rows of one kernel have r of one length for the model
+    stencils and share their eigensolve.  Each value is bitwise that of the
+    single-kernel call.
+    """
+    kinds = [_first_deriv(u.n), _laplacian(u.n)]
+    if operator is not None:
+        kinds.append((operator, 0.0, None))
+    symbols = [s for s, _, _ in kinds] + ([None] if nonneg else [])
+    xs, vals = _weighted_values(_symbols([u] * len(symbols)), symbols)
+    k = len(kinds)
+    constants, args = _top(xs[:k], np.abs(vals[:k]))
+    reports = [_report(u, kind, constant, x)
+               for kind, constant, x in zip(kinds, constants.tolist(), args.tolist())]
+    if not nonneg:
+        return reports, None
+    neg, witness = _top(xs[k:], -vals[k:])
+    return reports, _nonneg_verdict(-float(neg[0]), float(witness[0]))
 
 
 def first_deriv_constant(u: DiscreteKernel) -> SmoothnessReport:
@@ -289,7 +357,7 @@ def operator_constant(u: DiscreteKernel, s: OperatorSymbol) -> SmoothnessReport:
     cases, so the trivial bound 0 is reported and the extremal flag stays
     False.
     """
-    return _reports([u], s, 0.0)[0]
+    return _reports([u], [(s, 0.0, None)])[0]
 
 
 def ratio_witness(u: DiscreteKernel, operator: OperatorSymbol, N: int) -> tuple[Sequence, float]:
@@ -323,24 +391,33 @@ def _raised(outcome):
     return outcome
 
 
+def nonneg_violations(kernels) -> list:
+    """Theorem 2's hypothesis on a list of kernels of any radii, from one
+    stacked minimum of the symbols (``extrema``): entry i is None when the
+    minimum of p_u is at least -NONNEG_TOL, and otherwise the
+    HypothesisViolated with a minimizer as the witness."""
+    _, _, minima, witnesses = extrema(_symbols(kernels))
+    return [None if vmin >= -NONNEG_TOL else HypothesisViolated(u, witness)
+            for u, vmin, witness in zip(kernels, minima.tolist(), witnesses.tolist())]
+
+
 def verify_theorem1_batch(kernels) -> list:
-    """Check M(u) >= 2/(2n+1) on a list of kernels of one radius n, from one
+    """Check M(u) >= 2/(2n+1) on a list of kernels of any radii, from one
     stacked sup (``first_deriv_constants``): entry i is the report of
     kernels[i], or the BoundViolated of a constant below the bound."""
     return _checked(kernels, first_deriv_constants(kernels))
 
 
 def verify_theorem2_batch(kernels) -> list:
-    """Check L(u) >= 4/(n+1)^2 on a list of kernels of one radius n whose
+    """Check L(u) >= 4/(n+1)^2 on a list of kernels of any radii whose
     transforms are nonnegative, from one stacked minimum of the symbols
-    (``extrema``) and one stacked sup (``laplacian_constants``):
+    (``nonneg_violations``) and one stacked sup (``laplacian_constants``):
     entry i is the report of kernels[i], the HypothesisViolated of a
-    transform whose minimum is below -NONNEG_TOL (with a minimizer as the
-    witness), or else the BoundViolated of a constant below the bound."""
-    _, _, minima, witnesses = extrema(_symbols(kernels))
-    return [HypothesisViolated(u, witness) if vmin < -NONNEG_TOL else outcome
-            for u, vmin, witness, outcome in zip(kernels, minima.tolist(), witnesses.tolist(),
-                                                 _checked(kernels, laplacian_constants(kernels)))]
+    transform whose minimum is below -NONNEG_TOL, or else the BoundViolated
+    of a constant below the bound."""
+    return [outcome if violation is None else violation
+            for violation, outcome in zip(nonneg_violations(kernels),
+                                          _checked(kernels, laplacian_constants(kernels)))]
 
 
 def verify_theorem1(u: DiscreteKernel) -> SmoothnessReport:

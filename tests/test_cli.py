@@ -17,7 +17,7 @@ import smoothavg.cli as cli
 import smoothavg.minimax as mm
 import smoothavg.smoothness as smoothness
 from smoothavg.cli import main
-from smoothavg.kernel import box_kernel, triangle_kernel, write_kernel_file
+from smoothavg.kernel import KernelFileError, box_kernel, triangle_kernel, write_kernel_file
 
 
 def run(argv):
@@ -175,6 +175,23 @@ class TestGenerateAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [message, message]
+
+    @pytest.mark.parametrize("text", ["1e154,1", "1,1e154"])
+    def test_taps_near_the_double_range(self, tmp_path, capsys, text):
+        # |s|^2 of these taps is finite but within a factor of a few of the
+        # double range; the sup engine scales Q by a power of two first, so
+        # nothing overflows and the constants are finite: |s| peaks at
+        # 1e154 + 1 at x = 1, where the box's symbol is 1
+        kfile = tmp_path / "box.json"
+        write_kernel_file(kfile, box_kernel(3))
+        out = tmp_path / "sol.json"
+        assert run(["optimize", "operator", f"--stencil={text}", "-n", 3, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert math.isfinite(data["value"]) and data["solution"]["converged"] is True
+        assert data["value"] == pytest.approx(1e154, rel=1e-12)
+        assert run(["analyze", kfile, f"--operator={text}"]) == 0
+        operator = json.loads(capsys.readouterr().out)["operator"]
+        assert operator["constant"] == pytest.approx(1e154, rel=1e-12)
 
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         kfile = tmp_path / "box.json"
@@ -517,6 +534,79 @@ class TestSmooth:
         assert lines == [f"{float(line):.17g}" for line in lines]
         expect = np.convolve(series, np.full(5, 0.2), mode="valid")
         np.testing.assert_allclose([float(line) for line in lines], expect, rtol=0, atol=1e-15)
+
+    # rows the C reader accepts, and rows only the row scan can skip or name
+    READER_CORPUS = [
+        "1.0\n2.5\n-3e-7\n",
+        "value\n1.0\n2.0\n",
+        "\ufeffvalue\n1.0\n2.0\n",
+        "\ufeff1.0\n2.0\n3.0\n",
+        "\n\n1.0\n\n2.0\n\n",
+        "\nvalue\n1.0\n",
+        "1.0\n   \n2.0\n\t\n3.0\n",
+        "value\r\n1.0\r\n\r\n2.0\r\n",
+        "1.0\r2.0\r3.0\r",
+        "1.0,x,y\n2.0,3\n3.0,\n",
+        "1.0\n,7\n2.0\n",
+        "1_000\n2.0\n",
+        "value\n1_000\n",
+        "1.0\nnan\n2.0\n",
+        "nan\n1.0\n",
+        "1.0\ninf\n",
+        "1.0\n-inf\n",
+        "1.0\n1e400\n",
+        "1.0\n\n inf \nbanana\n",
+        "1.0\nnan\n2,0\nbanana\n",
+        "1.0\nbanana\ninf\n",
+        " +1.5 \n.5\n5.\n1E5\n-0\n",
+        "1.0\n# comment\n",
+        "1.0\n\"2.0\"\n",
+        "1.0\n\x0c\n2.0\n",
+        "\u20031.0\u2003\n2.0\xa0\n",
+        "1.0\n0x10\n",
+        "",
+        "\n\n",
+        "value\n",
+        "  \n",
+    ]
+
+    @pytest.mark.parametrize("text", READER_CORPUS)
+    def test_reader_matches_row_scan(self, tmp_path, text):
+        # the numpy reader gives the row scan's values, or its error text
+        src = tmp_path / "in.csv"
+        src.write_bytes(text.encode("utf-8"))
+
+        def outcome(read):
+            try:
+                return read(str(src))
+            except (KernelFileError, ValueError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        fast, scan = outcome(cli._read_series), outcome(cli._scan_series)
+        if isinstance(scan, str):
+            assert fast == scan
+        else:
+            assert isinstance(fast, np.ndarray) and fast.dtype == scan.dtype
+            assert fast.tobytes() == scan.tobytes()
+
+    def test_reader_skips_the_scan_on_plain_series(self, tmp_path, monkeypatch):
+        # a header and blank rows are read in C; the scan does not run
+        src = tmp_path / "in.csv"
+        rng = np.random.default_rng(3)
+        series = rng.standard_normal(500)
+        src.write_text("value\n" + "".join(f"{float(v)!r}\n\n" for v in series))
+        monkeypatch.setattr(cli, "_scan_series", lambda path: pytest.fail("row scan ran"))
+        assert cli._read_series(str(src)).tobytes() == series.tobytes()
+
+    def test_writer_matches_format(self, tmp_path):
+        rng = np.random.default_rng(12)
+        scales = 10.0 ** rng.integers(-300, 300, 20_000)
+        values = np.concatenate([rng.standard_normal(20_000) * scales,
+                                 [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0, 1e16]])
+        with open(tmp_path / "out.csv", "w", encoding="utf-8") as fh:
+            cli._write_series(fh, values)
+        expected = "".join(map("{:.17g}\n".format, values.tolist()))
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_row_rejected(self, tmp_path, capsys, bad):

@@ -29,12 +29,15 @@ from smoothavg.chebyshev import (
     signed_min,
     sup_abs,
 )
-from smoothavg.kernel import DiscreteKernel, box_kernel, symbol, triangle_kernel
+from smoothavg.kernel import DiscreteKernel, box_kernel, has_nonneg_fourier, symbol, triangle_kernel
 from smoothavg.smoothness import (
     HypothesisViolated,
     OperatorSymbol,
     _weighted_sup,
+    _weighted_values,
+    first_deriv_constant,
     first_deriv_constants,
+    kernel_constants,
     laplacian_constant,
     laplacian_constants,
     operator_constant,
@@ -102,6 +105,20 @@ class TestRootEngine:
         for deg in (0, 1, 4, 33, 129):
             p = ChebPoly(rng.standard_normal(deg + 1))
             assert np.array_equal(extreme_points(p, (0, ChebPoly([1.0]))), extreme_points(p)), deg
+
+    @pytest.mark.parametrize("taps", [(-1.0, 1.0), (-1.0, 3.0, -3.0, 1.0), (1.0, 0.0, -1.0),
+                                      (2.0, 1.0, -0.5)])
+    def test_power_of_two_weight_scale_leaves_points_unchanged(self, taps):
+        # Q is scaled by a power of two before r is formed, which is exact,
+        # so a weight scaled by any power of two in range gives the same points
+        rng = np.random.default_rng(73)
+        m, q = OperatorSymbol(taps).weight
+        for deg in (0, 3, 30, 64):
+            p = ChebPoly(rng.standard_normal(deg + 1))
+            points = extreme_points(p, (m, q))
+            for k in (-900, -3, 1, 500, 1020):
+                scaled = (m, ChebPoly(np.ldexp(q.coeffs, k)))
+                assert np.array_equal(extreme_points(p, scaled), points), (deg, k)
 
     @pytest.mark.parametrize("taps", [(-1.0, 1.0), (1.0, -2.0, 1.0), (-1.0, 3.0, -3.0, 1.0),
                                       (1.0, 0.0, -1.0), (2.0, 1.0, -0.5)])
@@ -318,32 +335,35 @@ def _symbol_rows(kernels):
     return np.array([symbol(u).coeffs for u in kernels])
 
 
-def _assert_rows_match(c, weight):
-    """Each row p of the stack c gets bitwise the points and sups it gets on
-    its own, as ChebPoly(p) with its zero tail trimmed: the stacked points
-    (padding dropped) are its extreme_points, and its sups are the maxima
-    over those points (the weighted sup as smoothness took it, from
-    |s| * |p| at extreme_points(p, (m, Q)))."""
-    w = None if weight is None else weight.weight
-    xs = _stationary_points(c, w)
-    if weight is None:
-        maxima, max_args, minima, min_args = extrema(c)
-        neg = -minima > maxima
-        sups, sup_args = np.where(neg, -minima, maxima), np.where(neg, min_args, max_args)
-    else:
-        sups, sup_args = _weighted_sup(c, weight)
-    for i, row in enumerate(c):
+def _assert_rows_match(c, symbols):
+    """Each row p of the stack c, with its own symbol (None for no weight),
+    gets bitwise the points and sups it gets on its own, as ChebPoly(p)
+    with its zero tail trimmed: the stacked points (padding dropped) are
+    its extreme_points, its unweighted extrema those of signed_max and
+    signed_min, and its sup the max over its own points of |s| * |p|
+    (|p| for None: the value of sup_abs), with the minimum of p, for None,
+    that of signed_min."""
+    if not isinstance(symbols, list):
+        symbols = [symbols] * len(c)
+    weights = [None if s is None else s.weight for s in symbols]
+    xs = _stationary_points(c, weights)
+    maxima, max_args, minima, min_args = extrema(c)
+    sups, sup_args = _weighted_sup(c, symbols)
+    points, vals = _weighted_values(c, symbols)
+    neg, neg_args = _top(points, -vals)
+    for i, (row, symbol, w) in enumerate(zip(c, symbols, weights)):
         p = ChebPoly(row)
         alone = extreme_points(p, w)
         assert np.array_equal(np.sort(xs[i][xs[i] > -1.0]), alone[alone > -1.0]), i
-        if weight is None:
-            assert (sups[i], sup_args[i]) == sup_abs(p), i
-            assert (maxima[i], max_args[i]) == signed_max(p), i
-            assert (minima[i], min_args[i]) == signed_min(p), i
-        else:
-            vals = weight.magnitude(alone) * np.abs(cheb_eval(p, alone))
-            (value,), (x,) = _top(alone[None], vals[None])
-            assert (sups[i], sup_args[i]) == (value, x), i
+        assert np.array_equal(xs[i], points[i]), i
+        assert (maxima[i], max_args[i]) == signed_max(p), i
+        assert (minima[i], min_args[i]) == signed_min(p), i
+        scale = np.ones_like(alone) if symbol is None else symbol.magnitude(alone)
+        (value,), (x,) = _top(alone[None], (scale * np.abs(cheb_eval(p, alone)))[None])
+        assert (sups[i], sup_args[i]) == (value, x), i
+        if symbol is None:
+            assert sups[i] == sup_abs(p)[0], i
+            assert (-neg[i], neg_args[i]) == signed_min(p), i
 
 
 class TestStackedEngine:
@@ -373,7 +393,7 @@ class TestStackedEngine:
             assert not np.all(c[:, -1])
             _assert_rows_match(np.vstack([c, np.zeros(n + 1)]), weight)
             if weight is not None:  # the kernel API takes the same zero tails
-                for u, value in zip(kernels, _weighted_sup(c, weight)[0]):
+                for u, value in zip(kernels, _weighted_sup(c, [weight] * len(c))[0]):
                     assert operator_constant(u, weight).constant == value
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -406,6 +426,74 @@ class TestStackedEngine:
                     assert outcome.gap == verify_theorem2(u).gap
                     assert outcome == r
             assert isinstance(outcomes[-1], HypothesisViolated)  # the box kernel's sign change
+
+    def test_mixed_stacks_bitwise(self):
+        # rows of random radii 0..64, each with its own weight (none, the
+        # model stencils, and stencils whose Q is not 1, for m = 0 and
+        # m = 1), some with zero tails and one of zeros: every row gets
+        # bitwise what it gets in a stack of one
+        rng = np.random.default_rng(4242)
+        weights = _STACK_WEIGHTS + [OperatorSymbol([1.0, 0.0, -1.0]),
+                                    OperatorSymbol([2.0, 1.0, -0.5])]
+        for _ in range(12):
+            rows, symbols = [], []
+            for _ in range(10):
+                n = int(rng.integers(0, 65))
+                u = (random_symmetric_kernel if rng.random() < 0.5
+                     else random_nonneg_fourier_kernel)(rng, n)
+                half = u.half.copy()
+                zeros = int(rng.integers(0, n + 1)) if rng.random() < 0.3 else 0
+                half[n + 1 - zeros:] = 0.0
+                rows.append(np.concatenate([half[:1], 2.0 * half[1:]]))
+                symbols.append(weights[int(rng.integers(len(weights)))])
+            rows.append(np.zeros(1))
+            symbols.append(weights[int(rng.integers(len(weights)))])
+            c = np.zeros((len(rows), max(r.size for r in rows)))
+            for target, row in zip(c, rows):
+                target[: row.size] = row
+            _assert_rows_match(c, symbols)
+
+    def test_mixed_radii_reports_match_the_single_kernel_calls(self):
+        rng = np.random.default_rng(808)
+        kernels = [box_kernel(n) for n in (0, 3, 64)] + [triangle_kernel(n) for n in (1, 30)]
+        kernels += [random_symmetric_kernel(rng, int(n)) for n in rng.integers(0, 65, 6)]
+        kernels += [random_nonneg_fourier_kernel(rng, int(n)) for n in rng.integers(0, 65, 6)]
+        for u, rep in zip(kernels, first_deriv_constants(kernels)):
+            single = first_deriv_constant(u)
+            assert rep == single and rep.constant == single.constant
+        for u, rep in zip(kernels, laplacian_constants(kernels)):
+            single = laplacian_constant(u)
+            assert rep == single and rep.constant == single.constant
+        for u, outcome in zip(kernels, verify_theorem2_batch(kernels)):
+            if isinstance(outcome, HypothesisViolated):
+                with pytest.raises(HypothesisViolated) as exc:
+                    verify_theorem2(u)
+                assert str(exc.value) == str(outcome)
+            else:
+                assert outcome == verify_theorem2(u)
+
+    @pytest.mark.parametrize("taps", [None, (-1.0, 3.0, -3.0, 1.0), (1.0, 0.0, -1.0),
+                                      (2.0, 1.0, -0.5)])
+    def test_kernel_constants_match_the_single_kernel_calls(self, taps):
+        # analyze's one pass: M(u), L(u), the operator's constant and the
+        # minimum of p_u, each bitwise what its own call gives
+        rng = np.random.default_rng(1234)
+        operator = None if taps is None else OperatorSymbol(taps)
+        kernels = [box_kernel(n) for n in (0, 1, 2, 5, 13, 30, 64)]
+        kernels += [triangle_kernel(n) for n in (0, 1, 2, 5, 13, 30, 64)]
+        kernels += [random_symmetric_kernel(rng, n) for n in (0, 1, 2, 5, 13, 30, 64)]
+        kernels += [random_nonneg_fourier_kernel(rng, n) for n in (1, 2, 5, 13, 30, 64)]
+        for u in kernels:
+            reports, nonneg = kernel_constants(u, operator, nonneg=True)
+            single = [first_deriv_constant(u), laplacian_constant(u)]
+            if operator is not None:
+                single.append(operator_constant(u, operator))
+            assert [r.to_dict() for r in reports] == [r.to_dict() for r in single], u.n
+            assert [r.arg_x for r in reports] == [r.arg_x for r in single], u.n
+            flag, witness = has_nonneg_fourier(u)
+            assert nonneg[0] is flag and (witness is None) == (nonneg[1] is None), u.n
+            assert witness is None or witness.hex() == nonneg[1].hex(), u.n
+            assert kernel_constants(u, operator) == (reports, None)
 
 
 class TestEigensolveCount:
