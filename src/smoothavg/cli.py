@@ -625,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continuum", help="first-order perturbation analysis at the triangle")
     p.add_argument("--profile", help='JSON file {"knots": [...], "values": [...]} on [0,1]')
     p.add_argument("--builtin", choices=["triangle", "halftriangle"])
-    p.add_argument("--eps", default="1e-2,1e-3", help="comma-separated finite-difference steps")
+    p.add_argument("--eps", default="1e-2,1e-3",
+                   help="comma-separated finite-difference steps, distinct, in (0, 0.1]")
     p.add_argument("--n-max", type=int, default=1000,
                    help="half-integer scan cutoff, in [%d, %d]" % CONTINUUM_N_MAX_RANGE)
     p.add_argument("-o", "--output", help="write report JSON here instead of stdout")

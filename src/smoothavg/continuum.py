@@ -58,7 +58,10 @@ _QUAD_TOL = 2e-14
 # on the cos^2 factor at the top level, against 40-digit mpmath, the
 # error is 0.06 of the floor at 100 and 3.6 times it at 104
 _MAX_SUB_PANEL_PHASE = 100.0
-_POLISH_POINTS = 33  # frequencies per round of the bracket refinement of J's peak
+_J_CUTOFF = 60.0  # default end of J's frequency window
+_POLISH_POINTS = 33  # frequencies of the polish round across J's sweep peak
+# an L1 mass at most this fraction of the largest |u| sample counts as zero
+_ZERO_MASS_REL = 1e-14
 
 
 class ZeroMass(ValueError):
@@ -152,6 +155,11 @@ class PerturbationFunction:
             knots, values = (np.array(a, dtype=float) for a in linear_table)
             if knots[0] != 0.0 or knots[-1] != 1.0:
                 raise ValueError("a linear table's knots must run from 0 to 1")
+            # the slope drops D_j that weight the knot sum of ``_table_hat``
+            with np.errstate(all="ignore"):
+                self._drops = -np.diff(np.diff(values) / np.diff(knots), prepend=0.0, append=0.0)
+            if not np.all(np.isfinite(self._drops)):
+                raise ValueError("a linear table's slopes must be finite")
             self.linear_table = (knots, values)
             breakpoints = [*breakpoints, *knots]
         pts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
@@ -438,8 +446,7 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     within ~1e-16 of 40-digit mpmath (see the tests).
     """
     knots, values = f.linear_table
-    slopes = np.diff(values) / np.diff(knots)
-    drops = -np.diff(slopes, prepend=0.0, append=0.0)
+    drops = f._drops
     x, w, fx = f.samples(_LEVELS[0])
     xi = xi0 + h * np.arange(count)
     near = (np.abs(xi) < 0.5) & (
@@ -481,8 +488,11 @@ def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     """fhat on the uniform grid xi0 + k h, k < count, node-doubled per
     frequency from a level high enough to resolve its oscillation until
     two levels agree; each level is one ``_hat`` call (an autoconvolution's
-    on its factor, then squared).  Raises ValueError past the largest
-    |xi| that the top level resolves."""
+    on its factor, then squared).  A table's knot sum is exact at every
+    frequency and takes one evaluation.  Raises ValueError past the
+    largest |xi| that the top level resolves."""
+    if f.linear_table is not None:
+        return _hat(f, xi0, h, count, _LEVELS[-1])
     xis = xi0 + h * np.arange(count)
     # checked here, so that an error names f's frequencies, not its factor's
     start = _fourier_start_level(f, xis)
@@ -527,13 +537,94 @@ def triangle_hat(xi) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def j_functional(u: PerturbationFunction, xi_cutoff: float = 60.0, grid: int | None = None) -> float:
+def _j_window(xi_cutoff: float, grid: int | None) -> int:
+    """J's sweep grid size on [0, xi_cutoff], validated."""
+    if xi_cutoff < 10.0:
+        raise ValueError("xi_cutoff must be at least 10")
+    if grid is None:
+        grid = int(round(256.0 * xi_cutoff)) + 1
+    if grid < 10**3:
+        raise ValueError("grid must have at least 1000 points")
+    return grid
+
+
+def _abs_moments(u: PerturbationFunction) -> tuple[float, float]:
+    """(int |u|, int |u| x^2) over [-1, 1]; ZeroMass unless the mass is
+    positive relative to the largest |u| at the first level's nodes, a
+    test that reads the same at every scale of u."""
+    abs_u = PerturbationFunction(lambda x: np.abs(u.half(x)), u.breakpoints)
+    mass = 2.0 * abs_u.integrate_half()
+    if mass <= _ZERO_MASS_REL * np.max(abs_u.samples(_LEVELS[0])[2]):
+        raise ZeroMass("function has (numerically) zero L1 mass")
+    return mass, 2.0 * abs_u.integrate_half(weight=lambda x: x * x)
+
+
+def _j_sweep(u: PerturbationFunction, xi_cutoff: float, grid: int) -> np.ndarray:
+    """uhat on J's grid xi_k = k xi_cutoff / (grid - 1), k < grid, at the
+    level that resolves the cutoff."""
+    level = int(_fourier_start_level(u, xi_cutoff))
+    return _hat(u, 0.0, xi_cutoff / (grid - 1), grid, level)
+
+
+def _sweep_peak(uhat: np.ndarray, xi_cutoff: float) -> tuple[float, float, float]:
+    """(value, lo, hi): the peak of |uhat| xi^2 over J's grid on [0,
+    xi_cutoff], given the profile's transform ``uhat`` there, and the grid
+    points on either side of it (the peak itself at either end)."""
+    grid = uhat.size
+    xis = np.linspace(0.0, xi_cutoff, grid)
+    sweep = np.abs(uhat) * xis**2
+    # near-ties (the triangle peaks equally at every half-integer) resolve
+    # to the smallest frequency rather than to amplified roundoff far out
+    peak = float(np.max(sweep))
+    i_best = int(np.argmax(sweep >= peak - 1e-8 * peak))
+    if xis[i_best] > 0.95 * xi_cutoff:
+        warnings.warn(
+            f"grid peak at xi = {xis[i_best]:.3f} sits within 5% of the cutoff {xi_cutoff}",
+            TailEstimateWarning,
+            stacklevel=3,
+        )
+    return float(sweep[i_best]), xis[max(0, i_best - 1)], xis[min(grid - 1, i_best + 1)]
+
+
+def _j_polished(peak: tuple[float, float, float], transform,
+                moments: tuple[float, float]) -> float:
+    """J from a profile's sweep ``peak`` (see ``_sweep_peak``) and its |u|
+    ``moments`` (mass, second moment).
+
+    ``transform(xi0, h, count)`` gives the transform on xi0 + k h, k <
+    count, for the polish: one _POLISH_POINTS round across the peak's
+    bracket, then one point at the vertex of the parabola through the
+    round's best sample and its two neighbours, when that sample is
+    interior and the three are concave.  The sup is the largest sample of
+    all.  J is formed from the ratios sup/mass and m2/mass, so it neither
+    overflows nor underflows at any scale of the profile.
+    """
+    sup, lo, hi = peak
+    step = (hi - lo) / (_POLISH_POINTS - 1)
+    ks = np.arange(_POLISH_POINTS)
+    vals = np.abs(transform(lo, step, _POLISH_POINTS)) * (lo + step * ks) ** 2
+    k = int(np.argmax(vals))
+    sup = max(sup, float(vals[k]))
+    if 0 < k < _POLISH_POINTS - 1:
+        left, mid, right = vals[k - 1:k + 2]
+        curvature = left - 2.0 * mid + right
+        if curvature < 0.0:
+            xi = lo + step * (k + 0.5 * (left - right) / curvature)
+            sup = max(sup, float(abs(transform(xi, 1.0, 1)[0])) * xi * xi)
+    mass, second_moment = moments
+    return (sup / mass) ** 2 * (second_moment / mass) ** 2
+
+
+def j_functional(u: PerturbationFunction, xi_cutoff: float = _J_CUTOFF,
+                 grid: int | None = None) -> float:
     """J(u) = sup(|uhat| xi^2)^2 * (int |u| x^2)^2 / (int |u|)^4.
 
     The sup is taken over the window [0, xi_cutoff] (evenness halves the
-    line): a uniform grid with spacing 1/256 locates the peak; each polish
-    round transforms 33 equispaced points across the bracket and keeps the
-    best one's two neighbours, down to a 1e-10 bracket.  A
+    line): a uniform grid with spacing 1/256 locates the peak; one polish
+    round transforms 33 equispaced points across the peak's bracket, and
+    one more transform takes the vertex of the parabola through the
+    round's best point and its two neighbours.  J is scale invariant, and
+    so is its evaluation: it is formed from ratios to the mass.  A
     TailEstimateWarning flags a grid peak within 5% of the cutoff, where
     the window may be too short.
     Integrands with |u| are spectrally accurate only when u keeps one
@@ -541,44 +632,10 @@ def j_functional(u: PerturbationFunction, xi_cutoff: float = 60.0, grid: int | N
     here.  A cutoff past ``gamma_half_integer``'s resolution limit raises
     ValueError.
     """
-    if xi_cutoff < 10.0:
-        raise ValueError("xi_cutoff must be at least 10")
-    if grid is None:
-        grid = int(round(256.0 * xi_cutoff)) + 1
-    if grid < 10**3:
-        raise ValueError("grid must have at least 1000 points")
-
-    abs_u = PerturbationFunction(lambda x: np.abs(u.half(x)), u.breakpoints)
-    mass = 2.0 * abs_u.integrate_half()
-    if abs(mass) < 1e-14:
-        raise ZeroMass("function has (numerically) zero L1 mass")
-    second_moment = 2.0 * abs_u.integrate_half(weight=lambda x: x * x)
-
-    xis = np.linspace(0.0, xi_cutoff, grid)
-    level = int(_fourier_start_level(u, xi_cutoff))
-    sweep = np.abs(_hat(u, 0.0, xi_cutoff / (grid - 1), grid, level)) * xis**2
-    # near-ties (the triangle peaks equally at every half-integer) resolve
-    # to the smallest frequency rather than to amplified roundoff far out
-    peak = float(np.max(sweep))
-    i_best = int(np.argmax(sweep >= peak - 1e-8 * max(1.0, peak)))
-    if xis[i_best] > 0.95 * xi_cutoff:
-        warnings.warn(
-            f"grid peak at xi = {xis[i_best]:.3f} sits within 5% of the cutoff {xi_cutoff}",
-            TailEstimateWarning,
-            stacklevel=2,
-        )
-
-    lo = xis[max(0, i_best - 1)]
-    hi = xis[min(grid - 1, i_best + 1)]
-    sup = float(sweep[i_best])
-    ks = np.arange(_POLISH_POINTS)
-    while hi - lo > 1e-10:
-        step = (hi - lo) / (_POLISH_POINTS - 1)
-        vals = np.abs(_transform(u, lo, step, _POLISH_POINTS)) * (lo + step * ks) ** 2
-        k = int(np.argmax(vals))
-        sup = max(sup, float(vals[k]))
-        lo, hi = lo + step * max(k - 1, 0), lo + step * min(k + 1, _POLISH_POINTS - 1)
-    return (sup * sup) * (second_moment * second_moment) / mass**4
+    grid = _j_window(xi_cutoff, grid)
+    moments = _abs_moments(u)
+    peak = _sweep_peak(_j_sweep(u, xi_cutoff, grid), xi_cutoff)
+    return _j_polished(peak, functools.partial(_transform, u), moments)
 
 
 def gamma_half_integer(f: PerturbationFunction, n_max: int) -> tuple[float, float]:
@@ -634,26 +691,56 @@ def c_f_analytic(f: PerturbationFunction, n_max: int = 1000) -> float:
 def finite_diff_slope(f: PerturbationFunction, eps_list=(1e-2, 1e-3)) -> float:
     """Forward-difference estimate of the right derivative of J along f.
 
-    Computes (J(u0 + eps f) - J(u0)) / eps for each step and
-    Richardson-extrapolates the two smallest (first-order model), which
-    estimates the same one-sided slope as ``c_f_analytic``.
+    Computes (J(u0 + eps f) - J(u0)) / eps for the two smallest steps and
+    Richardson-extrapolates them (first-order model), which estimates the
+    same one-sided slope as ``c_f_analytic``; one step gives its plain
+    difference.  The steps must be finite and distinct, in (0, 0.1].
+    The transform of u0 + eps f is u0hat + eps fhat, so u0 and f are each
+    swept once on J's grid, whatever the number of steps.
     """
-    return _finite_diff_slope(f, eps_list, j_functional(triangle_profile()))
+    return _finite_diff_slope(f, _check_eps(eps_list))[1]
 
 
-def _finite_diff_slope(f: PerturbationFunction, eps_list, j0: float) -> float:
-    """finite_diff_slope given j0 = J at the triangle, which a report
-    computes once for its own J0 field."""
+def _check_eps(eps_list) -> list[float]:
+    """The finite-difference steps, ascending; ValueError unless they are
+    finite and distinct, in (0, 0.1]."""
     eps = sorted(float(e) for e in eps_list)
-    if not eps or eps[0] <= 0 or eps[-1] > 0.1:
-        raise ValueError("all eps must lie in (0, 0.1]")
+    if not eps or not all(0.0 < e <= 0.1 for e in eps):
+        raise ValueError("all eps must be finite and lie in (0, 0.1]")
+    if any(a == b for a, b in zip(eps, eps[1:])):
+        raise ValueError("eps must be distinct")
+    return eps
+
+
+def _finite_diff_slope(f: PerturbationFunction, eps: list[float]) -> tuple[float, float]:
+    """(J at the triangle u0, the slope of ``finite_diff_slope``) for
+    ascending steps ``eps``.  J(u0) reads |u0hat| xi^2 off u0's sweep, and
+    each J(u0 + e f) reads |u0hat + e fhat| xi^2 and polishes with u0hat +
+    e fhat, while its |u| integrals come from ``combine(u0, f, e)``."""
     u0 = triangle_profile()
-    slopes = {e: (j_functional(combine(u0, f, e)) - j0) / e for e in eps}
+    eps = eps[:2]  # Richardson reads the two smallest
+    grid = _j_window(_J_CUTOFF, None)
+    # f's sweep, the larger working set, runs while no other grid-sized
+    # array is alive, and both sweeps are dropped once their peaks are read
+    f_hat = _j_sweep(f, _J_CUTOFF, grid)
+    u0_hat = _j_sweep(u0, _J_CUTOFF, grid)
+    peak0 = _sweep_peak(u0_hat, _J_CUTOFF)
+    peaks = [_sweep_peak(u0_hat + e * f_hat, _J_CUTOFF) for e in eps]
+    del f_hat, u0_hat
+    j0 = _j_polished(peak0, functools.partial(_transform, u0), _abs_moments(u0))
+
+    def slope(e, peak):
+        def transform(xi0, h, count):
+            return _transform(u0, xi0, h, count) + e * _transform(f, xi0, h, count)
+
+        moments = _abs_moments(combine(u0, f, e))
+        return (_j_polished(peak, transform, moments) - j0) / e
+
+    slopes = [slope(e, peak) for e, peak in zip(eps, peaks)]
     if len(eps) == 1:
-        return slopes[eps[0]]
-    e2, e1 = eps[0], eps[1]  # e2 < e1
-    s2, s1 = slopes[e2], slopes[e1]
-    return s2 + (s2 - s1) * e2 / (e1 - e2)
+        return j0, slopes[0]
+    (e2, e1), (s2, s1) = eps, slopes  # e2 < e1
+    return j0, s2 + (s2 - s1) * e2 / (e1 - e2)
 
 
 @dataclass(frozen=True)
@@ -729,13 +816,16 @@ def perturbation_report(
     """Full report: J at the triangle, the analytic right derivative and
     its forward-difference estimate along f, and both sides of the
     sampling inequality.  One half-integer scan gives gamma, which is
-    also the slope's gamma and the inequality's left side."""
-    j0 = j_functional(triangle_profile())
+    also the slope's gamma and the inequality's left side; one sweep of
+    u0hat and one of fhat on J's grid give J0 and every J(u0 + eps f)
+    (see ``finite_diff_slope``, whose step rules ``eps_list`` follows)."""
+    eps = _check_eps(eps_list)
     gamma = _slope_gamma(f, n_max)
+    j0, c_f_numeric = _finite_diff_slope(f, eps)
     return PerturbationReport(
         J0=j0,
         c_f_analytic=_slope_from_gamma(f, gamma),
-        c_f_numeric=_finite_diff_slope(f, eps_list, j0),
+        c_f_numeric=c_f_numeric,
         gamma=gamma,
         prop8_lhs=gamma,
         prop8_rhs=_prop8_rhs(f),

@@ -680,6 +680,36 @@ class TestContinuum:
     def test_source_required(self):
         assert run(["continuum"]) == 2
 
+    # at the parent nan printed "c_f_numeric": NaN, which is not JSON, and
+    # a repeated step raised ZeroDivisionError in the Richardson step
+    @pytest.mark.parametrize("eps, message", [
+        ("nan", "all eps must be finite and lie in (0, 0.1]"),
+        ("1e-2,1e-2", "eps must be distinct"),
+    ], ids=["nan", "repeated"])
+    def test_unusable_eps_exit2(self, capsys, eps, message):
+        assert run(["continuum", "--builtin", "halftriangle", "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_overflowing_slopes_exit2(self, tmp_path, capsys):
+        # at the parent the report printed nan in five fields
+        pfile = tmp_path / "prof.json"
+        pfile.write_text('{"knots": [0, 0.5], "values": [1, 1e308]}')
+        assert run(["continuum", "--profile", pfile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read profile: ")
+
+    def test_profile_near_the_double_range(self, tmp_path, capsys):
+        # J is scale invariant; at the parent (int |u|)^4 overflowed
+        pfile = tmp_path / "prof.json"
+        pfile.write_text('{"knots": [0, 1], "values": [1e80, 0]}')
+        assert run(["continuum", "--profile", pfile, "--n-max", 100]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["J0"] == pytest.approx(1 / (36 * math.pi**4), rel=1e-15, abs=0.0)
+        assert abs(data["c_f_numeric"]) <= 1e-15
+
     def test_n_max_range(self, capsys):
         for n_max in (49, 100_001):
             assert run(["continuum", "--builtin", "halftriangle", "--n-max", n_max]) == 2
