@@ -82,6 +82,7 @@ VERIFY_N_MAX = 30
 # at least 50
 CONTINUUM_N_MAX_RANGE = (50, 100_000)
 TOL_RANGE = (1e-14, 1e-2)
+SERIES_BLOCK = 4096  # rows per formatted write of ``smooth``'s output
 
 
 def _check_args(paths, n=None, tol=None) -> None:
@@ -229,7 +230,7 @@ def cmd_optimize(args) -> int:
             "stencil": args.stencil,
             "exploratory": sol.exploratory,
         },
-        "value": sol.constant,
+        "value": sol.value,
         "kernel": _kernel_payload(sol.kernel),
         "solution": sol.to_dict(),
     }
@@ -345,10 +346,10 @@ def _suite_thm4(n_max: int, rng) -> list:
                     worst <= 1e-12, f"worst node error={worst!r}"))
     for n in (2, min(5, n_max)):
         sol = minimax.solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
-        ok = (abs(sol.constant - 4 / (n + 1) ** 2) <= 1e-8
+        ok = (abs(sol.value - 4 / (n + 1) ** 2) <= 1e-8
               and np.max(np.abs(sol.kernel.half - triangle_kernel(n).half)) <= 1e-6)
         out.append((f"thm4: optimizer recovers the triangle kernel at n={n}", ok,
-                    f"value={sol.constant!r}"))
+                    f"value={sol.value!r}"))
     return out
 
 
@@ -362,10 +363,10 @@ def _suite_thm5(n_max: int, rng) -> list:
                 f"worst coeff error={worst!r}"))
     for n in (2, min(5, n_max)):
         sol = minimax.solve(MinimaxProblem("first-deriv", n), 1e-9)
-        ok = (abs(sol.constant - 2 / (2 * n + 1)) <= 1e-8
+        ok = (abs(sol.value - 2 / (2 * n + 1)) <= 1e-8
               and np.max(np.abs(sol.kernel.half - box_kernel(n).half)) <= 1e-6)
         out.append((f"thm5: optimizer recovers the box kernel at n={n}", ok,
-                    f"value={sol.constant!r}"))
+                    f"value={sol.value!r}"))
     return out
 
 
@@ -470,11 +471,11 @@ def _parses(cell: str) -> bool:
     return True
 
 
-def _write_series(fh, values: np.ndarray, block: int = 4096) -> None:
-    """One "%.17g" row per value, formatted a block of rows at a time: the
+def _write_series(fh, values: np.ndarray) -> None:
+    """One "%.17g" row per value, formatted SERIES_BLOCK rows at a time: the
     text of "{:.17g}".format, with a working set bounded by the block."""
-    for i in range(0, values.size, block):
-        part = tuple(values[i : i + block].tolist())
+    for i in range(0, values.size, SERIES_BLOCK):
+        part = tuple(values[i : i + SERIES_BLOCK].tolist())
         fh.write(("%.17g\n" * len(part)) % part)
 
 

@@ -49,6 +49,7 @@ _PI = math.pi
 # Gauss-Legendre rule on n / _RULE_NODES equal sub-panels of each panel
 _LEVELS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 _RULE_NODES = 64
+_CONV_NODES = 96  # Gauss-Legendre nodes of an autoconvolution's value at a point
 # agreement between successive node-doubling levels; the half-integer
 # scans multiply transforms by xi^2 up to ~1e6, so the target sits just
 # above the summation roundoff floor
@@ -160,6 +161,8 @@ class PerturbationFunction:
                 self._drops = -np.diff(np.diff(values) / np.diff(knots), prepend=0.0, append=0.0)
             if not np.all(np.isfinite(self._drops)):
                 raise ValueError("a linear table's slopes must be finite")
+            # 2^-e brings the largest |D_j| or |value| into [1/2, 1) (``_table_hat``)
+            self._exponent = math.frexp(max(np.max(np.abs(self._drops)), np.max(np.abs(values))))[1]
             self.linear_table = (knots, values)
             breakpoints = [*breakpoints, *knots]
         pts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
@@ -247,8 +250,7 @@ def profile_from_table(knots, values) -> PerturbationFunction:
     return PerturbationFunction(half, list(full_knots), linear_table=(full_knots, full_values))
 
 
-def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
-                            breakpoints=()) -> PerturbationFunction:
+def autoconvolution_profile(g_half, half_support: float = 0.5) -> PerturbationFunction:
     """f = g * g for an even profile g supported on [-a, a], a <= 1/2.
 
     Its factor is kept as G(s) = g(a s) on [0, 1], and its transform is
@@ -256,13 +258,13 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
     satisfy the nonnegative-transform hypothesis by construction.  Ghat
     comes from G's composite rule, whose node doubling then ends one level
     past its start.  Values of f itself (its integrals, ``combine``)
-    convolve with the ``nodes``-point Gauss-Legendre rule, from the same
+    convolve with the _CONV_NODES-point Gauss-Legendre rule, from the same
     numpy generator as the composite rule's 64 nodes.
     """
     a = float(half_support)
     if not 0.0 < a <= 0.5:
         raise ValueError("half_support must lie in (0, 1/2]")
-    base_x, base_w = _gauss_legendre(nodes)
+    base_x, base_w = _gauss_legendre(_CONV_NODES)
     factor = PerturbationFunction(lambda s: g_half(a * s))  # g(t) = factor(t / a)
 
     def half(x):
@@ -275,7 +277,7 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
         out = np.empty_like(x)
         # the points run in blocks, so each (points, nodes) temporary holds
         # at most _PHASE_ELEMENTS doubles, as in _cos_sum
-        block = max(1, _PHASE_ELEMENTS // nodes)
+        block = max(1, _PHASE_ELEMENTS // _CONV_NODES)
         for start in range(0, x.size, block):
             cut = slice(start, start + block)
             t = mid[cut, None] + rad[cut, None] * base_x[None, :]
@@ -283,8 +285,7 @@ def autoconvolution_profile(g_half, half_support: float = 0.5, nodes: int = 96,
             out[cut] = rad[cut] * (vals @ base_w)
         return out.reshape(shape)
 
-    bps = set(breakpoints) | {min(2.0 * a, 1.0)}
-    f = PerturbationFunction(half, breakpoints=bps)
+    f = PerturbationFunction(half, breakpoints=[min(2.0 * a, 1.0)])
     f._factor = (factor, a)
     return f
 
@@ -444,10 +445,17 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     where 64 nodes resolve cos(c x) on any panel.  That crossover is
     xi = 0.32 for the triangle and 1/2 for steep tables; both sides stay
     within ~1e-16 of 40-digit mpmath (see the tests).
+
+    The drops, the end value and the rule's samples are first scaled by the
+    power of two 2^-e that brings the largest drop or table value (which
+    bounds the samples) into [1/2, 1), and the transform is scaled back at
+    the end, as ``chebyshev._weight_series`` scales Q: exact, and no sum or
+    product overflows for tables near the top of the double range.
     """
     knots, values = f.linear_table
-    drops = f._drops
     x, w, fx = f.samples(_LEVELS[0])
+    e = f._exponent
+    drops, end, fx = np.ldexp(f._drops, -e), math.ldexp(values[-1], -e), np.ldexp(fx, -e)
     xi = xi0 + h * np.arange(count)
     near = (np.abs(xi) < 0.5) & (
         (2.0 * _PI * xi) ** 2 * np.dot(w, np.abs(fx)) <= np.sum(np.abs(drops)))
@@ -455,14 +463,14 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     # 1/c^2 as (1/(4 pi^2)) / xi^2: a caller's xi^2 weighting then cancels
     # the rounded xi^2 instead of compounding the rounding of c
     out = _cos_sum(knots, drops, xi0, h, count) * (0.25 / _PI**2) / (far * far)
-    if values[-1] != 0.0:
-        out += values[-1] * _sin_2pi(far) / ((2.0 * _PI) * far)
+    if end != 0.0:
+        out += end * _sin_2pi(far) / ((2.0 * _PI) * far)
     out *= 2.0
     if near.any():
         run = np.flatnonzero(near)
         lo, hi = run[0], run[-1] + 1
         out[lo:hi] = 2.0 * _cos_sum(x, w * fx, xi[lo], h, hi - lo)
-    return out
+    return np.ldexp(out, e)
 
 
 def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) -> np.ndarray:

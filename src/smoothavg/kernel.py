@@ -48,7 +48,7 @@ NORMALIZATION_TOL = 1e-12
 GRAD_STENCIL = (-1.0, 1.0)
 LAPLACIAN_STENCIL = (1.0, -2.0, 1.0)
 
-# has_nonneg_fourier's default, and theorem 2's hypothesis: min of p_u >= -NONNEG_TOL
+# has_nonneg_fourier's tolerance, and theorem 2's hypothesis: min of p_u >= -NONNEG_TOL
 NONNEG_TOL = 1e-12
 
 
@@ -114,7 +114,10 @@ class DiscreteKernel:
         return np.concatenate([self.half[:0:-1], self.half])
 
     def total(self) -> float:
-        return float(self.half[0] + 2.0 * self.half[1:].sum())
+        """u(0) + 2 sum_k u(k); inf or nan, without a RuntimeWarning, when
+        the sum leaves the double range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.half[0] + 2.0 * self.half[1:].sum())
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteKernel):
@@ -150,11 +153,13 @@ class Sequence:
 
 
 def from_half(values, tol: float = NORMALIZATION_TOL, renormalize: bool = False) -> DiscreteKernel:
-    """Kernel from its half u(0..n), validating the unit sum."""
+    """Kernel from its half u(0..n), validating the unit sum.  A sum away
+    from 1 raises NotNormalized unless ``renormalize`` divides it out; a
+    sum of zero or past the double range raises it either way."""
     u = DiscreteKernel(values)
     s = u.total()
     if abs(s - 1.0) > tol:
-        if not renormalize:
+        if not renormalize or s == 0.0 or not np.isfinite(s):
             raise NotNormalized(s)
         u = DiscreteKernel(u.half / s)
     return u
@@ -169,17 +174,18 @@ def from_full(
     """Kernel from the full weight list u(-n..n).
 
     The length must be odd.  Asymmetric input raises AsymmetricKernel
-    unless ``symmetrize`` averages (v(n+k) + v(n-k)) / 2; a sum away from
-    1 raises NotNormalized unless ``renormalize`` divides it out.
+    unless ``symmetrize`` averages v(n+k) / 2 + v(n-k) / 2, which cannot
+    overflow; the sum is checked as in ``from_half``.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.ndim != 1 or v.size % 2 == 0:
         raise KernelFileError(f"full kernel must have odd length, got {v.size}")
     n = v.size // 2
-    asym = float(np.max(np.abs(v[n:] - v[n::-1])))
+    with np.errstate(over="ignore"):  # an asymmetry past the double range is inf
+        asym = float(np.max(np.abs(v[n:] - v[n::-1])))
     if asym > tol and not symmetrize:
         raise AsymmetricKernel(asym)
-    half = 0.5 * (v[n:] + v[n::-1])
+    half = 0.5 * v[n:] + 0.5 * v[n::-1]
     return from_half(half, tol=tol, renormalize=renormalize)
 
 
@@ -257,19 +263,19 @@ def fourier_symbol(u: DiscreteKernel, xi):
     return cheb_eval(symbol(u), np.cos(xi))
 
 
-def has_nonneg_fourier(u: DiscreteKernel, tol: float = NONNEG_TOL):
-    """Whether min of p_u on [-1, 1] is >= -tol.
+def has_nonneg_fourier(u: DiscreteKernel):
+    """Whether min of p_u on [-1, 1] is >= -NONNEG_TOL.
 
     Returns (flag, witness); the witness is a minimizing x when the
     transform goes negative, None otherwise (``_nonneg_verdict``).
     """
-    return _nonneg_verdict(*signed_min(symbol(u)), tol)
+    return _nonneg_verdict(*signed_min(symbol(u)))
 
 
-def _nonneg_verdict(vmin: float, xmin: float, tol: float = NONNEG_TOL):
+def _nonneg_verdict(vmin: float, xmin: float):
     """``has_nonneg_fourier``'s (flag, witness) from the minimum vmin of p_u
     and a minimizer xmin."""
-    if vmin >= -tol:
+    if vmin >= -NONNEG_TOL:
         return True, None
     return False, xmin
 
@@ -312,13 +318,9 @@ def write_kernel_file(path, u: DiscreteKernel) -> None:
         fh.write(text)
 
 
-def read_kernel_file(
-    path,
-    tol: float = NORMALIZATION_TOL,
-    symmetrize: bool = False,
-    renormalize: bool = False,
-) -> DiscreteKernel:
-    """Read a kernel JSON file in "half" or "full" form."""
+def read_kernel_file(path, symmetrize: bool = False, renormalize: bool = False) -> DiscreteKernel:
+    """Read a kernel JSON file in "half" or "full" form, with the unit sum
+    checked to NORMALIZATION_TOL."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -333,7 +335,7 @@ def read_kernel_file(
         if "n" in data and data["n"] != len(half) - 1:
             raise KernelFileError(f'field "n" = {data["n"]} does not match half of length {len(half)}')
         try:
-            return from_half(half, tol=tol, renormalize=renormalize)
+            return from_half(half, renormalize=renormalize)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, (NotNormalized, AsymmetricKernel)):
                 raise
@@ -343,7 +345,7 @@ def read_kernel_file(
         if not isinstance(full_values, list) or not full_values:
             raise KernelFileError('field "full" must be a nonempty list')
         try:
-            return from_full(full_values, tol=tol, symmetrize=symmetrize, renormalize=renormalize)
+            return from_full(full_values, symmetrize=symmetrize, renormalize=renormalize)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, (NotNormalized, AsymmetricKernel, KernelFileError)):
                 raise

@@ -1,16 +1,17 @@
 """Weighted Chebyshev minimax problems and recovery of the extremal kernels.
 
-Every problem minimizes the max over [-1, 1] of |s(x)| * |p(x)| / scale
-over polynomials p of a given degree with p(1) = 1, where |s| is the
-magnitude of a difference stencil's symbol (``OperatorSymbol``) in
-x = cos xi; under positivity p >= 0 and the objective is signed.  The
-smoothness constant of the optimal kernel, scale * (optimal value), is
-the weighted sup that ``smoothness`` computes for the same stencil.
+Every problem minimizes the max over [-1, 1] of |s(x)| * |p(x)| over
+polynomials p of a given degree with p(1) = 1, where |s| is the magnitude
+of a difference stencil's symbol (``OperatorSymbol``) in x = cos xi;
+under positivity p >= 0 and the objective is signed.  The optimal value
+is the smoothness constant of the optimal kernel, the weighted sup that
+``smoothness`` computes for the same stencil, and every level, trace
+number, certificate gap and tolerance is in its units.
 
 ``solve`` is an exchange method with two kinds of round, chosen by the
 problem's data.  Without positivity, and when |s| has no zero inside
 (-1, 1) (``OperatorSymbol.vanishes_inside``), the problem is best
-approximation of w = |s| / scale from the Haar system w (T_k - 1),
+approximation of w = |s| from the Haar system w (T_k - 1),
 k = 1..degree, and each round is a Remez step (Pachon & Trefethen, BIT 49
 (2009)): one (degree+1) x (degree+1) linear solve for the polynomial whose
 error w p levels out with alternating signs on the reference.  Under
@@ -30,12 +31,12 @@ final reference, or the last LP's basis points and x = 1 (where p(1) = 1).
 
 ``PROBLEMS`` names the four problems by their stencil:
 
-* first-deriv:       first difference, |s|/scale = sqrt(1-x)  -> h_n, 2/(2n+1)
-* laplacian-nonneg:  second difference, |s|/scale = 1 - x, p >= 0
-                                                              -> g_n, 4/(n+1)^2
+* first-deriv:       first difference, |s| = sqrt(2 (1-x))  -> h_n, 2/(2n+1)
+* laplacian-nonneg:  second difference, |s| = 2 (1 - x), p >= 0
+                                                            -> g_n, 4/(n+1)^2
 * laplacian:         second difference, no positivity (open problem)
-* operator:          the caller's stencil, scale 1 (open problem: the
-  optimal kernel for another difference stencil s)
+* operator:          the caller's stencil (open problem: the optimal
+  kernel for another difference stencil s)
 """
 
 from __future__ import annotations
@@ -70,27 +71,24 @@ _START_FLOOR = 1e-6  # |s| below this times sum |taps| counts as a zero for roun
 class ProblemSpec:
     """One row of PROBLEMS.
 
-    The objective is |s| / scale * |p|, or |s| / scale * p under
-    positivity (p >= 0), where the two agree on the feasible set.  s is the
-    symbol of the difference taps ``stencil``, or of the caller's taps when
-    ``stencil`` is None.  scale maps the optimal value to the smoothness
-    constant of the optimal kernel, and makes the first- and second-
-    difference objectives sqrt(1-x) |p| and (1-x) |p|.  exploratory marks
-    the open problems, with no closed-form optimum to check the solution
-    against.
+    The objective is |s| |p|, or |s| p under positivity (p >= 0), where the
+    two agree on the feasible set.  s is the symbol of the difference taps
+    ``stencil``, or of the caller's taps when ``stencil`` is None, so the
+    optimal value is the smoothness constant of the optimal kernel.
+    exploratory marks the open problems, with no closed-form optimum to
+    check the solution against.
     """
 
     stencil: tuple[float, ...] | None
     positivity: bool
-    scale: float
     exploratory: bool
 
 
 PROBLEMS = {
-    "first-deriv": ProblemSpec(GRAD_STENCIL, False, math.sqrt(2.0), False),
-    "laplacian": ProblemSpec(LAPLACIAN_STENCIL, False, 2.0, True),
-    "laplacian-nonneg": ProblemSpec(LAPLACIAN_STENCIL, True, 2.0, False),
-    "operator": ProblemSpec(None, False, 1.0, True),
+    "first-deriv": ProblemSpec(GRAD_STENCIL, False, False),
+    "laplacian": ProblemSpec(LAPLACIAN_STENCIL, False, True),
+    "laplacian-nonneg": ProblemSpec(LAPLACIAN_STENCIL, True, False),
+    "operator": ProblemSpec(None, False, True),
 }
 
 
@@ -127,12 +125,11 @@ class MinimaxProblem:
 @dataclass(frozen=True)
 class MinimaxSolution:
     """An iterate of solve: p (``coeffs``) at the level ``value`` (the LP
-    optimum or the Remez |E|), the smoothness constant scale * value, the
-    kernel whose symbol is p and the points that certify the level."""
+    optimum or the Remez |E|), in the units of the smoothness constant of
+    the kernel whose symbol is p, and the points that certify the level."""
 
     coeffs: ChebPoly
     value: float
-    constant: float
     kernel: DiscreteKernel
     active_points: list[float]
     iterations: int
@@ -170,10 +167,6 @@ class Stalled(RuntimeError):
         )
 
 
-def _weight_values(problem: MinimaxProblem, xs: np.ndarray) -> np.ndarray:
-    return problem.symbol.magnitude(xs) / problem.spec.scale
-
-
 def _normalized_basis(xs: np.ndarray, n: int) -> np.ndarray:
     """T_k(x) - 1 for k = 1..n at xs: p(x) = 1 + sum_{k>=1} c_k (T_k(x) - 1)
     keeps the normalization p(1) = 1 exact."""
@@ -200,10 +193,10 @@ def _solve_restricted(problem: MinimaxProblem, xs: np.ndarray, start):
     ``lp_iterations``, and ``basis``, its optimal basis in the form of
     ``start``, which solve takes out of the row and keeps with the cuts.
     """
-    top = float(_weight_values(problem, np.ones(1))[0])
+    top = float(problem.symbol.magnitude(np.ones(1))[0])
     xs = xs[xs < 1.0]
     n, k = problem.degree, xs.size
-    w = _weight_values(problem, xs)
+    w = problem.symbol.magnitude(xs)
     basis = _normalized_basis(xs, n)
 
     rows = [np.hstack([w[:, None] * basis, -np.ones((k, 1))])]
@@ -250,8 +243,8 @@ def _reference_start(problem: MinimaxProblem):
     """
     n = problem.degree
     grid = np.pi * np.arange(1, n + 2) / (n + 1)
-    floor = _START_FLOOR * float(np.abs(problem.symbol.taps).sum()) / problem.spec.scale
-    zero = _weight_values(problem, np.cos(grid)) <= floor
+    floor = _START_FLOOR * float(np.abs(problem.symbol.taps).sum())
+    zero = problem.symbol.magnitude(np.cos(grid)) <= floor
     zero[zero.size - 1 - int(np.argmax(zero[::-1]))] = False  # the last zero stays
     theta, step = grid.copy(), np.pi / (n + 1)
     for _ in range(50):
@@ -259,7 +252,7 @@ def _reference_start(problem: MinimaxProblem):
             break
         step /= 2
         theta[zero] = grid[zero] - step
-        zero &= _weight_values(problem, np.cos(theta)) <= floor
+        zero &= problem.symbol.magnitude(np.cos(theta)) <= floor
     points = np.cos(theta)
     xs = _merged(np.cos(np.pi * np.arange(n + 2) / (n + 1)), points[theta != grid])
     return xs, (points, np.arange(n + 1) % 2 == 0)
@@ -310,7 +303,7 @@ def _solve_reference(problem: MinimaxProblem, xs: np.ndarray):
     ``lp_rows`` holding the number of reference points; a singular system
     raises Infeasible.
     """
-    w = _weight_values(problem, xs)
+    w = problem.symbol.magnitude(xs)
     signs = (-1.0) ** np.arange(xs.size)
     system = np.hstack([w[:, None] * _normalized_basis(xs, problem.degree), -signs[:, None]])
     try:
@@ -356,7 +349,6 @@ def _solution(problem, level, p, points, gap, trace, converged) -> MinimaxSoluti
     return MinimaxSolution(
         coeffs=p,
         value=level,
-        constant=problem.spec.scale * level,
         kernel=kernel_from_symbol(p),
         active_points=_merged(points).tolist(),
         iterations=len(trace),
@@ -394,10 +386,11 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     bound by more than tol, and that round builds no next set.  The level
     (the LP optimum or w(1), or |E|, a de la Vallee Poussin bound on an
     alternating reference) is a lower bound and the certified continuum
-    max an upper bound on the true optimal value;
-    certificate_gap is the final round's max(0, continuum max - level,
-    -min p).  ``active_points`` hold the final round's certificate of the
-    level: its reference, or its LP's optimal basis points and x = 1.
+    max an upper bound on the true optimal value, the optimal smoothness
+    constant; certificate_gap is the final round's max(0, continuum max -
+    level, -min p), so tol bounds the gap of the constant itself.
+    ``active_points`` hold the final round's certificate of the level: its
+    reference, or its LP's optimal basis points and x = 1.
 
     Each trace row holds ``round``; ``method``; ``lp_value``, the level;
     ``continuum_max``; ``gap``, continuum max minus level;
@@ -440,7 +433,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
         cands = extreme_points(p, problem.symbol.weight)
         # the signed error w p, evaluated once: the objective is e under
         # positivity and |e| otherwise, and the Remez exchange reads its signs
-        e = _weight_values(problem, cands) * npcheb.chebval(cands, p.coeffs)
+        e = problem.symbol.magnitude(cands) * npcheb.chebval(cands, p.coeffs)
         phi = e if spec.positivity else np.abs(e)
         cont_max = float(np.max(phi))
         obj_viol = cont_max - level

@@ -128,13 +128,13 @@ class TestCriterion4MinimaxRecovery:
         for n in range(0, 11):
             t0 = time.time()
             sol = solve(MinimaxProblem("first-deriv", n), 1e-9)
-            u, val = sol.kernel, sol.constant
+            u, val = sol.kernel, sol.value
             slowest = max(slowest, time.time() - t0)
             worst_coeff = max(worst_coeff, float(np.max(np.abs(u.half - box_kernel(n).half))))
             worst_val = max(worst_val, abs(val - 2 / (2 * n + 1)))
             t0 = time.time()
             sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
-            u, val = sol.kernel, sol.constant
+            u, val = sol.kernel, sol.value
             slowest = max(slowest, time.time() - t0)
             worst_coeff = max(worst_coeff, float(np.max(np.abs(u.half - triangle_kernel(n).half))))
             worst_val = max(worst_val, abs(val - 4 / (n + 1) ** 2))
@@ -257,7 +257,7 @@ class TestCriterion9ExploratoryMode:
         # are exercised in exploratory mode; outputs are recorded (below)
         # without asserting any closed form, which is not available
         lap = solve(MinimaxProblem("laplacian", 4), 1e-9)
-        u, val = lap.kernel, lap.constant
+        u, val = lap.kernel, lap.value
         sol = solve(MinimaxProblem("operator", 4, [-1.0, 3.0, -3.0, 1.0]), 1e-9)
         recorded = {
             "laplacian_unconstrained_n4": {"value": val, "half": u.half.tolist()},

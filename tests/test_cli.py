@@ -140,6 +140,27 @@ class TestGenerateAnalyze:
         kfile.write_text('{"full": [0.2, 0.5, 0.3]}')
         assert run(["analyze", kfile, "--symmetrize"]) == 0
 
+    # --renormalize cannot divide out a zero sum or one past the double
+    # range (that would give a kernel of zeros); the sums, the average and
+    # the asymmetry are formed without a RuntimeWarning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text,flags,message", [
+        ('{"half": [1e308, 1e308]}', ["--renormalize"], "kernel weights sum to inf, expected 1"),
+        ('{"half": [1, -0.5]}', ["--renormalize"], "kernel weights sum to 0.0, expected 1"),
+        ('{"half": [1e308, 1e308]}', [], "kernel weights sum to inf, expected 1"),
+        ('{"full": [1e308, 1e308, 1e308]}', ["--symmetrize"],
+         "kernel weights sum to inf, expected 1"),
+        ('{"full": [-1e308, 0, 1e308]}', [],
+         "kernel is not symmetric: max |v(n+k) - v(n-k)| = inf"),
+    ], ids=["inf-renormalize", "zero-renormalize", "inf", "full-inf-symmetrize", "full-inf-asym"])
+    def test_unusable_sum_exit3(self, tmp_path, capsys, text, flags, message):
+        kfile = tmp_path / "k.json"
+        kfile.write_text(text)
+        assert run(["analyze", kfile, *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"kernel contract violated: {message}\n"
+
     def test_malformed_exit2(self, tmp_path):
         kfile = tmp_path / "bad.json"
         kfile.write_text("{nope")
@@ -263,7 +284,8 @@ class TestOptimize:
         assert run(["optimize", *argv, "-n", 4, "-o", out]) == 0
         data = json.loads(out.read_text())
         sol = mm.solve(mm.MinimaxProblem(name, 4, stencil))
-        assert data["value"] == sol.constant
+        assert data["value"] == sol.value
+        assert data["solution"]["value"] == data["value"]
         assert data["kernel"]["half"] == sol.kernel.half.tolist()
 
     def test_operator_needs_stencil(self):
@@ -645,6 +667,20 @@ class TestSmooth:
         assert capsys.readouterr().err.startswith(prefix)
         assert not dst.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_sum_with_renormalize_exit3(self, tmp_path, capsys):
+        # no series of zeros is written from a kernel of zeros
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        kfile = tmp_path / "k.json"
+        src.write_text("".join("1.0\n" for _ in range(20)))
+        kfile.write_text('{"half": [1e308, 1e308]}')
+        assert run(["smooth", src, dst, "--kernel", kfile, "--renormalize"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kernel contract violated: kernel weights sum to inf, expected 1\n"
+        assert not dst.exists()
+
     def test_kernel_source_required(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("1.0\n2.0\n3.0\n")
@@ -708,6 +744,20 @@ class TestContinuum:
         assert run(["continuum", "--profile", pfile, "--n-max", 100]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["J0"] == pytest.approx(1 / (36 * math.pi**4), rel=1e-15, abs=0.0)
+        assert abs(data["c_f_numeric"]) <= 1e-15
+
+    # the report of a table near the top of the double range is finite
+    # JSON (inf is not JSON), with no RuntimeWarning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("top", ["1e306", "1.7e308"])
+    def test_profile_at_the_top_of_the_double_range(self, tmp_path, capsys, top):
+        pfile = tmp_path / "prof.json"
+        pfile.write_text(f'{{"knots": [0, 1], "values": [{top}, 0]}}')
+        assert run(["continuum", "--profile", pfile, "--n-max", 100]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+        assert all(math.isfinite(v) for v in data.values() if isinstance(v, float))
+        # a multiple c of the triangle: gamma = c/pi^2 and a zero slope
+        assert data["gamma"] == pytest.approx(float(top) / math.pi**2, rel=1e-15)
         assert abs(data["c_f_numeric"]) <= 1e-15
 
     def test_n_max_range(self, capsys):

@@ -23,7 +23,12 @@ from smoothavg.minimax import (
     Stalled,
     solve,
 )
-from smoothavg.smoothness import OperatorSymbol
+from smoothavg.smoothness import (
+    OperatorSymbol,
+    first_deriv_constant,
+    laplacian_constant,
+    operator_constant,
+)
 
 
 # |s| of these taps vanishes inside (-1, 1), at x = -1/2, which keeps the
@@ -47,7 +52,7 @@ def pad_to(coeffs, length):
 def recover(name, n, stencil=None):
     """The optimal kernel and the smoothness constant of a named problem."""
     sol = solve(MinimaxProblem(name, n, stencil), 1e-9)
-    return sol.kernel, sol.constant
+    return sol.kernel, sol.value
 
 
 class TestProblemTable:
@@ -69,7 +74,6 @@ class TestProblemTable:
     ])
     def test_solution_carries_constant_and_kernel(self, name, stencil):
         sol = solve(MinimaxProblem(name, 4, stencil), 1e-9)
-        assert sol.constant == PROBLEMS[name].scale * sol.value
         np.testing.assert_array_equal(sol.kernel.half, kernel_from_symbol(sol.coeffs).half)
 
     @pytest.mark.parametrize("name", ["first-deriv", "laplacian", "laplacian-nonneg"])
@@ -94,19 +98,40 @@ class TestProblemTable:
         assert out.stdout.strip() == "0"
 
 
+class TestValueIsTheConstant:
+    @pytest.mark.parametrize("name,stencil", [
+        ("first-deriv", None), ("laplacian", None), ("laplacian-nonneg", None),
+        ("operator", "-1,3,-3,1"), ("operator", "1,-1,1"),
+    ])
+    def test_value_brackets_the_smoothness_constant(self, name, stencil):
+        # the level is a lower bound and level + certificate_gap an upper
+        # bound on sup |s| |p|, the constant that smoothness reports for the
+        # kernel and the problem's stencil
+        for n in (0, 1, 5, 24, 64):
+            sol = solve(MinimaxProblem(name, n, None if stencil is None else taps_of(stencil)), 1e-9)
+            if name == "first-deriv":
+                constant = first_deriv_constant(sol.kernel).constant
+            elif name.startswith("laplacian"):
+                constant = laplacian_constant(sol.kernel).constant
+            else:
+                constant = operator_constant(sol.kernel, OperatorSymbol(taps_of(stencil))).constant
+            assert sol.value * (1 - 1e-14) <= constant, n
+            assert constant <= sol.value + sol.certificate_gap + 1e-14 * sol.value, n
+
+
 class TestSolveNamedProblems:
     def test_signed_degree4_recovers_g4(self):
         prob = MinimaxProblem("laplacian-nonneg", 4)
         sol = solve(prob, 1e-9)
         assert sol.converged
-        assert sol.value == pytest.approx(2 / 25, abs=1e-9)
+        assert sol.value == pytest.approx(4 / 25, abs=1e-9)
         got = pad_to(sol.coeffs.coeffs, 5)
         np.testing.assert_allclose(got, make_g(4).coeffs, atol=1e-7)
 
     def test_abs_degree3_recovers_h3(self):
         prob = MinimaxProblem("first-deriv", 3)
         sol = solve(prob, 1e-9)
-        assert sol.value**2 == pytest.approx(2 / 49, abs=1e-9)
+        assert sol.value**2 == pytest.approx(4 / 49, abs=1e-9)
         got = pad_to(sol.coeffs.coeffs, 4)
         np.testing.assert_allclose(got, make_h(3).coeffs, atol=1e-7)
 
@@ -114,7 +139,7 @@ class TestSolveNamedProblems:
         prob = MinimaxProblem("laplacian-nonneg", 0)
         sol = solve(prob, 1e-9)
         assert sol.coeffs.coeffs.tolist() == [1.0]
-        assert sol.value == pytest.approx(2.0, abs=1e-12)
+        assert sol.value == pytest.approx(4.0, abs=1e-12)
 
     def test_normalization_invariant(self):
         for name in ("laplacian-nonneg", "first-deriv"):
@@ -132,7 +157,7 @@ class TestSolveNamedProblems:
         last = sol.trace[-1]
         assert last["continuum_max"] >= last["lp_value"] - 1e-12
         assert last["continuum_max"] - last["lp_value"] <= 1e-9
-        exact = 2 / 49
+        exact = 4 / 49
         assert last["lp_value"] <= exact + 1e-10
         assert last["continuum_max"] >= exact - 1e-10
 
@@ -147,7 +172,7 @@ class TestEquioscillation:
         sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
         pts = sorted(sol.active_points, reverse=True)  # walk x downward from 1
         assert len(pts) >= n + 2
-        values = [(1 - x) * cheb_eval(sol.coeffs, x) for x in pts]
+        values = [2 * (1 - x) * cheb_eval(sol.coeffs, x) for x in pts]
         kinds = []
         for v in values:
             if abs(v) <= 1e-6:
@@ -261,7 +286,6 @@ class TestStalled:
         assert isinstance(sol, MinimaxSolution)
         assert not sol.converged
         assert sol.value > 0
-        assert sol.constant == PROBLEMS["operator"].scale * sol.value
         np.testing.assert_array_equal(sol.kernel.half, kernel_from_symbol(sol.coeffs).half)
 
 
@@ -407,12 +431,12 @@ THEOREM_PROBLEMS = ("first-deriv", "laplacian-nonneg", "laplacian")
 
 
 def grid_weight(problem, xs):
-    """|s| / scale at xs in closed form for each named problem; for operator,
+    """|s| at xs in closed form for each named problem; for operator,
     |sum_k t_k e^{ik xi}| with xi = arccos x, straight from the taps."""
     if problem.name == "first-deriv":
-        return np.sqrt(1.0 - xs)
+        return np.sqrt(2.0 * (1.0 - xs))
     if problem.name in ("laplacian", "laplacian-nonneg"):
-        return 1.0 - xs
+        return 2.0 * (1.0 - xs)
     xi = np.arccos(xs)
     return np.abs(sum(t * np.exp(1j * k * xi) for k, t in enumerate(problem.stencil)))
 
@@ -450,14 +474,14 @@ class TestSweep:
         for n in range(N_CAP + 1):
             _, box = theorem_sweep["first-deriv", n]
             _, tri = theorem_sweep["laplacian-nonneg", n]
-            assert abs(math.sqrt(2.0) * box.value - 2 / (2 * n + 1)) <= 1e-8, n
-            assert abs(2.0 * tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
+            assert abs(box.value - 2 / (2 * n + 1)) <= 1e-8, n
+            assert abs(tri.value - 4 / (n + 1) ** 2) <= 1e-8, n
 
     def test_triangle_constant_within_1e_13_relative(self, theorem_sweep):
         for n in range(N_CAP + 1):
             _, tri = theorem_sweep["laplacian-nonneg", n]
             exact = 4 / (n + 1) ** 2
-            assert abs(tri.constant - exact) <= 1e-13 * exact, n
+            assert abs(tri.value - exact) <= 1e-13 * exact, n
 
     def test_triangle_at_n_256(self):
         # above N_CAP, an exact re-solve leaves basis rows with slacks below
@@ -465,7 +489,7 @@ class TestSweep:
         n = 256
         sol = solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
         assert sol.converged
-        assert abs(sol.constant - 4 / (n + 1) ** 2) <= 1e-10 * 4 / (n + 1) ** 2
+        assert abs(sol.value - 4 / (n + 1) ** 2) <= 1e-10 * 4 / (n + 1) ** 2
 
     def test_laplacian_converges_in_four_rounds(self, theorem_sweep):
         for n in range(N_CAP + 1):
@@ -568,7 +592,7 @@ class TestRemez:
 
     def test_laplacian_n1_closed_form(self):
         sol = solve(MinimaxProblem("laplacian", 1), 1e-9)
-        assert abs(sol.constant - (2.0 * math.sqrt(2.0) - 2.0)) <= 1e-9
+        assert abs(sol.value - (2.0 * math.sqrt(2.0) - 2.0)) <= 1e-9
 
     def test_singular_system_after_round_one_stalls_with_iterate(self, monkeypatch):
         real, calls = np.linalg.solve, []
@@ -665,13 +689,13 @@ class TestRemezStart:
     def test_model_values_match_closed_forms(self):
         # observed, not proved: the box kernel's constant is the theorem's
         # 2/(2n+1), and the unconstrained second-difference value matches
-        # (2/(n+1)) tan(pi/(4(n+1))); the worst errors at n <= 64 are
-        # 1.7e-14 (first-deriv, n = 50) and 7.1e-15 (laplacian, n = 64)
+        # (4/(n+1)) tan(pi/(4(n+1))); the worst errors at n <= 64 are
+        # 1.6e-14 (first-deriv, n = 50) and 7.1e-15 (laplacian, n = 64)
         for n in range(N_CAP + 1):
             box = solve(MinimaxProblem("first-deriv", n), 1e-9)
-            assert box.constant == pytest.approx(2 / (2 * n + 1), rel=2e-14, abs=0), n
+            assert box.value == pytest.approx(2 / (2 * n + 1), rel=2e-14, abs=0), n
             lap = solve(MinimaxProblem("laplacian", n), 1e-9)
-            exact = 2 / (n + 1) * math.tan(math.pi / (4 * (n + 1)))
+            exact = 4 / (n + 1) * math.tan(math.pi / (4 * (n + 1)))
             assert lap.value == pytest.approx(exact, rel=1e-13, abs=0), n
 
     @pytest.mark.parametrize("stencil", ["2,-3,1", "-1,3,-3,1", "1,1", "1,-1,1"])
