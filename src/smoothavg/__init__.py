@@ -2,12 +2,10 @@
 
 from .chebyshev import (
     ChebPoly,
-    cheb_T,
     cheb_eval,
     cheb_mul,
     make_g,
     make_h,
-    monic_minimax_check,
     mul_one_minus_x,
     sup_abs,
 )

@@ -15,7 +15,6 @@ families used throughout the package:
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ from numpy.polynomial import chebyshev as npcheb
 
 __all__ = [
     "ChebPoly",
-    "NonMonicPolynomial",
-    "cheb_T",
     "cheb_eval",
     "cheb_mul",
     "mul_one_minus_x",
@@ -35,15 +32,7 @@ __all__ = [
     "extreme_points",
     "make_g",
     "make_h",
-    "monic_minimax_check",
-    "cheb_to_monomial",
-    "monomial_to_cheb",
 ]
-
-# Monomial <-> Chebyshev conversion is exact in the recurrences but loses
-# accuracy in doubles as the degree grows; beyond this degree we warn.
-_CONVERSION_WARN_DEGREE = 32
-_CONVERSION_MAX_DEGREE = 64
 
 # Eigenvalues of the colleague matrix with |imaginary part| at most this are
 # taken as real.  Only odd-multiplicity roots of r are extrema, and a real
@@ -51,17 +40,6 @@ _CONVERSION_MAX_DEGREE = 64
 # bound only has to keep a nearly real pair of simple roots, split by rounding.
 _REAL_ROOT_TOL = 1e-4
 _MINUS_ONE, _ONE = np.array([-1.0]), np.array([1.0])
-
-
-class NonMonicPolynomial(ValueError):
-    """Raised when a monic polynomial was expected.
-
-    Carries the actual leading monomial coefficient as ``leading``.
-    """
-
-    def __init__(self, leading: float):
-        self.leading = leading
-        super().__init__(f"polynomial is not monic: leading monomial coefficient is {leading!r}")
 
 
 @dataclass(frozen=True)
@@ -102,21 +80,6 @@ class ChebPoly:
 
     def __hash__(self):
         return hash(self.coeffs.tobytes())
-
-
-def cheb_T(k: int, x):
-    """T_k(x) by the recurrence T_{j+1} = 2x T_j - T_{j-1}.  Only tests and
-    library users call it."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.ones_like(x) if x.ndim else 1.0
-    prev = np.ones_like(x)
-    cur = x.copy()
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.ndim else float(cur)
 
 
 def cheb_eval(p: ChebPoly, x):
@@ -427,50 +390,3 @@ def make_h(n: int) -> ChebPoly:
     c[0] = 1.0 / (2 * n + 1)
     return ChebPoly(c)
 
-
-def _leading_monomial_coeff(p: ChebPoly) -> float:
-    # T_d has leading monomial coefficient 2^(d-1) for d >= 1, and 1 for d = 0.
-    d = p.degree
-    if d == 0:
-        return float(p.coeffs[0])
-    return float(p.coeffs[d]) * 2.0 ** (d - 1)
-
-
-def monic_minimax_check(p: ChebPoly, tol: float = 1e-9) -> tuple[float, float, bool]:
-    """Check the minimal-deviation bound for a monic polynomial of degree n.
-
-    Returns (sup |p| on [-1,1], 2^(1-n), sup >= bound - 1e-12).  Rejects
-    polynomials whose leading monomial coefficient differs from 1 by more
-    than tol.  Only tests and library users call it.
-    """
-    lead = _leading_monomial_coeff(p)
-    if abs(lead - 1.0) > tol:
-        raise NonMonicPolynomial(lead)
-    sup, _ = sup_abs(p)
-    bound = 2.0 ** (1 - p.degree)
-    return sup, bound, sup >= bound - 1e-12
-
-
-def _check_conversion_degree(d: int):
-    if d > _CONVERSION_MAX_DEGREE:
-        raise ValueError(f"basis conversion capped at degree {_CONVERSION_MAX_DEGREE}, got {d}")
-    if d > _CONVERSION_WARN_DEGREE:
-        warnings.warn(
-            f"monomial/Chebyshev conversion beyond degree {_CONVERSION_WARN_DEGREE} "
-            "is ill-conditioned in double precision",
-            stacklevel=3,
-        )
-
-
-def cheb_to_monomial(p: ChebPoly) -> np.ndarray:
-    """Monomial coefficients (ascending powers) of p.  Only tests and library
-    users call it."""
-    _check_conversion_degree(p.degree)
-    return npcheb.cheb2poly(p.coeffs)
-
-
-def monomial_to_cheb(coeffs) -> ChebPoly:
-    """ChebPoly from monomial coefficients (ascending powers)."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    _check_conversion_degree(c.size - 1)
-    return ChebPoly(npcheb.poly2cheb(c))

@@ -17,16 +17,10 @@ import sys
 import warnings
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 
 from . import minimax
-from .chebyshev import (
-    cheb_mul,
-    extrema,
-    make_g,
-    make_h,
-    monomial_to_cheb,
-    mul_one_minus_x,
-)
+from .chebyshev import cheb_mul, extrema, make_g, make_h, mul_one_minus_x
 from .continuum import (
     ZeroMass,
     _gauss_legendre,
@@ -43,6 +37,7 @@ from .kernel import (
     KernelFileError,
     NotNormalized,
     Sequence,
+    _numbers,
     box_kernel,
     convolve,
     grad,
@@ -154,14 +149,16 @@ def _read_kernel(args) -> tuple[DiscreteKernel | None, int]:
     """(kernel, EXIT_OK) for the file args.kernel, or (None, exit code)
     after printing why the file was rejected."""
     try:
-        return read_kernel_file(args.kernel, symmetrize=args.symmetrize,
-                                renormalize=args.renormalize), EXIT_OK
+        u = read_kernel_file(args.kernel, symmetrize=args.symmetrize,
+                             renormalize=args.renormalize)
     except (AsymmetricKernel, NotNormalized) as exc:
         print(f"kernel contract violated: {exc}", file=sys.stderr)
         return None, EXIT_KERNEL
     except (KernelFileError, OSError, ValueError) as exc:
         print(f"cannot read kernel: {exc}", file=sys.stderr)
         return None, EXIT_INPUT
+    _check_args([], n=u.n)
+    return u, EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -318,18 +315,19 @@ def _suite_thm3(n_max: int, rng) -> list:
         mono = np.zeros(deg + 1)
         mono[deg] = 1.0
         mono[: deg] = 1e-2 * rng.standard_normal(deg)
-        polys.append(monomial_to_cheb(mono))
+        polys.append(npcheb.poly2cheb(mono))
     # zero-padded: the engine groups rows by trimmed length
-    stack = np.zeros((len(polys), max(p.coeffs.size for p in polys)))
-    for row, p in zip(stack, polys):
-        row[: p.coeffs.size] = p.coeffs
+    stack = np.zeros((len(polys), max(c.size for c in polys)))
+    for row, c in zip(stack, polys):
+        row[: c.size] = c
     strict_ok = True
     worst = ""
-    for p, sup in zip(polys, _sups(stack)):
-        bound = 2.0 ** (1 - p.degree)
+    for c, sup in zip(polys, _sups(stack)):
+        n = c.size - 1
+        bound = 2.0 ** (1 - n)
         if not sup > bound + 1e-12:
             strict_ok = False
-            worst = f"deg={p.degree} sup={sup!r} bound={bound!r}"
+            worst = f"deg={n} sup={sup!r} bound={bound!r}"
     out.append(("thm3: perturbed monic polynomials deviate strictly more", strict_ok, worst))
     return out
 
@@ -550,6 +548,8 @@ def cmd_continuum(args) -> int:
         try:
             with open(args.profile, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not (_numbers(data["knots"]) and _numbers(data["values"])):
+                raise ValueError("knots and values must be lists of numbers")
             f = profile_from_table(data["knots"], data["values"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read profile: {exc}", file=sys.stderr)

@@ -318,6 +318,11 @@ def write_kernel_file(path, u: DiscreteKernel) -> None:
         fh.write(text)
 
 
+def _numbers(values) -> bool:
+    """Whether values is a list of JSON numbers: int or float, not bool."""
+    return isinstance(values, list) and set(map(type, values)) <= {int, float}
+
+
 def read_kernel_file(path, symmetrize: bool = False, renormalize: bool = False) -> DiscreteKernel:
     """Read a kernel JSON file in "half" or "full" form, with the unit sum
     checked to NORMALIZATION_TOL."""
@@ -330,10 +335,11 @@ def read_kernel_file(path, symmetrize: bool = False, renormalize: bool = False) 
         raise KernelFileError("kernel file must hold a JSON object")
     if "half" in data:
         half = data["half"]
-        if not isinstance(half, list) or not half:
-            raise KernelFileError('field "half" must be a nonempty list')
-        if "n" in data and data["n"] != len(half) - 1:
-            raise KernelFileError(f'field "n" = {data["n"]} does not match half of length {len(half)}')
+        if not half or not _numbers(half):
+            raise KernelFileError('field "half" must be a nonempty list of numbers')
+        n = data.get("n", len(half) - 1)
+        if not _numbers([n]) or n != len(half) - 1:
+            raise KernelFileError(f'field "n" = {n} does not match half of length {len(half)}')
         try:
             return from_half(half, renormalize=renormalize)
         except (TypeError, ValueError) as exc:
@@ -342,8 +348,8 @@ def read_kernel_file(path, symmetrize: bool = False, renormalize: bool = False) 
             raise KernelFileError(f'bad "half" values: {exc}') from exc
     if "full" in data:
         full_values = data["full"]
-        if not isinstance(full_values, list) or not full_values:
-            raise KernelFileError('field "full" must be a nonempty list')
+        if not full_values or not _numbers(full_values):
+            raise KernelFileError('field "full" must be a nonempty list of numbers')
         try:
             return from_full(full_values, symmetrize=symmetrize, renormalize=renormalize)
         except (TypeError, ValueError) as exc:

@@ -223,6 +223,34 @@ class TestGenerateAnalyze:
     def test_n_cap(self, tmp_path):
         assert run(["generate", "box", "-n", 70, "-o", tmp_path / "k.json"]) == 2
 
+    @pytest.mark.parametrize("radius, code", [(64, 0), (65, 2)])
+    def test_kernel_file_radius_cap(self, tmp_path, capsys, radius, code):
+        # a kernel file is held to the cap of -n, --box and --triangle
+        kfile = tmp_path / "tri.json"
+        write_kernel_file(kfile, triangle_kernel(radius))
+        src = tmp_path / "in.csv"
+        dst = tmp_path / "out.csv"
+        src.write_text("1.0\n" * 200)
+        assert run(["analyze", kfile]) == code
+        assert run(["smooth", src, dst, "--kernel", kfile]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "n must lie in [0, 64]\n" * 2)
+        assert dst.exists() == (code == 0)
+
+    @pytest.mark.parametrize("text", [
+        '{"half": ["1"]}',
+        '{"half": [true]}',
+        '{"half": [1], "n": false}',
+        '{"full": [true]}',
+    ], ids=["string", "bool", "bool-n", "bool-full"])
+    def test_non_number_values_exit2(self, tmp_path, capsys, text):
+        kfile = tmp_path / "k.json"
+        kfile.write_text(text)
+        assert run(["analyze", kfile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read kernel: ")
+
 
 class TestOptimize:
     def test_first_deriv_recovers_box(self, tmp_path):
@@ -715,6 +743,18 @@ class TestContinuum:
 
     def test_source_required(self):
         assert run(["continuum"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"knots": ["0", "1"], "values": [1, 0]}',
+        '{"knots": [0, 1], "values": [true, false]}',
+    ], ids=["string", "bool"])
+    def test_non_number_profile_exit2(self, tmp_path, capsys, text):
+        pfile = tmp_path / "prof.json"
+        pfile.write_text(text)
+        assert run(["continuum", "--profile", pfile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read profile: ")
 
     # at the parent nan printed "c_f_numeric": NaN, which is not JSON, and
     # a repeated step raised ZeroDivisionError in the Richardson step

@@ -306,6 +306,14 @@ class TestKernelFiles:
         with pytest.raises(KernelFileError):
             read_kernel_file(path)
 
+    @pytest.mark.parametrize("text", ['{"half": ["1"]}', '{"half": [1], "n": false}',
+                                      '{"full": [true]}'])
+    def test_numbers_only(self, tmp_path, text):
+        path = tmp_path / "k.json"
+        path.write_text(text)
+        with pytest.raises(KernelFileError):
+            read_kernel_file(path)
+
     def test_asymmetric_full_raises(self, tmp_path):
         path = tmp_path / "asym.json"
         path.write_text('{"full": [0.2, 0.5, 0.3]}')
