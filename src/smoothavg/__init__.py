@@ -43,20 +43,36 @@ from .minimax import (
     MinimaxSolution,
     solve,
 )
-from .continuum import (
-    PerturbationFunction,
-    PerturbationReport,
-    a_coefficient,
-    c_f_analytic,
-    ct_fourier,
-    finite_diff_slope,
-    half_triangle_profile,
-    j_functional,
-    perturbation_report,
-    profile_from_table,
-    prop8_sides,
-    triangle_hat,
-    triangle_profile,
+# the continuum layer loads on first use of one of its names (PEP 562)
+_CONTINUUM_NAMES = (
+    "PerturbationFunction",
+    "PerturbationReport",
+    "a_coefficient",
+    "c_f_analytic",
+    "ct_fourier",
+    "finite_diff_slope",
+    "half_triangle_profile",
+    "j_functional",
+    "perturbation_report",
+    "profile_from_table",
+    "prop8_sides",
+    "triangle_hat",
+    "triangle_profile",
 )
+
+
+def __getattr__(name):
+    if name in _CONTINUUM_NAMES:
+        from . import continuum
+
+        value = getattr(continuum, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_CONTINUUM_NAMES})
+
 
 __version__ = "0.1.0"

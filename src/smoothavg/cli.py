@@ -21,16 +21,6 @@ from numpy.polynomial import chebyshev as npcheb
 
 from . import minimax
 from .chebyshev import cheb_mul, extrema, make_g, make_h, mul_one_minus_x
-from .continuum import (
-    ZeroMass,
-    _gauss_legendre,
-    a_coefficient,
-    half_triangle_profile,
-    perturbation_report,
-    profile_from_table,
-    prop8_sides,
-    triangle_profile,
-)
 from .kernel import (
     AsymmetricKernel,
     DiscreteKernel,
@@ -369,6 +359,9 @@ def _suite_thm5(n_max: int, rng) -> list:
 
 
 def _suite_prop8(rng) -> list:
+    from .continuum import (
+        _gauss_legendre, a_coefficient, half_triangle_profile, prop8_sides, triangle_profile)
+
     out = []
     x, w = _gauss_legendre(256)
     worst = 0.0
@@ -536,6 +529,9 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_continuum(args) -> int:
+    from .continuum import (
+        ZeroMass, half_triangle_profile, perturbation_report, profile_from_table, triangle_profile)
+
     _check_args([args.profile, args.output])
     if (args.profile is None) == (args.builtin is None):
         raise ValueError("exactly one of --profile, --builtin is required")

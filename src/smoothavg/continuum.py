@@ -156,21 +156,30 @@ class PerturbationFunction:
             knots, values = (np.array(a, dtype=float) for a in linear_table)
             if knots[0] != 0.0 or knots[-1] != 1.0:
                 raise ValueError("a linear table's knots must run from 0 to 1")
-            # the slope drops D_j that weight the knot sum of ``_table_hat``
-            with np.errstate(all="ignore"):
-                self._drops = -np.diff(np.diff(values) / np.diff(knots), prepend=0.0, append=0.0)
-            if not np.all(np.isfinite(self._drops)):
-                raise ValueError("a linear table's slopes must be finite")
-            # 2^-e brings the largest |D_j| or |value| into [1/2, 1) (``_table_hat``)
-            self._exponent = math.frexp(max(np.max(np.abs(self._drops)), np.max(np.abs(values))))[1]
             self.linear_table = (knots, values)
+            with np.errstate(all="ignore"):
+                drops = -np.diff(np.diff(values) / np.diff(knots), prepend=0.0, append=0.0)
+            self._set_drops(drops)
             breakpoints = [*breakpoints, *knots]
         pts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
         self.breakpoints = tuple(pts)
         # (G, a) for an autoconvolution, whose transform is (a Ghat(a xi))^2
         self._factor = None
+        # level -> (nodes, weights, values) when the samples derive from
+        # another profile's (``combine``, ``_abs_moments``)
+        self._derived_samples = None
         self._panels = np.array([0.0, *pts, 1.0])
         self._samples: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._sub_panel_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _set_drops(self, drops: np.ndarray) -> None:
+        """Set the slope drops D_j that weight a table's knot sum (``_table_hat``)."""
+        if not np.all(np.isfinite(drops)):
+            raise ValueError("a linear table's slopes must be finite")
+        self._drops = drops
+        # 2^-e brings the largest |D_j| or |value| into [1/2, 1) (``_table_hat``)
+        values = self.linear_table[1]
+        self._exponent = math.frexp(max(np.max(np.abs(drops)), np.max(np.abs(values))))[1]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,20 +193,35 @@ class PerturbationFunction:
     def max_panel_width(self) -> float:
         return float(np.max(np.diff(self._panels)))
 
-    def samples(self, level: int):
-        """(nodes, weights, values) on [0, 1] with ``level`` nodes per panel:
-        the _RULE_NODES-point Gauss-Legendre rule on level / _RULE_NODES
-        equal sub-panels of each panel."""
-        if level not in self._samples:
-            base_x, base_w = _gauss_legendre(_RULE_NODES)
+    def _sub_panels(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """(centres, radii) of the level / _RULE_NODES equal sub-panels of
+        each panel, in the order of ``samples``' nodes; cached per level."""
+        if level not in self._sub_panel_cache:
             a, b = self._panels[:-1, None], self._panels[1:, None]
             edges = a + (b - a) * np.linspace(0.0, 1.0, level // _RULE_NODES + 1)
             edges[:, -1] = b[:, 0]
             lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-            mid, rad = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
-            x = (mid + rad * base_x).ravel()
-            w = (rad * base_w).ravel()
-            self._samples[level] = (x, w, np.asarray(self.half(x), dtype=float))
+            self._sub_panel_cache[level] = (0.5 * (lo + hi), 0.5 * (hi - lo))
+        return self._sub_panel_cache[level]
+
+    def samples(self, level: int):
+        """(nodes, weights, values) on [0, 1] with ``level`` nodes per panel:
+        the _RULE_NODES-point Gauss-Legendre rule on level / _RULE_NODES
+        equal sub-panels of each panel.  Sub-panel s with centre c_s and
+        radius r_s holds the nodes fl(c_s + fl(r_s t_k)), for the rule's
+        nodes t_k on [-1, 1], and the weights r_s w_k; ``_cos_sum`` takes
+        the nodes in that form.  A ``combine`` of two profiles with the
+        same panels reads the values off theirs, bitwise what its ``half``
+        gives at the same nodes."""
+        if level not in self._samples:
+            if self._derived_samples is not None:
+                self._samples[level] = self._derived_samples(level)
+            else:
+                base_x, base_w = _gauss_legendre(_RULE_NODES)
+                mid, rad = (a[:, None] for a in self._sub_panels(level))
+                x = (mid + rad * base_x).ravel()
+                w = (rad * base_w).ravel()
+                self._samples[level] = (x, w, np.asarray(self.half(x), dtype=float))
         return self._samples[level]
 
     def integrate_half(self, weight=None) -> float:
@@ -291,18 +315,41 @@ def autoconvolution_profile(g_half, half_support: float = 0.5) -> PerturbationFu
 
 
 def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> PerturbationFunction:
-    """The perturbed function base + eps * f as a new profile."""
+    """The perturbed function base + eps * f as a new profile.
+
+    Two tables combine into the table on their merged knots, whose slope
+    drops are base's plus eps times f's (each zero at the other's knots):
+    by linearity, not by differencing the values rounded at the merged
+    knots, which knots close together would amplify.  When base and f
+    have the same panels, the samples are base's plus eps times f's,
+    without evaluating either again.
+    """
 
     def half(x):
         return np.asarray(base.half(x), dtype=float) + eps * np.asarray(f.half(x), dtype=float)
 
+    tables = base.linear_table is not None and f.linear_table is not None
     table = None
-    if base.linear_table is not None and f.linear_table is not None:
+    if tables:
         # a set, not np.unique, which imports numpy.ma: ~30 ms of a fresh
         # `continuum` process
         knots = np.array(sorted({*base.linear_table[0].tolist(), *f.linear_table[0].tolist()}))
         table = (knots, half(knots))
-    return PerturbationFunction(half, set(base.breakpoints) | set(f.breakpoints), linear_table=table)
+    out = PerturbationFunction(half, set(base.breakpoints) | set(f.breakpoints), linear_table=table)
+    if tables:
+        def drops(p):
+            d = np.zeros(knots.size)
+            d[np.searchsorted(knots, p.linear_table[0])] = p._drops
+            return d
+
+        out._set_drops(drops(base) + eps * drops(f))
+    if np.array_equal(base._panels, f._panels):
+        def summed(level):
+            x, w, values = base.samples(level)
+            return x, w, values + eps * f.samples(level)[2]
+
+        out._derived_samples = summed
+    return out
 
 
 def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
@@ -336,19 +383,26 @@ def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-# elements of each phase array that ``_cos_sum`` builds per block of nodes
+# fl(2 pi) = _TWO_PI_H + _TWO_PI_L, halves of 26 bits, and 2 pi - fl(2 pi)
+_TWO_PI_H, _TWO_PI_L = 6.283185362815857, -5.563627070159782e-08
+_TWO_PI_TAIL = 2.4492935982947064e-16
+# elements of each (phase row, node) array that ``_cos_sum`` fills per
+# block of sub-panels
 _PHASE_ELEMENTS = 2**14
 
 
-def _sincos_2pi_prod(xi, x: np.ndarray):
+def _sincos_2pi_prod(xi, x: np.ndarray, exact_turn: bool = False):
     """(sin, cos) of 2 pi xi x with the product carried in double-double.
 
     A plain product loses ~xi*eps of phase, which the half-integer scans
     amplify by xi^2; splitting the product and reducing mod 1 exactly
-    keeps the values accurate to a few ulp at any frequency.  The
-    (rows, nodes) work runs in place on four arrays, in the order of
-    the formulas in the comments, so the values are those of the
-    formulas evaluated with fresh temporaries."""
+    keeps the values accurate to a few ulp at any frequency.  The turn
+    2 pi (hi - floor(hi)) still rounds, by up to an ulp of the angle and
+    by the 2.4e-16 of fl(2 pi); ``exact_turn`` moves both into the low
+    part, so the values are within about the ulp of np.sin and np.cos.
+    The (rows, nodes) work runs in place on four arrays (five with
+    ``exact_turn``), in the order of the formulas in the comments, so the
+    values are those of the formulas evaluated with fresh temporaries."""
     hi = xi * x
     c = _SPLIT * xi
     xi_hi = c - (c - xi)
@@ -363,13 +417,29 @@ def _sincos_2pi_prod(xi, x: np.ndarray):
     lo += tmp
     lo += np.multiply(xi_lo, x_hi, out=tmp)
     lo += np.multiply(xi_lo, x_lo, out=tmp)
-    # angle = 2 pi (hi - floor(hi)); the difference is exact, as both are
-    # multiples of ulp(hi)
+    # the turn hi - floor(hi) is exact, as both are multiples of ulp(hi)
     hi -= np.floor(hi, out=tmp)
-    hi *= 2.0 * _PI
+    lo *= 2.0 * _PI
+    if exact_turn:
+        # lo += (2 pi - fl(2 pi)) turn + (the TwoProduct error of fl(2 pi) turn),
+        # the error with the turn split as f_hi + f_lo and fl(2 pi) as H + L
+        lo += np.multiply(hi, _TWO_PI_TAIL, out=tmp)
+        np.multiply(hi, _SPLIT, out=tmp)
+        f_lo = tmp - hi
+        tmp -= f_lo  # f_hi
+        np.subtract(hi, tmp, out=f_lo)
+        part = np.multiply(tmp, _TWO_PI_H)
+        hi *= 2.0 * _PI
+        part -= hi
+        lo += part
+        lo += np.multiply(f_lo, _TWO_PI_H, out=part)
+        lo += np.multiply(tmp, _TWO_PI_L, out=part)
+        lo += np.multiply(f_lo, _TWO_PI_L, out=part)
+        del f_lo, part
+    else:
+        hi *= 2.0 * _PI
     sin = np.sin(hi)
     cos = np.cos(hi, out=hi)
-    lo *= 2.0 * _PI
     # (sin + 2 pi lo cos, cos - 2 pi lo sin)
     np.multiply(lo, cos, out=tmp)
     cos -= np.multiply(lo, sin, out=lo)
@@ -377,42 +447,124 @@ def _sincos_2pi_prod(xi, x: np.ndarray):
     return sin, cos
 
 
-def _cos_sum(x: np.ndarray, w: np.ndarray, xi0: float, h: float, count: int) -> np.ndarray:
-    """sum_j w_j cos(2 pi xi_k x_j) on the uniform grid xi_k = xi0 + k h, k < count.
+def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.ndarray,
+             xi0: float, h: float, count: int) -> np.ndarray:
+    """sum_{s,k} w_sk cos(2 pi xi_j x_sk) on the grid xi_j = xi0 + j h, j <
+    count, over sub-panels with centres c_s, radii r_s and the nodes x_sk =
+    fl(c_s + d_sk), d_sk = fl(r_s t_k), of ``samples``; ``weight`` holds
+    the w_sk sub-panel by sub-panel.  A table's knot sum is the degenerate
+    case: the knots as centres, radius 0 and t = (0,).
 
-    The phase factorises: with k = q m + r, e^{2 pi i xi_k x} =
-    e^{2 pi i (xi0 + q m h) x} e^{2 pi i r h x}, so about 2 sqrt(count)
-    double-double phase rows and the real part of one complex matrix
-    product (two real ones) give every frequency.
+    The phase factorises twice.  With j = q m + p, m = ceil(sqrt(count)),
+    e^{2 pi i xi_j x} = e^{2 pi i (xi0 + q m h) x} e^{2 pi i p h x}, so the
+    real part of one complex matrix product over R = ceil(count / m) + m
+    phase rows gives every frequency.  And c + d = x + e with the exact
+    TwoSum residual e, |e| <= ulp(x) / 2, so for each row xi
 
-    The nodes run in blocks of _PHASE_ELEMENTS // m (at least one), so
-    each phase array, of at most m rows, holds at most _PHASE_ELEMENTS =
-    2^14 doubles, 128 KB.  At most eight are alive at once (a block's four
-    phase arrays and the four work arrays of the next ``_sincos_2pi_prod``
-    call), so the working set stays near 1 MB at any level and count,
-    besides two arrays of one double per frequency: the result and a
-    block's product.  Each block adds its
-    two real products into the result; with one block the sum is the
+        e^{2 pi i xi x} = e^{2 pi i xi c} e^{2 pi i xi d} (1 - 2 pi i xi e)
+
+    up to (2 pi xi e)^2 / 2 < 1e-24 (|2 pi xi e| <= 1.4e-12 at the
+    resolution limit).  The double-double phases (``_sincos_2pi_prod``)
+    are taken only at the centres and at the offsets of each distinct
+    radius; each node's is their complex product, turned by -2 pi xi e.
+    A shared phase's rounding would add up over the nodes that share it,
+    so when a sub-panel has several nodes the phases take the exact turn.
+    Against 40-digit mpmath on the same float nodes the sum is then within
+    1.1e-16 sum |w| near xi = 1/2 (plain turn 3.9e-16, per-node phases
+    1.7e-16) and 4e-16 sum |w| up to the resolution limit, and within
+    1.6e-15 sum |w| of the per-node sum at levels 256 to 8192 (the blocks
+    sum in another order).  A zero offset has phase 1 and no residual, and
+    a knot is one node with the plain turn, so a knot sum skips both steps
+    and is the per-node sum, bitwise.
+
+    The sub-panels of each radius run in blocks of _PHASE_ELEMENTS // (R
+    K) (at least one), K nodes a sub-panel, so each (row, node) array
+    holds at most max(_PHASE_ELEMENTS, R K) doubles, 128 KB for R K <=
+    2^14: three per block (cosines, sines, work), two of offset phases and
+    five in a ``_sincos_2pi_prod`` call, at most eight at once, besides one
+    double a node and a few a frequency.  With one block the sum is the
     single product over all nodes, value for value.  2^14 is the fastest
-    budget on the autoconvolution report and on its scan to n_max = 8000
-    (2 vCPU Xeon, 2 MB L2 per core, one BLAS thread): 2^10 takes 1.6
-    times as long on the scan, through per-block overhead, and one block
-    over all nodes up to 1.4 times as long.
+    budget that keeps the cos^2 autoconvolution report's traced peak below
+    the per-node sum's (1.11 MB against 1.37 MB; its scan to n_max = 8000:
+    1.71 against 2.12 MB).  On that report (2 vCPU Xeon, 2 MB L2 per core,
+    one BLAS thread) 2^10, 2^12, 2^13 and one block take 1.33, 1.27, 1.09
+    and 1.03 times as long, and 1.09, 1.07, 1.06 and 1.21 times on the
+    scan; 2^15 takes 0.94 and 0.87 times as long but peaks at 1.50 MB.
     """
     m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
-    xi_a = xi0 + (m * h) * np.arange(-(-count // m))[:, None]
-    xi_b = h * np.arange(m)[:, None]
-    out = np.zeros((xi_a.size, m))
-    block = max(1, _PHASE_ELEMENTS // m)
-    for start in range(0, x.size, block):
-        xs, ws = x[start:start + block], w[start:start + block]
-        sin_a, cos_a = _sincos_2pi_prod(xi_a, xs)
-        sin_b, cos_b = _sincos_2pi_prod(xi_b, xs)
-        cos_b *= ws
-        sin_b *= ws
-        out += cos_a @ cos_b.T
-        out -= sin_a @ sin_b.T
+    n_a = -(-count // m)
+    # the phase rows: xi0 + q m h for q < n_a, then p h for p < m
+    rows = np.concatenate([xi0 + (m * h) * np.arange(n_a), h * np.arange(m)])[:, None]
+    size = t.size
+    weight = weight.reshape(centre.size, size)
+    out = np.zeros((n_a, m))
+    per_block = min(max(1, _PHASE_ELEMENTS // (rows.size * size)), centre.size)
+    buffers = None
+    two_pi_rows = (2.0 * _PI) * rows
+    # a phase that serves several nodes takes the exact turn (see above)
+    exact_turn = size > 1
+    # sub-panels of one radius share their offsets
+    if radius.min() == radius.max():
+        groups = [slice(None)]
+    else:
+        order = np.argsort(radius, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(radius[order])) + 1)
+    for group in groups:
+        centres, weights = centre[group], weight[group]
+        d = radius[group][0] * t
+        # a zero offset, as at a knot, has phase 1 and leaves no residual
+        offsets = d.any()
+        if offsets:
+            sin_d, cos_d = (p[:, None, :] for p in _sincos_2pi_prod(rows, d, exact_turn))
+            # e = (c + d) - x, by TwoSum, for the nodes x = fl(c + d) of ``samples``
+            c = centres[:, None]
+            residuals = c + d
+            back = residuals - c
+            residuals -= back
+            np.subtract(c, residuals, out=residuals)
+            residuals += d - back
+            del back
+            if buffers is None:  # after the offsets, whose work arrays are gone
+                buffers = [np.empty(rows.size * per_block * size) for _ in range(3)]
+        for start in range(0, centres.size, per_block):
+            sub = slice(start, start + per_block)
+            sin, cos = _sincos_2pi_prod(rows, centres[sub], exact_turn)
+            if offsets:
+                shape = (rows.size, sin.shape[1], size)
+                sin_c, cos_c = sin[:, :, None], cos[:, :, None]
+                cos, sin, tmp = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+                # e^{2 pi i xi (c + d)} = (cos_c cos_d - sin_c sin_d) + i (sin_c cos_d + cos_c sin_d)
+                np.multiply(cos_c, cos_d, out=cos)
+                cos -= np.multiply(sin_c, sin_d, out=tmp)
+                np.multiply(sin_c, cos_d, out=sin)
+                sin += np.multiply(cos_c, sin_d, out=tmp)
+                cos, sin, tmp = (a.reshape(rows.size, -1) for a in (cos, sin, tmp))
+                # turned by e^{-i phi} = 1 - i phi, phi = 2 pi xi e, to first order
+                e = residuals[sub].reshape(-1)
+                np.multiply(two_pi_rows, e, out=tmp)
+                tmp *= sin
+                cos += tmp
+                np.multiply(two_pi_rows, e, out=tmp)
+                tmp *= cos
+                sin -= tmp
+            cos_a, cos_b, sin_a, sin_b = cos[:n_a], cos[n_a:], sin[:n_a], sin[n_a:]
+            w = weights[sub].reshape(-1)
+            cos_b *= w
+            sin_b *= w
+            out += cos_a @ cos_b.T
+            out -= sin_a @ sin_b.T
+        if offsets:
+            del sin_d, cos_d
     return out.ravel()[:count]
+
+
+def _rule_cos_sum(f: PerturbationFunction, level: int, values: np.ndarray,
+                  xi0: float, h: float, count: int) -> np.ndarray:
+    """sum_i w_i values_i cos(2 pi xi x_i) over f's composite rule at ``level``
+    (see ``PerturbationFunction.samples``), on the grid xi0 + j h, j < count."""
+    _, w, _ = f.samples(level)
+    centre, radius = f._sub_panels(level)
+    return _cos_sum(centre, radius, _gauss_legendre(_RULE_NODES)[0], w * values, xi0, h, count)
 
 
 def _sin_2pi(xi: np.ndarray) -> np.ndarray:
@@ -453,7 +605,7 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     product overflows for tables near the top of the double range.
     """
     knots, values = f.linear_table
-    x, w, fx = f.samples(_LEVELS[0])
+    _, w, fx = f.samples(_LEVELS[0])
     e = f._exponent
     drops, end, fx = np.ldexp(f._drops, -e), math.ldexp(values[-1], -e), np.ldexp(fx, -e)
     xi = xi0 + h * np.arange(count)
@@ -462,14 +614,16 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     far = np.where(near, 1.0, xi)
     # 1/c^2 as (1/(4 pi^2)) / xi^2: a caller's xi^2 weighting then cancels
     # the rounded xi^2 instead of compounding the rounding of c
-    out = _cos_sum(knots, drops, xi0, h, count) * (0.25 / _PI**2) / (far * far)
+    zero = np.zeros(knots.size)
+    knot_sum = _cos_sum(knots, zero, zero[:1], drops, xi0, h, count)
+    out = knot_sum * (0.25 / _PI**2) / (far * far)
     if end != 0.0:
         out += end * _sin_2pi(far) / ((2.0 * _PI) * far)
     out *= 2.0
     if near.any():
         run = np.flatnonzero(near)
         lo, hi = run[0], run[-1] + 1
-        out[lo:hi] = 2.0 * _cos_sum(x, w * fx, xi[lo], h, hi - lo)
+        out[lo:hi] = 2.0 * _rule_cos_sum(f, _LEVELS[0], fx, xi[lo], h, hi - lo)
     return np.ldexp(out, e)
 
 
@@ -488,8 +642,7 @@ def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) 
         return (a * _hat(g, a * xi0, a * h, count, level)) ** 2
     if f.linear_table is not None:
         return _table_hat(f, xi0, h, count)
-    x, w, fx = f.samples(level)
-    return 2.0 * _cos_sum(x, w * fx, xi0, h, count)
+    return 2.0 * _rule_cos_sum(f, level, f.samples(level)[2], xi0, h, count)
 
 
 def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:
@@ -557,10 +710,16 @@ def _j_window(xi_cutoff: float, grid: int | None) -> int:
 
 
 def _abs_moments(u: PerturbationFunction) -> tuple[float, float]:
-    """(int |u|, int |u| x^2) over [-1, 1]; ZeroMass unless the mass is
-    positive relative to the largest |u| at the first level's nodes, a
-    test that reads the same at every scale of u."""
+    """(int |u|, int |u| x^2) over [-1, 1], from u's cached samples;
+    ZeroMass unless the mass is positive relative to the largest |u| at
+    the first level's nodes, a test that reads the same at every scale of
+    u."""
+    def magnitude(level):
+        x, w, values = u.samples(level)
+        return x, w, np.abs(values)
+
     abs_u = PerturbationFunction(lambda x: np.abs(u.half(x)), u.breakpoints)
+    abs_u._derived_samples = magnitude
     mass = 2.0 * abs_u.integrate_half()
     if mass <= _ZERO_MASS_REL * np.max(abs_u.samples(_LEVELS[0])[2]):
         raise ZeroMass("function has (numerically) zero L1 mass")

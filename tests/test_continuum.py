@@ -333,6 +333,35 @@ class TestProfiles:
             abs=1e-13,
         )
 
+    def test_combine_reads_the_summed_samples(self, monkeypatch):
+        # with the panels of base and f, combine's samples are base's plus
+        # eps times f's, bitwise what its half gives at every level a report
+        # reads, and f's 96-node convolution runs once per level
+        f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
+        half, calls, levels = f.half, [], set()
+        inner = PerturbationFunction.samples
+
+        def counting(x):
+            calls.append(np.size(x))
+            return half(x)
+
+        def recording(p, level):
+            if p._derived_samples is not None:
+                levels.add(level)
+            return inner(p, level)
+
+        f.half = counting
+        monkeypatch.setattr(PerturbationFunction, "samples", recording)
+        perturbation_report(f, (1e-2, 1e-3), n_max=100)
+        monkeypatch.undo()
+        f.half = half
+        assert levels and len(calls) == len(f._samples)
+        for eps in (1e-2, 1e-3):
+            mix = combine(triangle_profile(), f, eps)
+            for level in sorted(levels):
+                x, _, values = mix.samples(level)
+                assert np.array_equal(values, mix.half(x))
+
     def test_autoconvolution_transform_is_square(self):
         a = 0.5
         f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2, a)
@@ -500,41 +529,142 @@ class TestLevelBatchedScans:
 
 
 class TestBlockedCosineSum:
-    """The cosine sum runs over blocks of nodes, in a working set bounded
-    at any level and frequency count."""
+    """The cosine sum factors each node's phase into its sub-panel centre's
+    and its offset's, and runs over blocks of sub-panels, in a working set
+    bounded at any level and frequency count."""
 
     @staticmethod
     def one_product(x, w, xi0, h, count):
-        # the sum as one complex matrix product over all nodes, kept as
-        # the reference
+        # the sum with one phase per node, as one complex matrix product
+        # over all nodes, kept as the reference
         m = math.isqrt(count - 1) + 1
         sin_a, cos_a = continuum._sincos_2pi_prod(
             xi0 + (m * h) * np.arange(-(-count // m))[:, None], x)
         sin_b, cos_b = continuum._sincos_2pi_prod(h * np.arange(m)[:, None], x)
         return (cos_a @ (w * cos_b).T - sin_a @ (w * sin_b).T).ravel()[:count]
 
+    @staticmethod
+    def factored_product(centre, radius, t, w, xi0, h, count):
+        # the factored sum of _cos_sum as one product over all nodes, for
+        # sub-panels of one radius: centre and offset phases with the exact
+        # turn, their complex product per node, and the TwoSum residual to
+        # first order
+        m = math.isqrt(count - 1) + 1
+        n_a = -(-count // m)
+        rows = np.concatenate([xi0 + (m * h) * np.arange(n_a), h * np.arange(m)])[:, None]
+        sin_c, cos_c = (p[:, :, None] for p in continuum._sincos_2pi_prod(rows, centre, True))
+        sin_d, cos_d = (p[:, None, :]
+                        for p in continuum._sincos_2pi_prod(rows, radius[0] * t, True))
+        cos = (cos_c * cos_d - sin_c * sin_d).reshape(rows.size, -1)
+        sin = (sin_c * cos_d + cos_c * sin_d).reshape(rows.size, -1)
+        c, d = centre[:, None], radius[:, None] * t
+        x = c + d
+        back = x - c
+        e = ((c - (x - back)) + (d - back)).reshape(-1)
+        # e^{2 pi i xi x} = e^{2 pi i xi (c + d)} (1 - 2 pi i xi e) to first order
+        cos = cos + ((2.0 * PI) * rows * e) * sin
+        sin = sin - ((2.0 * PI) * rows * e) * cos
+        cos_b, sin_b = cos[n_a:] * w, sin[n_a:] * w
+        return (cos[:n_a] @ cos_b.T - sin[:n_a] @ sin_b.T).ravel()[:count]
+
     @pytest.fixture(scope="class")
     def factor(self):
         return autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)._factor[0]
 
     # the half-integer scan, J's default sweep and a polish round; at 8192
-    # nodes they take 16, 63 and 4 blocks
+    # nodes they take 32, 128 and 2 blocks
     @pytest.mark.parametrize("xi0, h, count", [
         (0.25, 0.5, 1001), (0.0, 30.0 / 15360, 15361), (3.0, 0.1, 33),
     ], ids=["scan", "sweep", "polish"])
     def test_blocks_match_one_product(self, factor, monkeypatch, xi0, h, count):
         x, w, fx = factor.samples(8192)
         wf = w * fx
+        bound = 4e-15 * np.sum(np.abs(wf))
         ref = self.one_product(x, wf, xi0, h, count)
-        # the blocks sum in another order: measured within 1.1e-15 sum |w|
-        blocked = continuum._cos_sum(x, wf, xi0, h, count)
-        assert np.max(np.abs(blocked - ref)) <= 4e-15 * np.sum(np.abs(wf))
-        # one block sums as the single product does
-        x64, w64, fx64 = factor.samples(64)
-        assert np.array_equal(continuum._cos_sum(x64, w64 * fx64, xi0, h, count),
-                              self.one_product(x64, w64 * fx64, xi0, h, count))
+        # factored phases, summed in blocks in another order: measured
+        # within 1.6e-15 sum |w| of the per-node sum
+        blocked = continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count)
+        assert np.max(np.abs(blocked - ref)) <= bound
+        # one block sums as the single factored product does
+        centre, radius = factor._sub_panels(8192)
+        t = continuum._gauss_legendre(continuum._RULE_NODES)[0]
+        single = self.factored_product(centre, radius, t, wf, xi0, h, count)
+        assert np.max(np.abs(single - ref)) <= bound
         monkeypatch.setattr(continuum, "_PHASE_ELEMENTS", 2**30)
-        assert np.array_equal(continuum._cos_sum(x, wf, xi0, h, count), ref)
+        assert np.array_equal(continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count), single)
+
+    @pytest.mark.parametrize("xi0, h, count", [
+        (0.25, 0.5, 1001), (0.0, 60.0 / 15360, 15361), (3.0, 0.1, 33), (7.5, 1.0, 1),
+    ], ids=["scan", "sweep", "polish", "one"])
+    def test_knot_sums_are_the_per_node_sum(self, monkeypatch, xi0, h, count):
+        # a knot is a one-node sub-panel of radius 0, with no offset phase
+        # and no residual, and its phase serves that node alone, so it keeps
+        # the plain turn: each table transforms as with per-node phases,
+        # bitwise
+        tables = [make() for make in TestTableOracle.TABLES.values()]
+        factored = [continuum._transform(f, xi0, h, count) for f in tables]
+        inner = continuum._cos_sum
+
+        def per_node(centre, radius, t, weight, xi0, h, count):
+            if t.size > 1:  # the rule branch of _table_hat near xi = 0
+                return inner(centre, radius, t, weight, xi0, h, count)
+            assert t.tolist() == [0.0] and not radius.any()
+            return self.one_product(centre, weight, xi0, h, count)
+
+        monkeypatch.setattr(continuum, "_cos_sum", per_node)
+        for f, values in zip(tables, factored):
+            assert np.array_equal(continuum._transform(f, xi0, h, count), values)
+
+    @staticmethod
+    def exact_rule_sum(x, wf, xis):
+        """sum_i wf_i cos(2 pi xi x_i) in 40-digit mpmath over the float nodes."""
+        mpmath = pytest.importorskip("mpmath")
+        out = []
+        with mpmath.workdps(40):
+            nodes = [mpmath.mpf(float(v)) for v in x]
+            weights = [mpmath.mpf(float(v)) for v in wf]
+            for xi in xis:
+                c = 2 * mpmath.pi * mpmath.mpf(float(xi))
+                out.append(float(mpmath.fsum(wk * mpmath.cos(c * xk)
+                                             for xk, wk in zip(nodes, weights))))
+        return np.array(out)
+
+    @pytest.mark.parametrize("case", ["factor_top_level", "panels_of_many_radii"])
+    def test_factored_sum_meets_mpmath(self, factor, case):
+        # the same float-node rule in 40 digits: the factor's top level up to
+        # its resolution limit (8148.7 on the autoconvolution, a xi = 4074.4
+        # on its factor), and a four-panel profile whose sub-panels take 11
+        # distinct radii; measured within 4e-16 sum |w f|
+        if case == "factor_top_level":
+            f, level, xi0, h = factor, 8192, 0.25, 2037.0
+        else:
+            f = PerturbationFunction(lambda x: np.cos(3.0 * x) * (1.0 + x),
+                                     breakpoints=[0.3, 0.7123, 0.85])
+            level, xi0, h = 1024, 0.5, 94.3
+            assert len(set(f._sub_panels(level)[1].tolist())) == 11
+        xis = xi0 + h * np.arange(3)
+        x, w, fx = f.samples(level)
+        exact = self.exact_rule_sum(x, w * fx, xis)
+        bound = 1e-15 * np.sum(np.abs(w * fx))
+        grid = continuum._rule_cos_sum(f, level, fx, xi0, h, xis.size)
+        assert np.max(np.abs(grid - exact)) <= bound
+        single = [continuum._rule_cos_sum(f, level, fx, xi, 1.0, 1)[0] for xi in xis]
+        assert np.max(np.abs(single - exact)) <= bound
+
+    @pytest.mark.parametrize("level", [64, 128])
+    def test_shared_phases_add_no_bias(self, level):
+        # each centre's and each offset's phase serves many nodes, so their
+        # roundings add up coherently: across J's peak bracket near xi = 1/2
+        # of u0 + 1e-3 f, the factored sum with the plain turn missed
+        # 40-digit mpmath by up to 3.9e-16 sum |w f|, the per-node phases by
+        # 1.7e-16, and with the exact turn it misses by 1.1e-16
+        f = autoconvolution_profile(AUTOCONVOLUTION_FACTORS["gaussian"])
+        u = combine(triangle_profile(), f, 1e-3)
+        x, w, fx = u.samples(level)
+        xi0, h, count = 0.49609375, 2.0**-12, 33
+        exact = self.exact_rule_sum(x, w * fx, xi0 + h * np.arange(count))
+        got = continuum._rule_cos_sum(u, level, fx, xi0, h, count)
+        assert np.max(np.abs(got - exact)) <= 2e-16 * np.sum(np.abs(w * fx))
 
     def test_scan_working_set(self):
         # one product over all 8192 nodes of the top level held 66 MB
@@ -988,12 +1118,13 @@ class TestSharedSweepsAndPolish:
         assert report.c_f_numeric == pytest.approx(richardson, rel=1e-11, abs=0.0)
 
     def test_summed_transform_meets_the_exact_one(self):
-        # knots 1.5e-3 apart: combine's table rounds u0 + eps f at its knots,
-        # and those roundings, divided by the knot gap, shift its slope
-        # drops; u0hat + eps fhat adds the two tables' own knot sums.
-        # Against 40-digit mpmath at the 33 polish points around the sweep
-        # peak, the sum misses by 3.2e-16 of the peak, the merged table by
-        # 4.1e-15
+        # knots 1.5e-3 apart: differencing u0 + eps f rounded at the merged
+        # knots would shift the slope drops by those roundings divided by
+        # the knot gap (4.1e-15 of the peak), so combine sums the two
+        # tables' drops instead; u0hat + eps fhat adds the two tables' own
+        # knot sums.  Against 40-digit mpmath at the 33 polish points
+        # around the sweep peak, the sum misses by 3.2e-16 of the peak,
+        # the merged table by 3.2e-16 (4.1e-15 from the rounded values)
         mpmath = pytest.importorskip("mpmath")
         f = profile_from_table([0.08797607, 0.20754026, 0.20901926, 0.37774759, 0.6202316],
                                [-0.073812, 0.41987442, 0.25819725, -0.47057148, 0.87510063])
@@ -1010,3 +1141,5 @@ class TestSharedSweepsAndPolish:
                                               TestTableOracle.exact_mp(f, xis))])
         peak = np.max(np.abs(exact) * xis**2)
         assert np.max(np.abs(summed - exact) * xis**2) <= 1e-15 * peak
+        merged = continuum._transform(combine(u0, f, eps), lo, step, 33)
+        assert np.max(np.abs(merged - exact) * xis**2) <= 1e-15 * peak
