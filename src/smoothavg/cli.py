@@ -332,7 +332,7 @@ def _suite_thm4(n_max: int, rng) -> list:
         worst = max(float(np.max(np.abs(q(zeros)))), float(np.max(np.abs(q(peaks) - level))))
         out.append((f"thm4: weighted extremal polynomial equioscillates at n={n}",
                     worst <= 1e-12, f"worst node error={worst!r}"))
-    for n in (2, min(5, n_max)):
+    for n in sorted({min(2, n_max), min(5, n_max)}):
         sol = minimax.solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
         ok = (abs(sol.value - 4 / (n + 1) ** 2) <= 1e-8
               and np.max(np.abs(sol.kernel.half - triangle_kernel(n).half)) <= 1e-6)
@@ -349,7 +349,7 @@ def _suite_thm5(n_max: int, rng) -> list:
         worst = max(worst, float(np.max(np.abs(sq.coeffs - make_g(2 * n).coeffs))))
     out.append((f"thm5: square identity h_n^2 = g_2n for n<={n_max}", worst <= 1e-13,
                 f"worst coeff error={worst!r}"))
-    for n in (2, min(5, n_max)):
+    for n in sorted({min(2, n_max), min(5, n_max)}):
         sol = minimax.solve(MinimaxProblem("first-deriv", n), 1e-9)
         ok = (abs(sol.value - 2 / (2 * n + 1)) <= 1e-8
               and np.max(np.abs(sol.kernel.half - box_kernel(n).half)) <= 1e-6)

@@ -54,10 +54,13 @@ _CONV_NODES = 96  # Gauss-Legendre nodes of an autoconvolution's value at a poin
 # scans multiply transforms by xi^2 up to ~1e6, so the target sits just
 # above the summation roundoff floor
 _QUAD_TOL = 2e-14
-# pi xi times a sub-panel's width up to which the 64-node rule keeps
-# cos(2 pi xi x) within the transforms' noise floor 1e-15 (1 + |xi|):
-# on the cos^2 factor at the top level, against 40-digit mpmath, the
-# error is 0.06 of the floor at 100 and 3.6 times it at 104
+# pi xi times a sub-panel's width up to which the 64-node rule is taken
+# to resolve cos(2 pi xi x).  On the cos^2 factor at the top level,
+# against its 40-digit closed form, the error is 0.1 of the transforms'
+# noise floor 1e-15 (1 + |xi|) at 100 and 5.1 times it at 104; but where
+# xi is a multiple of 128, the inverse sub-panel width, the sub-panels'
+# errors add in phase: 0.31 of the floor at 28 pi (88.0), 7.7 times it
+# at 29 pi, 153 at 30 pi and 2500 at 31 pi (97.4)
 _MAX_SUB_PANEL_PHASE = 100.0
 _J_CUTOFF = 60.0  # default end of J's frequency window
 _POLISH_POINTS = 33  # frequencies of the polish round across J's sweep peak
@@ -210,7 +213,8 @@ class PerturbationFunction:
         equal sub-panels of each panel.  Sub-panel s with centre c_s and
         radius r_s holds the nodes fl(c_s + fl(r_s t_k)), for the rule's
         nodes t_k on [-1, 1], and the weights r_s w_k; ``_cos_sum`` takes
-        the nodes in that form.  A ``combine`` of two profiles with the
+        each node's phase at the exact sum c_s + fl(r_s t_k) instead, half
+        an ulp at most from the node.  A ``combine`` of two profiles with the
         same panels reads the values off theirs, bitwise what its ``half``
         gives at the same nodes."""
         if level not in self._samples:
@@ -391,18 +395,18 @@ _TWO_PI_TAIL = 2.4492935982947064e-16
 _PHASE_ELEMENTS = 2**14
 
 
-def _sincos_2pi_prod(xi, x: np.ndarray, exact_turn: bool = False):
+def _sincos_2pi_prod(xi, x: np.ndarray):
     """(sin, cos) of 2 pi xi x with the product carried in double-double.
 
     A plain product loses ~xi*eps of phase, which the half-integer scans
     amplify by xi^2; splitting the product and reducing mod 1 exactly
     keeps the values accurate to a few ulp at any frequency.  The turn
-    2 pi (hi - floor(hi)) still rounds, by up to an ulp of the angle and
-    by the 2.4e-16 of fl(2 pi); ``exact_turn`` moves both into the low
-    part, so the values are within about the ulp of np.sin and np.cos.
-    The (rows, nodes) work runs in place on four arrays (five with
-    ``exact_turn``), in the order of the formulas in the comments, so the
-    values are those of the formulas evaluated with fresh temporaries."""
+    2 pi (hi - floor(hi)) would still round, by up to an ulp of the angle
+    and by the 2.4e-16 of fl(2 pi); both go into the low part, so the
+    values are within about the ulp of np.sin and np.cos.  The (rows,
+    nodes) work runs in place on five arrays, in the order of the
+    formulas in the comments, so the values are those of the formulas
+    evaluated with fresh temporaries."""
     hi = xi * x
     c = _SPLIT * xi
     xi_hi = c - (c - xi)
@@ -420,24 +424,21 @@ def _sincos_2pi_prod(xi, x: np.ndarray, exact_turn: bool = False):
     # the turn hi - floor(hi) is exact, as both are multiples of ulp(hi)
     hi -= np.floor(hi, out=tmp)
     lo *= 2.0 * _PI
-    if exact_turn:
-        # lo += (2 pi - fl(2 pi)) turn + (the TwoProduct error of fl(2 pi) turn),
-        # the error with the turn split as f_hi + f_lo and fl(2 pi) as H + L
-        lo += np.multiply(hi, _TWO_PI_TAIL, out=tmp)
-        np.multiply(hi, _SPLIT, out=tmp)
-        f_lo = tmp - hi
-        tmp -= f_lo  # f_hi
-        np.subtract(hi, tmp, out=f_lo)
-        part = np.multiply(tmp, _TWO_PI_H)
-        hi *= 2.0 * _PI
-        part -= hi
-        lo += part
-        lo += np.multiply(f_lo, _TWO_PI_H, out=part)
-        lo += np.multiply(tmp, _TWO_PI_L, out=part)
-        lo += np.multiply(f_lo, _TWO_PI_L, out=part)
-        del f_lo, part
-    else:
-        hi *= 2.0 * _PI
+    # lo += (2 pi - fl(2 pi)) turn + (the TwoProduct error of fl(2 pi) turn),
+    # the error with the turn split as f_hi + f_lo and fl(2 pi) as H + L
+    lo += np.multiply(hi, _TWO_PI_TAIL, out=tmp)
+    np.multiply(hi, _SPLIT, out=tmp)
+    f_lo = tmp - hi
+    tmp -= f_lo  # f_hi
+    np.subtract(hi, tmp, out=f_lo)
+    part = np.multiply(tmp, _TWO_PI_H)
+    hi *= 2.0 * _PI
+    part -= hi
+    lo += part
+    lo += np.multiply(f_lo, _TWO_PI_H, out=part)
+    lo += np.multiply(tmp, _TWO_PI_L, out=part)
+    lo += np.multiply(f_lo, _TWO_PI_L, out=part)
+    del f_lo, part
     sin = np.sin(hi)
     cos = np.cos(hi, out=hi)
     # (sin + 2 pi lo cos, cos - 2 pi lo sin)
@@ -451,45 +452,50 @@ def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.n
              xi0: float, h: float, count: int) -> np.ndarray:
     """sum_{s,k} w_sk cos(2 pi xi_j x_sk) on the grid xi_j = xi0 + j h, j <
     count, over sub-panels with centres c_s, radii r_s and the nodes x_sk =
-    fl(c_s + d_sk), d_sk = fl(r_s t_k), of ``samples``; ``weight`` holds
-    the w_sk sub-panel by sub-panel.  A table's knot sum is the degenerate
-    case: the knots as centres, radius 0 and t = (0,).
+    c_s + d_sk, d_sk = fl(r_s t_k), each the exact sum (``samples`` holds
+    its rounding); ``weight`` holds the w_sk sub-panel by sub-panel.  A
+    table's knot sum is the degenerate case: the knots as centres, radius
+    0 and t = (0,).
 
     The phase factorises twice.  With j = q m + p, m = ceil(sqrt(count)),
     e^{2 pi i xi_j x} = e^{2 pi i (xi0 + q m h) x} e^{2 pi i p h x}, so the
     real part of one complex matrix product over R = ceil(count / m) + m
-    phase rows gives every frequency.  And c + d = x + e with the exact
-    TwoSum residual e, |e| <= ulp(x) / 2, so for each row xi
+    phase rows gives every frequency.  And for each row xi
 
-        e^{2 pi i xi x} = e^{2 pi i xi c} e^{2 pi i xi d} (1 - 2 pi i xi e)
+        e^{2 pi i xi (c + d)} = e^{2 pi i xi c} e^{2 pi i xi d},
 
-    up to (2 pi xi e)^2 / 2 < 1e-24 (|2 pi xi e| <= 1.4e-12 at the
-    resolution limit).  The double-double phases (``_sincos_2pi_prod``)
-    are taken only at the centres and at the offsets of each distinct
-    radius; each node's is their complex product, turned by -2 pi xi e.
-    A shared phase's rounding would add up over the nodes that share it,
-    so when a sub-panel has several nodes the phases take the exact turn.
-    Against 40-digit mpmath on the same float nodes the sum is then within
-    1.1e-16 sum |w| near xi = 1/2 (plain turn 3.9e-16, per-node phases
-    1.7e-16) and 4e-16 sum |w| up to the resolution limit, and within
-    1.6e-15 sum |w| of the per-node sum at levels 256 to 8192 (the blocks
-    sum in another order).  A zero offset has phase 1 and no residual, and
-    a knot is one node with the plain turn, so a knot sum skips both steps
-    and is the per-node sum, bitwise.
+    so the double-double phases (``_sincos_2pi_prod``) are taken only at
+    the centres and at the offsets of each distinct radius, and each
+    node's is their complex product.  Each of these phases serves many
+    nodes, so its turn is exact: a rounding there would add up over them.
+    The node's rounding fl(c + d) would turn its phase by up to pi xi
+    ulp, an error that grows with xi, while the value ``samples`` gives at
+    it is off by |f'| ulp / 2 at most at any xi; so the sum at the exact
+    sums meets the transform more closely.  On the cos^2 autoconvolution's
+    factor at the top level, over 300 frequencies up to 0.6 of its
+    resolution limit, it is within 2.8e-16 sum |w f| of the closed form
+    (1.1e-14 with the phases at the rounded nodes).  Against 40-digit
+    mpmath at the exact sums it is within 1.7e-16 sum |w f| near xi = 1/2
+    and 1.3e-16 up to the resolution limit, and on the tests' grids at the
+    top level within 2.9e-15 sum |w f| of the per-node sum at the rounded
+    nodes.  A zero offset has phase 1 and is skipped, so a knot, one node
+    of radius 0, takes its own phase, and a knot sum is the per-node sum,
+    bitwise.
 
     The sub-panels of each radius run in blocks of _PHASE_ELEMENTS // (R
     K) (at least one), K nodes a sub-panel, so each (row, node) array
     holds at most max(_PHASE_ELEMENTS, R K) doubles, 128 KB for R K <=
     2^14: three per block (cosines, sines, work), two of offset phases and
-    five in a ``_sincos_2pi_prod`` call, at most eight at once, besides one
-    double a node and a few a frequency.  With one block the sum is the
+    five in a ``_sincos_2pi_prod`` call, at most eight at once, besides the
+    weights and a few doubles a frequency.  With one block the sum is the
     single product over all nodes, value for value.  2^14 is the fastest
     budget that keeps the cos^2 autoconvolution report's traced peak below
-    the per-node sum's (1.11 MB against 1.37 MB; its scan to n_max = 8000:
-    1.71 against 2.12 MB).  On that report (2 vCPU Xeon, 2 MB L2 per core,
-    one BLAS thread) 2^10, 2^12, 2^13 and one block take 1.33, 1.27, 1.09
-    and 1.03 times as long, and 1.09, 1.07, 1.06 and 1.21 times on the
-    scan; 2^15 takes 0.94 and 0.87 times as long but peaks at 1.50 MB.
+    that of a sum with one phase per node (1.10 MB against 1.37 MB; its
+    scan to n_max = 8000: 1.57 against 2.12 MB).  On that report (2 vCPU
+    Xeon, 2 MB L2 per core, one BLAS thread, min of 15) 2^10, 2^12, 2^13
+    and one block take 1.28, 1.25, 1.10 and 1.10 times as long, and 1.05,
+    1.04, 1.02 and 1.17 times on the scan (min of 7); 2^15 takes 1.02 and
+    0.87 times as long but peaks at 1.49 MB.
     """
     m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
     n_a = -(-count // m)
@@ -500,9 +506,6 @@ def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.n
     out = np.zeros((n_a, m))
     per_block = min(max(1, _PHASE_ELEMENTS // (rows.size * size)), centre.size)
     buffers = None
-    two_pi_rows = (2.0 * _PI) * rows
-    # a phase that serves several nodes takes the exact turn (see above)
-    exact_turn = size > 1
     # sub-panels of one radius share their offsets
     if radius.min() == radius.max():
         groups = [slice(None)]
@@ -512,23 +515,15 @@ def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.n
     for group in groups:
         centres, weights = centre[group], weight[group]
         d = radius[group][0] * t
-        # a zero offset, as at a knot, has phase 1 and leaves no residual
+        # a zero offset, as at a knot, has phase 1
         offsets = d.any()
         if offsets:
-            sin_d, cos_d = (p[:, None, :] for p in _sincos_2pi_prod(rows, d, exact_turn))
-            # e = (c + d) - x, by TwoSum, for the nodes x = fl(c + d) of ``samples``
-            c = centres[:, None]
-            residuals = c + d
-            back = residuals - c
-            residuals -= back
-            np.subtract(c, residuals, out=residuals)
-            residuals += d - back
-            del back
+            sin_d, cos_d = (p[:, None, :] for p in _sincos_2pi_prod(rows, d))
             if buffers is None:  # after the offsets, whose work arrays are gone
                 buffers = [np.empty(rows.size * per_block * size) for _ in range(3)]
         for start in range(0, centres.size, per_block):
             sub = slice(start, start + per_block)
-            sin, cos = _sincos_2pi_prod(rows, centres[sub], exact_turn)
+            sin, cos = _sincos_2pi_prod(rows, centres[sub])
             if offsets:
                 shape = (rows.size, sin.shape[1], size)
                 sin_c, cos_c = sin[:, :, None], cos[:, :, None]
@@ -538,15 +533,7 @@ def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.n
                 cos -= np.multiply(sin_c, sin_d, out=tmp)
                 np.multiply(sin_c, cos_d, out=sin)
                 sin += np.multiply(cos_c, sin_d, out=tmp)
-                cos, sin, tmp = (a.reshape(rows.size, -1) for a in (cos, sin, tmp))
-                # turned by e^{-i phi} = 1 - i phi, phi = 2 pi xi e, to first order
-                e = residuals[sub].reshape(-1)
-                np.multiply(two_pi_rows, e, out=tmp)
-                tmp *= sin
-                cos += tmp
-                np.multiply(two_pi_rows, e, out=tmp)
-                tmp *= cos
-                sin -= tmp
+                cos, sin = (a.reshape(rows.size, -1) for a in (cos, sin))
             cos_a, cos_b, sin_a, sin_b = cos[:n_a], cos[n_a:], sin[:n_a], sin[n_a:]
             w = weights[sub].reshape(-1)
             cos_b *= w
@@ -660,8 +647,10 @@ def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     if f._factor is not None:
         g, a = f._factor
         return (a * _transform(g, a * xi0, a * h, count)) ** 2
-    # O(eps) rounding of node positions perturbs the oscillatory integrand
-    # by O(eps * xi), an irreducible quadrature noise floor
+    # the phases sit at the exact node sums c + d, but each of them and
+    # each offset fl(r t) still rounds, so two levels can differ by the
+    # sum's roundoff however well both resolve xi: a floor that grows
+    # with xi, kept at 1e-15 (1 + |xi|)
     return _node_doubling(
         lambda level, lo, hi: _hat(f, xis[lo], h, hi - lo, level),
         start,

@@ -151,6 +151,17 @@ class Sequence:
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(self.values.size)
 
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return (self.offset == other.offset and self.values.dtype == other.values.dtype
+                and self.values.shape == other.values.shape
+                and bool(np.all(self.values == other.values)))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.offset, self.values.dtype, (self.values + 0.0).tobytes()))
+
 
 def from_half(values, tol: float = NORMALIZATION_TOL, renormalize: bool = False) -> DiscreteKernel:
     """Kernel from its half u(0..n), validating the unit sum.  A sum away

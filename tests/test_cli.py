@@ -404,6 +404,16 @@ class TestVerify:
         assert out.startswith("1..")
         assert "not ok" not in out
 
+    @pytest.mark.parametrize("suite", ["thm4", "thm5"])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_recovery_rows_stay_within_n_max(self, suite, n_max, capsys):
+        # the optimizer recovers the kernel at min(2, n_max) and
+        # min(5, n_max), each size once and none past --n-max
+        assert run(["verify", suite, "--n-max", n_max]) == 0
+        sizes = [int(line.rsplit("n=", 1)[1]) for line in capsys.readouterr().out.splitlines()
+                 if "optimizer recovers" in line]
+        assert sizes == sorted({min(2, n_max), min(5, n_max)})
+
     def test_all_passes(self, capsys):
         assert run(["verify", "all", "--n-max", 4]) == 0
         assert "not ok" not in capsys.readouterr().out

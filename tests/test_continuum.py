@@ -546,24 +546,15 @@ class TestBlockedCosineSum:
     @staticmethod
     def factored_product(centre, radius, t, w, xi0, h, count):
         # the factored sum of _cos_sum as one product over all nodes, for
-        # sub-panels of one radius: centre and offset phases with the exact
-        # turn, their complex product per node, and the TwoSum residual to
-        # first order
+        # sub-panels of one radius: centre and offset phases, and their
+        # complex product per node, the phase at the exact sum c + d
         m = math.isqrt(count - 1) + 1
         n_a = -(-count // m)
         rows = np.concatenate([xi0 + (m * h) * np.arange(n_a), h * np.arange(m)])[:, None]
-        sin_c, cos_c = (p[:, :, None] for p in continuum._sincos_2pi_prod(rows, centre, True))
-        sin_d, cos_d = (p[:, None, :]
-                        for p in continuum._sincos_2pi_prod(rows, radius[0] * t, True))
+        sin_c, cos_c = (p[:, :, None] for p in continuum._sincos_2pi_prod(rows, centre))
+        sin_d, cos_d = (p[:, None, :] for p in continuum._sincos_2pi_prod(rows, radius[0] * t))
         cos = (cos_c * cos_d - sin_c * sin_d).reshape(rows.size, -1)
         sin = (sin_c * cos_d + cos_c * sin_d).reshape(rows.size, -1)
-        c, d = centre[:, None], radius[:, None] * t
-        x = c + d
-        back = x - c
-        e = ((c - (x - back)) + (d - back)).reshape(-1)
-        # e^{2 pi i xi x} = e^{2 pi i xi (c + d)} (1 - 2 pi i xi e) to first order
-        cos = cos + ((2.0 * PI) * rows * e) * sin
-        sin = sin - ((2.0 * PI) * rows * e) * cos
         cos_b, sin_b = cos[n_a:] * w, sin[n_a:] * w
         return (cos[:n_a] @ cos_b.T - sin[:n_a] @ sin_b.T).ravel()[:count]
 
@@ -581,8 +572,9 @@ class TestBlockedCosineSum:
         wf = w * fx
         bound = 4e-15 * np.sum(np.abs(wf))
         ref = self.one_product(x, wf, xi0, h, count)
-        # factored phases, summed in blocks in another order: measured
-        # within 1.6e-15 sum |w| of the per-node sum
+        # factored phases at the exact sums c + d, summed in blocks in
+        # another order: measured within 2.9e-15 sum |w| of the per-node
+        # sum at the rounded nodes fl(c + d)
         blocked = continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count)
         assert np.max(np.abs(blocked - ref)) <= bound
         # one block sums as the single factored product does
@@ -597,10 +589,9 @@ class TestBlockedCosineSum:
         (0.25, 0.5, 1001), (0.0, 60.0 / 15360, 15361), (3.0, 0.1, 33), (7.5, 1.0, 1),
     ], ids=["scan", "sweep", "polish", "one"])
     def test_knot_sums_are_the_per_node_sum(self, monkeypatch, xi0, h, count):
-        # a knot is a one-node sub-panel of radius 0, with no offset phase
-        # and no residual, and its phase serves that node alone, so it keeps
-        # the plain turn: each table transforms as with per-node phases,
-        # bitwise
+        # a knot is a one-node sub-panel of radius 0 whose offset phase is
+        # 1 and skipped, so its phase is the centre's, the knot's own: each
+        # table transforms as with per-node phases, bitwise
         tables = [make() for make in TestTableOracle.TABLES.values()]
         factored = [continuum._transform(f, xi0, h, count) for f in tables]
         inner = continuum._cos_sum
@@ -616,12 +607,17 @@ class TestBlockedCosineSum:
             assert np.array_equal(continuum._transform(f, xi0, h, count), values)
 
     @staticmethod
-    def exact_rule_sum(x, wf, xis):
-        """sum_i wf_i cos(2 pi xi x_i) in 40-digit mpmath over the float nodes."""
+    def exact_rule_sum(f, level, wf, xis):
+        """sum_i wf_i cos(2 pi xi x_i) in 40-digit mpmath over f's rule at
+        ``level``, with each node the exact sum c + d of its float sub-panel
+        centre c and float offset d = fl(r t), as ``_cos_sum`` takes it."""
         mpmath = pytest.importorskip("mpmath")
+        centre, radius = f._sub_panels(level)
+        offsets = radius[:, None] * continuum._gauss_legendre(continuum._RULE_NODES)[0]
         out = []
         with mpmath.workdps(40):
-            nodes = [mpmath.mpf(float(v)) for v in x]
+            nodes = [mpmath.mpf(float(c)) + mpmath.mpf(float(d))
+                     for c, row in zip(centre, offsets) for d in row]
             weights = [mpmath.mpf(float(v)) for v in wf]
             for xi in xis:
                 c = 2 * mpmath.pi * mpmath.mpf(float(xi))
@@ -631,10 +627,11 @@ class TestBlockedCosineSum:
 
     @pytest.mark.parametrize("case", ["factor_top_level", "panels_of_many_radii"])
     def test_factored_sum_meets_mpmath(self, factor, case):
-        # the same float-node rule in 40 digits: the factor's top level up to
-        # its resolution limit (8148.7 on the autoconvolution, a xi = 4074.4
-        # on its factor), and a four-panel profile whose sub-panels take 11
-        # distinct radii; measured within 4e-16 sum |w f|
+        # the same rule in 40 digits, each node the exact sum c + d: the
+        # factor's top level up to its resolution limit (8148.7 on the
+        # autoconvolution, a xi = 4074.4 on its factor), and a four-panel
+        # profile whose sub-panels take 11 distinct radii; measured within
+        # 1.3e-16 sum |w f|
         if case == "factor_top_level":
             f, level, xi0, h = factor, 8192, 0.25, 2037.0
         else:
@@ -643,8 +640,8 @@ class TestBlockedCosineSum:
             level, xi0, h = 1024, 0.5, 94.3
             assert len(set(f._sub_panels(level)[1].tolist())) == 11
         xis = xi0 + h * np.arange(3)
-        x, w, fx = f.samples(level)
-        exact = self.exact_rule_sum(x, w * fx, xis)
+        _, w, fx = f.samples(level)
+        exact = self.exact_rule_sum(f, level, w * fx, xis)
         bound = 1e-15 * np.sum(np.abs(w * fx))
         grid = continuum._rule_cos_sum(f, level, fx, xi0, h, xis.size)
         assert np.max(np.abs(grid - exact)) <= bound
@@ -653,18 +650,38 @@ class TestBlockedCosineSum:
 
     @pytest.mark.parametrize("level", [64, 128])
     def test_shared_phases_add_no_bias(self, level):
-        # each centre's and each offset's phase serves many nodes, so their
-        # roundings add up coherently: across J's peak bracket near xi = 1/2
-        # of u0 + 1e-3 f, the factored sum with the plain turn missed
-        # 40-digit mpmath by up to 3.9e-16 sum |w f|, the per-node phases by
-        # 1.7e-16, and with the exact turn it misses by 1.1e-16
+        # each centre's and each offset's phase serves many nodes, so a
+        # rounding of its turn would add up coherently: across J's peak
+        # bracket near xi = 1/2 of u0 + 1e-3 f, the factored sum with the
+        # exact turn misses 40-digit mpmath by 1.1e-16 sum |w f| at level
+        # 64 and 1.7e-16 at 128 (with the turn rounded, it missed the
+        # 40-digit sum over the rounded nodes by up to 3.9e-16)
         f = autoconvolution_profile(AUTOCONVOLUTION_FACTORS["gaussian"])
         u = combine(triangle_profile(), f, 1e-3)
-        x, w, fx = u.samples(level)
+        _, w, fx = u.samples(level)
         xi0, h, count = 0.49609375, 2.0**-12, 33
-        exact = self.exact_rule_sum(x, w * fx, xi0 + h * np.arange(count))
+        exact = self.exact_rule_sum(u, level, w * fx, xi0 + h * np.arange(count))
         got = continuum._rule_cos_sum(u, level, fx, xi0, h, count)
         assert np.max(np.abs(got - exact)) <= 2e-16 * np.sum(np.abs(w * fx))
+
+    def test_factor_sum_meets_the_closed_form(self, factor):
+        # G(s) = cos^2(pi s / 2) on [-1, 1] has int_0^1 G(s) cos(2 pi eta s) ds
+        # = ghat(2 eta) = sinc(2 eta) / 2 + (sinc(2 eta - 1) + sinc(2 eta + 1)) / 4,
+        # sinc(z) = sin(pi z) / (pi z).  Over 300 frequencies up to 0.6 of the
+        # top level's resolution limit the sum at the exact node sums c + d
+        # was measured within 2.8e-16 sum |w f| of it; with the phases at the
+        # rounded nodes fl(c + d) it missed by 1.1e-14
+        mpmath = pytest.importorskip("mpmath")
+        count, xi0, h = 300, 0.5, (2445.0 - 0.5) / 299
+        _, w, fx = factor.samples(8192)
+        got = continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count)
+        with mpmath.workdps(40):
+            def ghat(z):
+                return mpmath.sincpi(z) / 2 + (mpmath.sincpi(z - 1) + mpmath.sincpi(z + 1)) / 4
+
+            exact = np.array([float(ghat(2 * mpmath.mpf(float(eta))))
+                              for eta in xi0 + h * np.arange(count)])
+        assert np.max(np.abs(got - exact)) <= 5e-16 * np.sum(np.abs(w * fx))
 
     def test_scan_working_set(self):
         # one product over all 8192 nodes of the top level held 66 MB
@@ -863,6 +880,21 @@ class TestTableOracle:
         expect = np.max(exact[::2] * half**2)
         gamma = gamma_half_integer(f, 1000)[0]
         assert abs(gamma - expect) <= self.GAMMA_TOL.get(name, 1e-15) * expect
+
+    @pytest.mark.parametrize("name", ["halftriangle", "table"])
+    def test_gamma_meets_the_closed_form(self, name):
+        # the sup of the 40-digit closed form over n + 1/2, n <= 1000, is
+        # 1/pi^2 for the half triangle (every term equals it); measured
+        # within 1.8e-16 and 2.2e-16 relative, against 4.5e-16 and 3.5e-16
+        # when the knot phases rounded their turn
+        mpmath = pytest.importorskip("mpmath")
+        f = self.TABLES[name]()
+        xis = np.arange(1001) + 0.5
+        with mpmath.workdps(40):
+            terms = [v * mpmath.mpf(float(x)) ** 2 for v, x in zip(self.exact_mp(f, xis), xis)]
+            expect = max(terms)
+            err = abs(mpmath.mpf(gamma_half_integer(f, 1000)[0]) - expect) / expect
+        assert err <= 3e-16
 
     def test_small_frequencies(self, case):
         # the knot sum cancels near xi = 0; the table's quadrature takes over

@@ -225,6 +225,26 @@ class TestConvolve:
         assert out.values.sum() == pytest.approx(f.values.sum(), abs=1e-14)
 
 
+class TestSequenceEquality:
+    def test_equal_sequences_hash_alike(self):
+        a, b = Sequence(0, [1.0, 2.0]), Sequence(0, np.array([1.0, 2.0]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # -0.0 == 0.0, so the two sequences are equal and hash alike
+        assert Sequence(2, [-0.0, 1j]) == Sequence(2, [0.0, 1j])
+        assert hash(Sequence(2, [-0.0, 1j])) == hash(Sequence(2, [0.0, 1j]))
+
+    @pytest.mark.parametrize("other", [
+        Sequence(1, [1.0, 2.0]),
+        Sequence(0, [1.0, 2.0, 0.0]),
+        Sequence(0, [1.0, 3.0]),
+        Sequence(0, np.array([1.0, 2.0], dtype=complex)),
+    ], ids=["offset", "length", "values", "dtype"])
+    def test_unequal_sequences(self, other):
+        assert Sequence(0, [1.0, 2.0]) != other
+        assert Sequence(0, [1.0, 2.0]) != (0, [1.0, 2.0])
+
+
 class TestDifferenceOperators:
     def test_grad_constant(self):
         out = grad(Sequence(3, np.full(10, 2.5)))
