@@ -79,7 +79,8 @@ class ChebPoly:
         )
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.coeffs + 0.0).tobytes())
 
 
 def cheb_eval(p: ChebPoly, x):

@@ -60,8 +60,9 @@ _QUAD_TOL = 2e-14
 # noise floor 1e-15 (1 + |xi|) at 100 and 5.1 times it at 104; but where
 # xi is a multiple of 128, the inverse sub-panel width, the sub-panels'
 # errors add in phase: 0.31 of the floor at 28 pi (88.0), 7.7 times it
-# at 29 pi, 153 at 30 pi and 2500 at 31 pi (97.4)
-_MAX_SUB_PANEL_PHASE = 100.0
+# at 29 pi, 153 at 30 pi and 2500 at 31 pi (97.4).  So the limit is
+# 28 pi, |xi| w <= 3584 on a panel of width w
+_MAX_SUB_PANEL_PHASE = 28.0 * _PI
 _J_CUTOFF = 60.0  # default end of J's frequency window
 _POLISH_POINTS = 33  # frequencies of the polish round across J's sweep peak
 # an L1 mass at most this fraction of the largest |u| sample counts as zero
@@ -169,7 +170,7 @@ class PerturbationFunction:
         # (G, a) for an autoconvolution, whose transform is (a Ghat(a xi))^2
         self._factor = None
         # level -> (nodes, weights, values) when the samples derive from
-        # another profile's (``combine``, ``_abs_moments``)
+        # another profile's (``combine``)
         self._derived_samples = None
         self._panels = np.array([0.0, *pts, 1.0])
         self._samples: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -472,15 +473,15 @@ def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.n
     ulp, an error that grows with xi, while the value ``samples`` gives at
     it is off by |f'| ulp / 2 at most at any xi; so the sum at the exact
     sums meets the transform more closely.  On the cos^2 autoconvolution's
-    factor at the top level, over 300 frequencies up to 0.6 of its
+    factor at the top level, over 300 frequencies up to 0.68 of its
     resolution limit, it is within 2.8e-16 sum |w f| of the closed form
     (1.1e-14 with the phases at the rounded nodes).  Against 40-digit
     mpmath at the exact sums it is within 1.7e-16 sum |w f| near xi = 1/2
-    and 1.3e-16 up to the resolution limit, and on the tests' grids at the
-    top level within 2.9e-15 sum |w f| of the per-node sum at the rounded
-    nodes.  A zero offset has phase 1 and is skipped, so a knot, one node
-    of radius 0, takes its own phase, and a knot sum is the per-node sum,
-    bitwise.
+    and 1.3e-16 up to 1.14 times the resolution limit, and on the tests'
+    grids at the top level within 2.9e-15 sum |w f| of the per-node sum at
+    the rounded nodes.  A zero offset has phase 1 and is skipped, so a
+    knot, one node of radius 0, takes its own phase, and a knot sum is the
+    per-node sum, bitwise.
 
     The sub-panels of each radius run in blocks of _PHASE_ELEMENTS // (R
     K) (at least one), K nodes a sub-panel, so each (row, node) array
@@ -698,21 +699,27 @@ def _j_window(xi_cutoff: float, grid: int | None) -> int:
     return grid
 
 
-def _abs_moments(u: PerturbationFunction) -> tuple[float, float]:
-    """(int |u|, int |u| x^2) over [-1, 1], from u's cached samples;
-    ZeroMass unless the mass is positive relative to the largest |u| at
-    the first level's nodes, a test that reads the same at every scale of
-    u."""
-    def magnitude(level):
-        x, w, values = u.samples(level)
-        return x, w, np.abs(values)
+def _abs_moments(profiles) -> list[tuple[float, float]]:
+    """[(int |u|, int |u| x^2) over [-1, 1] for each u of ``profiles``],
+    from their cached samples, in one node-doubling run with an item per
+    profile and moment, each stopping where its own run would; ZeroMass
+    unless each mass is positive relative to the largest |u| at the first
+    level's nodes, a test that reads the same at every scale of u."""
+    def value_at(level, lo, hi):
+        items = []
+        for i in range(lo, hi):
+            x, w, values = profiles[i // 2].samples(level)
+            magnitude = np.abs(values)
+            items.append(np.dot(w, magnitude * (x * x) if i % 2 else magnitude))
+        return np.array(items)
 
-    abs_u = PerturbationFunction(lambda x: np.abs(u.half(x)), u.breakpoints)
-    abs_u._derived_samples = magnitude
-    mass = 2.0 * abs_u.integrate_half()
-    if mass <= _ZERO_MASS_REL * np.max(abs_u.samples(_LEVELS[0])[2]):
-        raise ZeroMass("function has (numerically) zero L1 mass")
-    return mass, 2.0 * abs_u.integrate_half(weight=lambda x: x * x)
+    count = 2 * len(profiles)
+    half = _node_doubling(value_at, np.full(count, _LEVELS[0]), np.zeros(count))
+    moments = [tuple(m) for m in (2.0 * half).reshape(-1, 2).tolist()]
+    for u, (mass, _) in zip(profiles, moments):
+        if mass <= _ZERO_MASS_REL * np.max(np.abs(u.samples(_LEVELS[0])[2])):
+            raise ZeroMass("function has (numerically) zero L1 mass")
+    return moments
 
 
 def _j_sweep(u: PerturbationFunction, xi_cutoff: float, grid: int) -> np.ndarray:
@@ -789,7 +796,7 @@ def j_functional(u: PerturbationFunction, xi_cutoff: float = _J_CUTOFF,
     ValueError.
     """
     grid = _j_window(xi_cutoff, grid)
-    moments = _abs_moments(u)
+    moments = _abs_moments([u])[0]
     peak = _sweep_peak(_j_sweep(u, xi_cutoff, grid), xi_cutoff)
     return _j_polished(peak, functools.partial(_transform, u), moments)
 
@@ -802,11 +809,11 @@ def gamma_half_integer(f: PerturbationFunction, n_max: int) -> tuple[float, floa
     merely continuous ones (like the triangle itself) do not decay at
     all, and the sup is then reached already at small n.
 
-    A profile without a linear table resolves xi only while pi |xi| w <=
-    12800, with w its widest panel (pi a |xi| w on an autoconvolution's
-    factor): 100 for pi |xi| times the width of each of the top level's
+    A profile without a linear table resolves xi only while |xi| w <=
+    3584, with w its widest panel (a |xi| w on an autoconvolution's
+    factor): 28 pi for pi |xi| times the width of each of the top level's
     128 sub-panels.  Past it the scan raises ValueError naming the largest
-    resolvable |xi|, 8148.7 for the cos^2 autoconvolution.  Tables have no
+    resolvable |xi|, 7168 for the cos^2 autoconvolution.  Tables have no
     such limit.
     """
     if n_max < 1:
@@ -851,8 +858,9 @@ def finite_diff_slope(f: PerturbationFunction, eps_list=(1e-2, 1e-3)) -> float:
     Richardson-extrapolates them (first-order model), which estimates the
     same one-sided slope as ``c_f_analytic``; one step gives its plain
     difference.  The steps must be finite and distinct, in (0, 0.1].
-    The transform of u0 + eps f is u0hat + eps fhat, so u0 and f are each
-    swept once on J's grid, whatever the number of steps.
+    The transform of u0 + eps f is u0hat + eps fhat, so f is swept once
+    on J's grid, whatever the number of steps; u0's sweep and J(u0) are
+    built by the first call in a process and shared by every later one.
     """
     return _finite_diff_slope(f, _check_eps(eps_list))[1]
 
@@ -868,31 +876,45 @@ def _check_eps(eps_list) -> list[float]:
     return eps
 
 
+@functools.cache
+def _triangle_reference() -> tuple[PerturbationFunction, np.ndarray, float]:
+    """(u0, u0hat on J's default grid, J(u0)): the part of every slope that
+    does not depend on the perturbation, built once per process.  The
+    sweep is read-only, as every caller shares it."""
+    u0 = triangle_profile()
+    u0_hat = _j_sweep(u0, _J_CUTOFF, _j_window(_J_CUTOFF, None))
+    u0_hat.flags.writeable = False
+    j0 = _j_polished(_sweep_peak(u0_hat, _J_CUTOFF), functools.partial(_transform, u0),
+                     _abs_moments([u0])[0])
+    return u0, u0_hat, j0
+
+
 def _finite_diff_slope(f: PerturbationFunction, eps: list[float]) -> tuple[float, float]:
     """(J at the triangle u0, the slope of ``finite_diff_slope``) for
-    ascending steps ``eps``.  J(u0) reads |u0hat| xi^2 off u0's sweep, and
-    each J(u0 + e f) reads |u0hat + e fhat| xi^2 and polishes with u0hat +
-    e fhat, while its |u| integrals come from ``combine(u0, f, e)``."""
-    u0 = triangle_profile()
+    ascending steps ``eps``.  J(u0) and u0's sweep come from the
+    process's ``_triangle_reference``; each J(u0 + e f) reads |u0hat + e
+    fhat| xi^2 off the sweeps and polishes with u0hat + e fhat, where
+    each polish grid is transformed once per report for u0 and once for
+    f, while the |u| integrals of every ``combine(u0, f, e)`` take one
+    node-doubling run."""
     eps = eps[:2]  # Richardson reads the two smallest
-    grid = _j_window(_J_CUTOFF, None)
-    # f's sweep, the larger working set, runs while no other grid-sized
-    # array is alive, and both sweeps are dropped once their peaks are read
-    f_hat = _j_sweep(f, _J_CUTOFF, grid)
-    u0_hat = _j_sweep(u0, _J_CUTOFF, grid)
-    peak0 = _sweep_peak(u0_hat, _J_CUTOFF)
+    # f's sweep, the larger working set, runs before a cold process
+    # sweeps u0 (the other order left the continuum benchmark's peak RSS
+    # 0.1-0.2 MB higher), and is dropped once its peaks are read
+    f_hat = _j_sweep(f, _J_CUTOFF, _j_window(_J_CUTOFF, None))
+    u0, u0_hat, j0 = _triangle_reference()
     peaks = [_sweep_peak(u0_hat + e * f_hat, _J_CUTOFF) for e in eps]
-    del f_hat, u0_hat
-    j0 = _j_polished(peak0, functools.partial(_transform, u0), _abs_moments(u0))
+    del f_hat
+    u0_at, f_at = (functools.cache(functools.partial(_transform, p)) for p in (u0, f))
+    mixes = [combine(u0, f, e) for e in eps]
 
-    def slope(e, peak):
+    def slope(e, peak, moments):
         def transform(xi0, h, count):
-            return _transform(u0, xi0, h, count) + e * _transform(f, xi0, h, count)
+            return u0_at(xi0, h, count) + e * f_at(xi0, h, count)
 
-        moments = _abs_moments(combine(u0, f, e))
         return (_j_polished(peak, transform, moments) - j0) / e
 
-    slopes = [slope(e, peak) for e, peak in zip(eps, peaks)]
+    slopes = [slope(*args) for args in zip(eps, peaks, _abs_moments(mixes))]
     if len(eps) == 1:
         return j0, slopes[0]
     (e2, e1), (s2, s1) = eps, slopes  # e2 < e1
@@ -972,9 +994,12 @@ def perturbation_report(
     """Full report: J at the triangle, the analytic right derivative and
     its forward-difference estimate along f, and both sides of the
     sampling inequality.  One half-integer scan gives gamma, which is
-    also the slope's gamma and the inequality's left side; one sweep of
-    u0hat and one of fhat on J's grid give J0 and every J(u0 + eps f)
-    (see ``finite_diff_slope``, whose step rules ``eps_list`` follows)."""
+    also the slope's gamma and the inequality's left side.  J0 and the
+    sweep of u0hat on J's grid are built by the first report in a process
+    and shared by every later one; with one sweep of fhat they give every
+    J(u0 + eps f), whose polish transforms each grid once per report for
+    u0 and once for f (see ``finite_diff_slope``, whose step rules
+    ``eps_list`` follows)."""
     eps = _check_eps(eps_list)
     gamma = _slope_gamma(f, n_max)
     j0, c_f_numeric = _finite_diff_slope(f, eps)

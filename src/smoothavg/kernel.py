@@ -125,7 +125,8 @@ class DiscreteKernel:
         return self.half.shape == other.half.shape and bool(np.all(self.half == other.half))
 
     def __hash__(self):
-        return hash(self.half.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.half + 0.0).tobytes())
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,13 @@ class TestChebPoly:
         with pytest.raises(ValueError):
             p.coeffs[0] = 5.0
 
+    def test_signed_zeros_hash_alike(self):
+        # -0.0 == 0.0, so the polynomials are equal and a set holds one
+        for neg, pos in (([1.0, -0.0, 2.0], [1.0, 0.0, 2.0]), ([-0.0], [0.0])):
+            assert ChebPoly(neg) == ChebPoly(pos)
+            assert hash(ChebPoly(neg)) == hash(ChebPoly(pos))
+            assert len({ChebPoly(neg), ChebPoly(pos)}) == 1
+
 
 class TestChebT:
     # T_k is cheb_eval of the unit coefficient vector e_k

@@ -34,6 +34,18 @@ J0_EXACT = 1.0 / (36.0 * PI**4)
 CF_HALF_EXACT = 1.0 / (144.0 * PI**4)  # slope of the half-width triangle
 
 
+@pytest.fixture(autouse=True)
+def fresh_triangle_reference(request):
+    """A test that patches continuum's internals starts and ends with the
+    process's triangle reference cleared, so no patched value is cached."""
+    patching = "monkeypatch" in request.fixturenames
+    if patching:
+        continuum._triangle_reference.cache_clear()
+    yield
+    if patching:
+        continuum._triangle_reference.cache_clear()
+
+
 def gl_oracle(fun, a, b, n=512):
     """Plain fixed-order Gauss-Legendre for test oracles."""
     from scipy.special import roots_legendre
@@ -628,10 +640,10 @@ class TestBlockedCosineSum:
     @pytest.mark.parametrize("case", ["factor_top_level", "panels_of_many_radii"])
     def test_factored_sum_meets_mpmath(self, factor, case):
         # the same rule in 40 digits, each node the exact sum c + d: the
-        # factor's top level up to its resolution limit (8148.7 on the
-        # autoconvolution, a xi = 4074.4 on its factor), and a four-panel
-        # profile whose sub-panels take 11 distinct radii; measured within
-        # 1.3e-16 sum |w f|
+        # factor's top level up to a xi = 4074.25, past its resolution limit
+        # 3584 (7168 on the autoconvolution), as the sum is checked here, not
+        # the rule; and a four-panel profile whose sub-panels take 11
+        # distinct radii; measured within 1.3e-16 sum |w f|
         if case == "factor_top_level":
             f, level, xi0, h = factor, 8192, 0.25, 2037.0
         else:
@@ -664,27 +676,31 @@ class TestBlockedCosineSum:
         got = continuum._rule_cos_sum(u, level, fx, xi0, h, count)
         assert np.max(np.abs(got - exact)) <= 2e-16 * np.sum(np.abs(w * fx))
 
+    @staticmethod
+    def factor_half_hat(eta):
+        """int_0^1 G(s) cos(2 pi eta s) ds = ghat(2 eta) for the cos^2
+        autoconvolution's factor G (see the test below), in 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            z = 2 * mpmath.mpf(float(eta))
+            return float(mpmath.sincpi(z) / 2 + (mpmath.sincpi(z - 1) + mpmath.sincpi(z + 1)) / 4)
+
     def test_factor_sum_meets_the_closed_form(self, factor):
         # G(s) = cos^2(pi s / 2) on [-1, 1] has int_0^1 G(s) cos(2 pi eta s) ds
         # = ghat(2 eta) = sinc(2 eta) / 2 + (sinc(2 eta - 1) + sinc(2 eta + 1)) / 4,
-        # sinc(z) = sin(pi z) / (pi z).  Over 300 frequencies up to 0.6 of the
-        # top level's resolution limit the sum at the exact node sums c + d
+        # sinc(z) = sin(pi z) / (pi z).  Over 300 frequencies up to 0.68 of
+        # the top level's resolution limit the sum at the exact node sums c + d
         # was measured within 2.8e-16 sum |w f| of it; with the phases at the
         # rounded nodes fl(c + d) it missed by 1.1e-14
-        mpmath = pytest.importorskip("mpmath")
         count, xi0, h = 300, 0.5, (2445.0 - 0.5) / 299
         _, w, fx = factor.samples(8192)
         got = continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count)
-        with mpmath.workdps(40):
-            def ghat(z):
-                return mpmath.sincpi(z) / 2 + (mpmath.sincpi(z - 1) + mpmath.sincpi(z + 1)) / 4
-
-            exact = np.array([float(ghat(2 * mpmath.mpf(float(eta))))
-                              for eta in xi0 + h * np.arange(count)])
+        exact = np.array([self.factor_half_hat(eta) for eta in xi0 + h * np.arange(count)])
         assert np.max(np.abs(got - exact)) <= 5e-16 * np.sum(np.abs(w * fx))
 
     def test_scan_working_set(self):
-        # one product over all 8192 nodes of the top level held 66 MB
+        # one product over all 8192 nodes of the top level held 66 MB; the
+        # scan runs there up to 7000.5, below the resolution limit 7168
         f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -692,7 +708,7 @@ class TestBlockedCosineSum:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            gamma, _ = gamma_half_integer(f, 8000)
+            gamma, _ = gamma_half_integer(f, 7000)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -727,8 +743,8 @@ class TestResolutionLimit:
     """A frequency that the top quadrature level cannot resolve raises
     instead of returning that level's unconverged value."""
 
-    # pi |xi| a w <= 100 * 8192 / 64 on the cos^2 factor: a = 1/2, w = 1
-    LIMIT = 100.0 * 128 / (PI * 0.5)
+    # pi |xi| a w <= 28 pi * 8192 / 64 on the cos^2 factor: a = 1/2, w = 1
+    LIMIT = 28.0 * PI * 128 / (PI * 0.5)
 
     @pytest.fixture(scope="class")
     def f(self):
@@ -736,27 +752,43 @@ class TestResolutionLimit:
 
     def test_scan_past_the_limit_raises(self, f):
         # at the parent n_max = 10000 gave gamma = 43434, not 4/(9 pi^2)
-        with pytest.raises(ValueError, match=r"largest resolvable \|xi\| is 8148\.73"):
+        with pytest.raises(ValueError, match=r"largest resolvable \|xi\| is 7168$"):
             gamma_half_integer(f, 10000)
-        with pytest.raises(ValueError, match="8148.73"):
+        with pytest.raises(ValueError, match="7168$"):
+            gamma_half_integer(f, 7168)
+        with pytest.raises(ValueError, match="7168$"):
             prop8_sides(f, 8500)
-        with pytest.raises(ValueError, match="8148.73"):
+        with pytest.raises(ValueError, match="7168$"):
             j_functional(f, xi_cutoff=9000.0)
 
     def test_limit_is_sharp(self, f):
         assert ct_fourier(f, self.LIMIT * (1.0 - 1e-12)) >= 0.0
-        with pytest.raises(ValueError, match="8148.73"):
+        with pytest.raises(ValueError, match="7168$"):
             ct_fourier(f, self.LIMIT * (1.0 + 1e-12))
         quad = PerturbationFunction(lambda x: 1.0 - x)  # one panel, no factor
-        with pytest.raises(ValueError, match="4074.37"):
-            ct_fourier(quad, -4075.0)
+        with pytest.raises(ValueError, match="3584$"):
+            ct_fourier(quad, -3585.0)
 
     def test_within_the_limit_unchanged(self, f):
         gamma, last = gamma_half_integer(f, 1000)
         assert gamma == pytest.approx(4.0 / (9.0 * PI**2), rel=1e-13, abs=0.0)
-        assert gamma_half_integer(f, 8000)[0] == gamma
+        assert gamma_half_integer(f, 7167)[0] == gamma
         xi = 1000.5  # fhat(xi) xi^2 = 1/(4 pi^2 (1 - xi^2)^2) at half-integers
         assert last == pytest.approx(1.0 / (4.0 * PI**2 * (1.0 - xi * xi) ** 2), rel=1e-6)
+
+    def test_resonant_frequencies_meet_the_closed_form(self, f):
+        # where eta is a multiple of 128, the inverse width of the top
+        # level's sub-panels, their errors add in phase: up to the limit
+        # 3584 the factor's transform is within 0.32 of the floor 1e-15
+        # (1 + eta) of 2 ghat(2 eta); past it, at the next three multiples,
+        # the 64-node rule misses by 7.7, 153 and 2500 times the floor
+        g = f._factor[0]
+        for eta in 128.0 * np.arange(29):
+            exact = 2.0 * TestBlockedCosineSum.factor_half_hat(eta)
+            assert abs(ct_fourier(g, eta) - exact) <= 1e-15 * (1.0 + eta)
+        for eta in (3712.0, 3840.0, 3968.0):
+            with pytest.raises(ValueError, match="3584$"):
+                ct_fourier(g, eta)
 
     def test_tables_have_no_limit(self):
         # the knot sum is exact at every frequency
@@ -1014,9 +1046,10 @@ AUTOCONVOLUTION_FACTORS = {
 
 @pytest.mark.filterwarnings("ignore::smoothavg.continuum.TailEstimateWarning")
 class TestSharedSweepsAndPolish:
-    """A report sweeps u0hat and fhat once each on J's grid and reads every
-    J(u0 + eps f) from u0hat + eps fhat; each J polishes its sweep peak in
-    one round plus one parabolic vertex."""
+    """A process sweeps u0hat on J's grid and polishes J(u0) once; a report
+    sweeps fhat once and reads every J(u0 + eps f) from u0hat + eps fhat;
+    each J polishes its sweep peak in one round plus one parabolic vertex,
+    and a report transforms each polish grid once per profile."""
 
     GRID = 15361  # J's default grid: 256 points per unit up to xi = 60
 
@@ -1043,9 +1076,12 @@ class TestSharedSweepsAndPolish:
 
     @staticmethod
     def report_js(monkeypatch, f, eps):
-        """[J(u0), J(u0 + eps f)] as finite_diff_slope computes them."""
+        """[J(u0), J(u0 + eps f)] as finite_diff_slope computes them: J(u0)
+        from the process's triangle reference, J(u0 + eps f) from the
+        report's one polish."""
         js = []
         inner = continuum._j_polished
+        _, _, j0 = continuum._triangle_reference()
 
         def recording(*args):
             js.append(inner(*args))
@@ -1054,7 +1090,8 @@ class TestSharedSweepsAndPolish:
         monkeypatch.setattr(continuum, "_j_polished", recording)
         finite_diff_slope(f, (eps,))
         monkeypatch.undo()
-        return js
+        assert len(js) == 1
+        return [j0, *js]
 
     @pytest.mark.parametrize("f, eps_list", [
         *(pytest.param(f, (1e-1, 1e-2, 1e-3), id=f"table{i}")
@@ -1068,7 +1105,7 @@ class TestSharedSweepsAndPolish:
         u0 = triangle_profile()
         ref = self.bracket_loop_j(continuum._j_sweep(f, 60.0, self.GRID),
                                   functools.partial(continuum._transform, f),
-                                  continuum._abs_moments(f))
+                                  continuum._abs_moments([f])[0])
         assert j_functional(f) == pytest.approx(ref, rel=4e-15, abs=0.0)
         u0_hat = continuum._j_sweep(u0, 60.0, self.GRID)
         f_hat = continuum._j_sweep(f, 60.0, self.GRID)
@@ -1078,7 +1115,7 @@ class TestSharedSweepsAndPolish:
                         + eps * continuum._transform(f, xi0, h, count))
 
             ref = self.bracket_loop_j(u0_hat + eps * f_hat, transform,
-                                      continuum._abs_moments(combine(u0, f, eps)))
+                                      continuum._abs_moments([combine(u0, f, eps)])[0])
             j0, j = self.report_js(monkeypatch, f, eps)
             assert j0 == pytest.approx(J0_EXACT, rel=1e-15, abs=0.0)
             assert j == pytest.approx(ref, rel=4e-15, abs=0.0)
@@ -1088,8 +1125,11 @@ class TestSharedSweepsAndPolish:
         lambda: autoconvolution_profile(AUTOCONVOLUTION_FACTORS["cos2"]),
     ], ids=["half_triangle", "cos2_autoconvolution"])
     def test_report_sweeps_twice_and_polishes_each_j_once(self, monkeypatch, make):
-        # at the parent: three full-grid sweeps, one per J, and seven
-        # 33-point rounds per J
+        # the first report in a process sweeps twice, later ones only f;
+        # each transforms a polish grid once per profile, where J(u0) and
+        # both J(u0 + eps f) used to transform u0 on their shared 33-point
+        # grid three times and f twice.  The triangle reference starts
+        # cold (see fresh_triangle_reference)
         f = make()
         sweeps, polish = [], []
         depth = {"hat": 0, "transform": 0}
@@ -1116,19 +1156,46 @@ class TestSharedSweepsAndPolish:
 
         monkeypatch.setattr(continuum, "_hat", hat)
         monkeypatch.setattr(continuum, "_transform", transform)
-        perturbation_report(f, (1e-2, 1e-3), n_max=100)
-        assert len(sweeps) == 2 and sum(p is f for p in sweeps) == 1
-        # an evaluation of u0hat + eps fhat is u0's transform, then f's at
-        # the same points
-        evaluations = []
-        for i, (on_f, args) in enumerate(polish):
-            if on_f:
-                assert i > 0 and polish[i - 1] == (False, args)
-            else:
-                evaluations.append(args[2])
-        # J0 and two J(u0 + eps f): each one round, then at most one vertex
-        pattern = "".join({33: "R", 1: "V"}[count] for count in evaluations)
-        assert re.fullmatch("(RV?){3}", pattern), pattern
+        for cold in (True, False):
+            sweeps.clear()
+            polish.clear()
+            perturbation_report(f, (1e-2, 1e-3), n_max=100)
+            # a cold process sweeps u0 once, after f; a warm one reads it
+            assert [p is f for p in sweeps] == ([True, False] if cold else [True])
+            if cold:
+                # J(u0) comes first, on u0 alone: one round, then at most
+                # one vertex, and its round is the report's
+                n_j0 = 2 if polish[1][1][2] == 1 else 1
+                j0_calls, polish = polish[:n_j0], polish[n_j0:]
+                assert not any(on_f for on_f, _ in j0_calls)
+                assert j0_calls[0] == polish[0] and polish[0][1][2] == 33
+            # an evaluation of u0hat + eps fhat is u0's transform, then f's
+            # at the same points, each on a grid the report has not seen
+            u0_calls, f_calls = polish[0::2], polish[1::2]
+            assert not any(on_f for on_f, _ in u0_calls)
+            assert [(True, args) for _, args in u0_calls] == f_calls
+            assert len(set(polish)) == len(polish)
+            # both J(u0 + eps f) peak in one bracket: one round, then at
+            # most one vertex each
+            pattern = "".join({33: "R", 1: "V"}[args[2]] for _, args in u0_calls)
+            assert re.fullmatch("RV?V?", pattern), pattern
+
+    def test_cold_and_warm_reports_are_bitwise_equal(self):
+        # each report made right after clearing the triangle reference
+        # equals, in every bit, the one made after reports on the other
+        # profiles have used the reference
+        profiles = [
+            half_triangle_profile(),
+            *seeded_tables(2),
+            *(autoconvolution_profile(g) for g in AUTOCONVOLUTION_FACTORS.values()),
+        ]
+        cold = []
+        for f in profiles:
+            continuum._triangle_reference.cache_clear()
+            cold.append(repr(perturbation_report(f, (1e-2, 1e-3), n_max=100).to_dict()))
+        warm = [repr(perturbation_report(f, (1e-2, 1e-3), n_max=100).to_dict())
+                for f in reversed(profiles)]
+        assert warm[::-1] == cold
 
     @pytest.mark.parametrize("f", [
         half_triangle_profile(),

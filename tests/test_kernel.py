@@ -225,6 +225,14 @@ class TestConvolve:
         assert out.values.sum() == pytest.approx(f.values.sum(), abs=1e-14)
 
 
+class TestKernelEquality:
+    def test_signed_zeros_hash_alike(self):
+        # -0.0 == 0.0, so the kernels are equal and a set holds one
+        a, b = DiscreteKernel([1.0, -0.0]), DiscreteKernel([1.0, 0.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
 class TestSequenceEquality:
     def test_equal_sequences_hash_alike(self):
         a, b = Sequence(0, [1.0, 2.0]), Sequence(0, np.array([1.0, 2.0]))
