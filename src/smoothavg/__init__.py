@@ -4,8 +4,6 @@ from .chebyshev import (
     ChebPoly,
     cheb_eval,
     cheb_mul,
-    make_g,
-    make_h,
     mul_one_minus_x,
     sup_abs,
 )

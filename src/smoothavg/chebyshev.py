@@ -1,15 +1,7 @@
 """Polynomials in the Chebyshev-T basis on [-1, 1].
 
 Everything here is plain double-precision arithmetic on coefficient
-vectors ``c_0 + sum_k c_k T_k(x)``.  The module also builds the two named
-families used throughout the package:
-
-* ``make_g(n)``: the degree-n Fejer-type polynomial
-  ``(1 - T_{n+1}(x)) / ((n+1)^2 (1 - x))``, nonnegative on [-1, 1] with
-  ``g_n(1) = 1``.
-* ``make_h(n)``: the Dirichlet-type polynomial
-  ``(1 + 2 sum_{k<=n} T_k(x)) / (2n+1)``, with ``h_n(1) = 1`` and
-  ``h_n^2 = g_{2n}``.
+vectors ``c_0 + sum_k c_k T_k(x)``.
 """
 
 from __future__ import annotations
@@ -30,8 +22,6 @@ __all__ = [
     "signed_min",
     "extrema",
     "extreme_points",
-    "make_g",
-    "make_h",
 ]
 
 # Eigenvalues of the colleague matrix with |imaginary part| at most this are
@@ -364,30 +354,4 @@ def sup_abs(p: ChebPoly) -> tuple[float, float]:
     """
     vmax, xmax, vmin, xmin = (float(v[0]) for v in extrema(p.coeffs[None]))
     return (-vmin, xmin) if -vmin > vmax else (vmax, xmax)
-
-
-def make_g(n: int) -> ChebPoly:
-    """Degree-n Fejer-type polynomial (1 - T_{n+1}(x)) / ((n+1)^2 (1-x)).
-
-    Built from the closed-form coefficients c_0 = 1/(n+1),
-    c_k = 2(n+1-k)/(n+1)^2; synthetic division by (1-x) would be
-    ill-conditioned near x = 1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    m = n + 1
-    c = np.empty(n + 1)
-    c[0] = 1.0 / m
-    for k in range(1, n + 1):
-        c[k] = 2.0 * (m - k) / (m * m)
-    return ChebPoly(c)
-
-
-def make_h(n: int) -> ChebPoly:
-    """Degree-n Dirichlet-type polynomial (1 + 2 sum_{k=1}^n T_k) / (2n+1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = np.full(n + 1, 2.0 / (2 * n + 1))
-    c[0] = 1.0 / (2 * n + 1)
-    return ChebPoly(c)
 

@@ -20,15 +20,15 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import minimax
-from .chebyshev import cheb_mul, extrema, make_g, make_h, mul_one_minus_x
+from .chebyshev import cheb_mul, extrema, mul_one_minus_x
 from .kernel import (
+    KNOWN_OPTIMA,
     AsymmetricKernel,
     DiscreteKernel,
     KernelFileError,
     NotNormalized,
     Sequence,
     _numbers,
-    box_kernel,
     convolve,
     grad,
     l2_norm,
@@ -36,7 +36,7 @@ from .kernel import (
     random_nonneg_fourier_kernel,
     random_symmetric_kernel,
     read_kernel_file,
-    triangle_kernel,
+    symbol,
     write_kernel_file,
 )
 from .minimax import Infeasible, MinimaxProblem, Stalled
@@ -68,6 +68,7 @@ VERIFY_N_MAX = 30
 CONTINUUM_N_MAX_RANGE = (50, 100_000)
 TOL_RANGE = (1e-14, 1e-2)
 SERIES_BLOCK = 4096  # rows per formatted write of ``smooth``'s output
+OPTIMA = {entry.name: entry for entry in KNOWN_OPTIMA.values()}  # generate's kinds, by name
 
 
 def _check_args(paths, n=None, tol=None) -> None:
@@ -174,7 +175,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     _check_args([args.output], n=args.n)
-    u = box_kernel(args.n) if args.kind == "box" else triangle_kernel(args.n)
+    u = OPTIMA[args.kind].kernel(args.n)
     try:
         write_kernel_file(args.output, u)
     except OSError as exc:
@@ -238,15 +239,16 @@ def _tap(results) -> int:
 
 
 def _suite_thm1(n_max: int, rng) -> list:
+    box = OPTIMA["box"]
     out = []
-    for n, rep in enumerate(first_deriv_constants([box_kernel(n) for n in range(n_max + 1)])):
-        ok = abs(rep.constant - 2 / (2 * n + 1)) <= 1e-10 and rep.is_extremal
+    for n, rep in enumerate(first_deriv_constants([box.kernel(n) for n in range(n_max + 1)])):
+        ok = abs(rep.constant - box.value(n)) <= 1e-10 and rep.is_extremal
         out.append((f"thm1: box kernel attains 2/(2n+1) at n={n}", ok,
                     f"constant={rep.constant!r}"))
     bound_ok, strict_ok = True, True
     bound_detail = strict_detail = ""
     for n in range(1, min(8, n_max) + 1):
-        box_half = box_kernel(n).half
+        box_half = box.kernel(n).half
         kernels = [random_symmetric_kernel(rng, n) for _ in range(40)]
         for u, rep in zip(kernels, verify_theorem1_batch(kernels)):
             if isinstance(rep, BoundViolated):  # the witness is the kernel itself
@@ -262,9 +264,10 @@ def _suite_thm1(n_max: int, rng) -> list:
 
 
 def _suite_thm2(n_max: int, rng) -> list:
+    triangle = OPTIMA["triangle"]
     out = []
-    for n, rep in enumerate(laplacian_constants([triangle_kernel(n) for n in range(n_max + 1)])):
-        ok = abs(rep.constant - 4 / (n + 1) ** 2) <= 1e-10 and rep.is_extremal
+    for n, rep in enumerate(laplacian_constants([triangle.kernel(n) for n in range(n_max + 1)])):
+        ok = abs(rep.constant - triangle.value(n)) <= 1e-10 and rep.is_extremal
         out.append((f"thm2: triangle kernel attains 4/(n+1)^2 at n={n}", ok,
                     f"constant={rep.constant!r}"))
     bound_ok = True
@@ -277,7 +280,7 @@ def _suite_thm2(n_max: int, rng) -> list:
                 witness = f" half={u.half.tolist()}" if isinstance(outcome, HypothesisViolated) else ""
                 worst = f"n={n} {outcome}{witness}"
     out.append(("thm2: nonneg-transform kernels respect the bound", bound_ok, worst))
-    boxes = [box_kernel(n) for n in range(1, min(8, n_max) + 1)]
+    boxes = [OPTIMA["box"].kernel(n) for n in range(1, min(8, n_max) + 1)]
     hyp_ok = None not in nonneg_violations(boxes)
     out.append(("thm2: sign-changing transforms are rejected", hyp_ok, ""))
     return out
@@ -322,40 +325,42 @@ def _suite_thm3(n_max: int, rng) -> list:
     return out
 
 
-def _suite_thm4(n_max: int, rng) -> list:
+def _recovers(suite: str, problem: str, entry, n_max: int) -> list:
+    """The suite's checks that the optimizer on ``problem`` recovers the
+    value and kernel of the ``KNOWN_OPTIMA`` entry at n = 2 and 5, each
+    capped at n_max."""
     out = []
-    for n in range(0, n_max + 1):
-        q = mul_one_minus_x(make_g(n))
-        level = 2.0 / (n + 1) ** 2
-        zeros = np.array([math.cos(2 * math.pi * j / (n + 1)) for j in range((n + 1) // 2 + 1)])
-        peaks = np.array([math.cos((2 * j + 1) * math.pi / (n + 1)) for j in range((n + 2) // 2)])
-        worst = max(float(np.max(np.abs(q(zeros)))), float(np.max(np.abs(q(peaks) - level))))
-        out.append((f"thm4: weighted extremal polynomial equioscillates at n={n}",
-                    worst <= 1e-12, f"worst node error={worst!r}"))
     for n in sorted({min(2, n_max), min(5, n_max)}):
-        sol = minimax.solve(MinimaxProblem("laplacian-nonneg", n), 1e-9)
-        ok = (abs(sol.value - 4 / (n + 1) ** 2) <= 1e-8
-              and np.max(np.abs(sol.kernel.half - triangle_kernel(n).half)) <= 1e-6)
-        out.append((f"thm4: optimizer recovers the triangle kernel at n={n}", ok,
+        sol = minimax.solve(MinimaxProblem(problem, n), 1e-9)
+        ok = (abs(sol.value - entry.value(n)) <= 1e-8
+              and np.max(np.abs(sol.kernel.half - entry.kernel(n).half)) <= 1e-6)
+        out.append((f"{suite}: optimizer recovers the {entry.name} kernel at n={n}", ok,
                     f"value={sol.value!r}"))
     return out
+
+
+def _suite_thm4(n_max: int, rng) -> list:
+    triangle = OPTIMA["triangle"]
+    out = []
+    for n in range(0, n_max + 1):
+        # (1 - x) g_n is half the weighted objective 2 (1 - x) g_n
+        q = mul_one_minus_x(symbol(triangle.kernel(n)))
+        zeros = np.array([math.cos(2 * math.pi * j / (n + 1)) for j in range((n + 1) // 2 + 1)])
+        peaks = q(triangle.reference(n)) - triangle.value(n) / 2
+        worst = max(float(np.max(np.abs(q(zeros)))), float(np.max(np.abs(peaks))))
+        out.append((f"thm4: weighted extremal polynomial equioscillates at n={n}",
+                    worst <= 1e-12, f"worst node error={worst!r}"))
+    return out + _recovers("thm4", "laplacian-nonneg", triangle, n_max)
 
 
 def _suite_thm5(n_max: int, rng) -> list:
-    out = []
+    box, triangle = OPTIMA["box"], OPTIMA["triangle"]
     worst = 0.0
     for n in range(0, n_max + 1):
-        sq = cheb_mul(make_h(n), make_h(n))
-        worst = max(worst, float(np.max(np.abs(sq.coeffs - make_g(2 * n).coeffs))))
-    out.append((f"thm5: square identity h_n^2 = g_2n for n<={n_max}", worst <= 1e-13,
-                f"worst coeff error={worst!r}"))
-    for n in sorted({min(2, n_max), min(5, n_max)}):
-        sol = minimax.solve(MinimaxProblem("first-deriv", n), 1e-9)
-        ok = (abs(sol.value - 2 / (2 * n + 1)) <= 1e-8
-              and np.max(np.abs(sol.kernel.half - box_kernel(n).half)) <= 1e-6)
-        out.append((f"thm5: optimizer recovers the box kernel at n={n}", ok,
-                    f"value={sol.value!r}"))
-    return out
+        sq = cheb_mul(symbol(box.kernel(n)), symbol(box.kernel(n)))
+        worst = max(worst, float(np.max(np.abs(sq.coeffs - symbol(triangle.kernel(2 * n)).coeffs))))
+    return [(f"thm5: square identity h_n^2 = g_2n for n<={n_max}", worst <= 1e-13,
+             f"worst coeff error={worst!r}")] + _recovers("thm5", "first-deriv", box, n_max)
 
 
 def _suite_prop8(rng) -> list:
@@ -485,9 +490,9 @@ def cmd_smooth(args) -> int:
         if u is None:
             return code
     elif args.box is not None:
-        u = box_kernel(args.box)
+        u = OPTIMA["box"].kernel(args.box)
     else:
-        u = triangle_kernel(args.triangle)
+        u = OPTIMA["triangle"].kernel(args.triangle)
 
     try:
         series = _read_series(args.input)
@@ -583,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="write an extremal kernel file")
-    p.add_argument("kind", choices=["box", "triangle"])
+    p.add_argument("kind", choices=list(OPTIMA))
     p.add_argument("-n", type=int, required=True, help="support radius")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_generate)

@@ -4,13 +4,15 @@ A kernel is a symmetric weight function u on {-n, ..., n} with unit sum,
 stored through its half u(0), ..., u(n).  Its Fourier transform is the
 real cosine polynomial uhat(xi) = p_u(cos xi) where
 p_u(x) = u(0) + sum_k 2 u(k) T_k(x), so kernel questions reduce to
-Chebyshev-basis polynomial questions.
+Chebyshev-basis polynomial questions.  ``KNOWN_OPTIMA`` is the one table of
+the proved optimal kernels (box, triangle and comb) and their constants.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,8 @@ __all__ = [
     "from_half",
     "box_kernel",
     "triangle_kernel",
+    "KnownOptimum",
+    "KNOWN_OPTIMA",
     "symbol",
     "kernel_from_symbol",
     "fourier_symbol",
@@ -250,6 +254,54 @@ def triangle_kernel(n: int) -> DiscreteKernel:
         raise ValueError("n must be nonnegative")
     m = n + 1
     return DiscreteKernel((m - np.arange(m)) / float(m * m))
+
+
+class KnownOptimum(NamedTuple):
+    """A proved optimum: an entry of ``KNOWN_OPTIMA``.
+
+    ``KNOWN_OPTIMA`` is keyed by (model orders (m, m'), positivity).  Its
+    entry holds the least sup over the circle of |s| |uhat| among kernels u
+    on {-n, ..., n}, with uhat >= 0 under positivity, for the unit stencil
+    s = (1 - z)^m (1 + z)^m': at radius n that is ``value(n)``, attained
+    only by ``kernel(n)``, and ``reference(n)`` holds the points x = cos xi,
+    ascending, where |s| |p| reaches it, p the kernel's symbol.  The stencil
+    c (1 - z)^m (1 + z)^m' z^k has the same optimal kernel, at |c| times
+    the value.  The entries:
+
+    * box, ((1, 0), no positivity): |s| = 2 sin(xi/2).  By theorem 1 the
+      optimum is the Dirichlet kernel, and |s| p = 2 sin((n+1/2) xi)/(2n+1)
+      reaches 2/(2n+1) with alternating signs at xi = (j+1/2) pi/(n+1/2),
+      j = 0..n.
+    * triangle, ((2, 0), positivity): |s| = 4 sin^2(xi/2).  By theorem 2
+      the optimum is the Fejer kernel, and |s| p = 4 sin^2((n+1) xi/2)/(n+1)^2
+      reaches 4/(n+1)^2 at xi = (2j+1) pi/(n+1), j = 0..n/2.
+    * comb, ((1, 1), no positivity): |s| = 2 sin xi.  T(xi) = sin xi p(cos xi)
+      is a sine polynomial of degree n+1 with T'(0) = p(1) = 1, so
+      Bernstein's inequality gives sup |T| >= 1/(n+1), with equality only
+      for T = sin((n+1) xi)/(n+1), that is p = U_n/(n+1).  Its kernel is
+      u(k) = 1/(n+1) at k = n (mod 2) and 0 elsewhere, and
+      |s| p = 2 sin((n+1) xi)/(n+1) reaches 2/(n+1) with alternating signs
+      at xi = (j+1/2) pi/(n+1), j = 0..n.
+    """
+
+    name: str
+    value: Callable[[int], float]
+    kernel: Callable[[int], DiscreteKernel]
+    reference: Callable[[int], np.ndarray]
+
+
+KNOWN_OPTIMA = {
+    ((1, 0), False): KnownOptimum(
+        "box", lambda n: 2.0 / (2 * n + 1), box_kernel,
+        lambda n: np.cos((np.arange(n, -1, -1) + 0.5) * np.pi / (n + 0.5))),
+    ((2, 0), True): KnownOptimum(
+        "triangle", lambda n: 4.0 / (n + 1) ** 2, triangle_kernel,
+        lambda n: np.cos((2 * np.arange(n // 2, -1, -1) + 1) * np.pi / (n + 1))),
+    ((1, 1), False): KnownOptimum(
+        "comb", lambda n: 2.0 / (n + 1),
+        lambda n: DiscreteKernel(np.where(np.arange(n + 1) % 2 == n % 2, 1.0 / (n + 1), 0.0)),
+        lambda n: np.cos((np.arange(n, -1, -1) + 0.5) * np.pi / (n + 1))),
+}
 
 
 def symbol(u: DiscreteKernel) -> ChebPoly:

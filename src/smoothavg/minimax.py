@@ -31,12 +31,16 @@ final reference, or the last LP's basis points and x = 1 (where p(1) = 1).
 
 ``PROBLEMS`` names the four problems by their stencil:
 
-* first-deriv:       first difference, |s| = sqrt(2 (1-x))  -> h_n, 2/(2n+1)
+* first-deriv:       first difference, |s| = sqrt(2 (1-x))  -> box, 2/(2n+1)
 * laplacian-nonneg:  second difference, |s| = 2 (1 - x), p >= 0
-                                                            -> g_n, 4/(n+1)^2
+                                                  -> triangle, 4/(n+1)^2
 * laplacian:         second difference, no positivity (open problem)
-* operator:          the caller's stencil (open problem: the optimal
-  kernel for another difference stencil s)
+* operator:          the caller's stencil
+
+A problem is open exactly when ``kernel.KNOWN_OPTIMA`` has no entry for its
+stencil's model orders and its positivity (``MinimaxProblem.optimum``); its
+solutions are marked exploratory.  Among ``operator`` stencils, those of
+model orders (1, 0) (the box) and (1, 1) (the comb) have entries.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .chebyshev import ChebPoly, extreme_points
-from .kernel import GRAD_STENCIL, LAPLACIAN_STENCIL, DiscreteKernel, kernel_from_symbol
+from .kernel import (GRAD_STENCIL, KNOWN_OPTIMA, LAPLACIAN_STENCIL, DiscreteKernel, KnownOptimum,
+                     kernel_from_symbol)
 from .lp import Infeasible, solve_origin_feasible
 from .smoothness import OperatorSymbol, _stencil_symbol
 
@@ -75,20 +80,17 @@ class ProblemSpec:
     two agree on the feasible set.  s is the symbol of the difference taps
     ``stencil``, or of the caller's taps when ``stencil`` is None, so the
     optimal value is the smoothness constant of the optimal kernel.
-    exploratory marks the open problems, with no closed-form optimum to
-    check the solution against.
     """
 
     stencil: tuple[float, ...] | None
     positivity: bool
-    exploratory: bool
 
 
 PROBLEMS = {
-    "first-deriv": ProblemSpec(GRAD_STENCIL, False, False),
-    "laplacian": ProblemSpec(LAPLACIAN_STENCIL, False, True),
-    "laplacian-nonneg": ProblemSpec(LAPLACIAN_STENCIL, True, False),
-    "operator": ProblemSpec(None, False, True),
+    "first-deriv": ProblemSpec(GRAD_STENCIL, False),
+    "laplacian": ProblemSpec(LAPLACIAN_STENCIL, False),
+    "laplacian-nonneg": ProblemSpec(LAPLACIAN_STENCIL, True),
+    "operator": ProblemSpec(None, False),
 }
 
 
@@ -120,6 +122,12 @@ class MinimaxProblem:
     @property
     def spec(self) -> ProblemSpec:
         return PROBLEMS[self.name]
+
+    @property
+    def optimum(self) -> KnownOptimum | None:
+        """The ``KNOWN_OPTIMA`` entry of the stencil's model orders and the
+        problem's positivity, or None on an open problem."""
+        return KNOWN_OPTIMA.get((self.symbol.model_orders, self.spec.positivity))
 
 
 @dataclass(frozen=True)
@@ -261,21 +269,16 @@ def _reference_start(problem: MinimaxProblem):
 def _remez_start(problem: MinimaxProblem) -> np.ndarray:
     """Round 1's reference on the Remez path: degree+1 points of [-1, 1).
 
-    On a model stencil, c (1 - z)^m (1 + z)^m' up to a shift
-    (``OperatorSymbol.model_orders``) with (m, m') one of (1, 0), (1, 1) and
-    (2, 0), it is the set where a known p of degree n with p(1) = 1 makes
-    the error w p level out with alternating signs, ascending:
-
-    * (1, 0), the first difference: w is a multiple of sin(xi/2), the box
-      kernel's p is the Dirichlet kernel sin((n+1/2) xi) / ((2n+1) sin(xi/2)),
-      and w p a multiple of sin((n+1/2) xi), extremal at
-      xi_j = (j+1/2) pi/(n+1/2), j = 0..n;
-    * (1, 1): w is a multiple of sin xi, p = U_n(x)/(n+1) and w p a multiple
-      of sin((n+1) xi), extremal at xi_j = (j+1/2) pi/(n+1), j = 0..n;
-    * (2, 0), the unconstrained second-difference problem: w is a multiple
-      of 1 - x and (1 - x) p a multiple of T_N(lam (x+1) - 1), with N = n+1
-      and lam = cos^2(pi/(4N)), which vanishes at x = 1; it is extremal at
-      x_k = (1 + cos(k pi/N))/lam - 1, k = 1..N (k = 0 lies past x = 1).
+    On a stencil with a known optimum (``MinimaxProblem.optimum``), the box's
+    c (1 - z) and the comb's c (1 - z^2) up to a shift, it is the entry's
+    reference, where the optimal p makes the error w p level out with
+    alternating signs.  On (2, 0), the unconstrained second-difference
+    problem, which has no entry yet, it is where a p of degree n with
+    p(1) = 1 does the same: w is a multiple of 1 - x and (1 - x) p a
+    multiple of T_N(lam (x+1) - 1), with N = n+1 and lam = cos^2(pi/(4N)),
+    which vanishes at x = 1; it is extremal at
+    x_k = (1 + cos(k pi/N))/lam - 1, k = 1..N (k = 0 lies past x = 1),
+    ascending.
 
     The reference system then has that p as its solution, so round 1's
     continuum max meets the level and the solve stops there.  The start
@@ -283,16 +286,12 @@ def _remez_start(problem: MinimaxProblem) -> np.ndarray:
     other reference, decides whether it has converged.  Every other
     stencil starts from the Chebyshev points cos(pi j/(n+1)), j = 1..n+1.
     """
-    n = problem.degree
-    orders = problem.symbol.model_orders
-    j = np.arange(n, -1, -1)
-    if orders == (1, 0):
-        return np.cos((j + 0.5) * np.pi / (n + 0.5))
-    if orders == (1, 1):
-        return np.cos((j + 0.5) * np.pi / (n + 1))
-    if orders == (2, 0):
+    n, optimum = problem.degree, problem.optimum
+    if optimum is not None:
+        return optimum.reference(n)
+    if problem.symbol.model_orders == (2, 0):
         lam = math.cos(math.pi / (4 * (n + 1))) ** 2
-        return (1.0 + np.cos(np.pi * (j + 1) / (n + 1))) / lam - 1.0
+        return (1.0 + np.cos(np.pi * (np.arange(n, -1, -1) + 1) / (n + 1))) / lam - 1.0
     return np.cos(np.pi * np.arange(1, n + 2) / (n + 1))
 
 
@@ -355,7 +354,7 @@ def _solution(problem, level, p, points, gap, trace, converged) -> MinimaxSoluti
         certificate_gap=gap,
         trace=trace,
         converged=converged,
-        exploratory=problem.spec.exploratory,
+        exploratory=problem.optimum is None,
     )
 
 
@@ -368,7 +367,7 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     system on the degree+1 reference points (``method`` "remez"), starting
     from ``_remez_start``: on the model stencils c (1-z), c (1-z^2) and
     c (1-z)^2 (first-deriv and laplacian among them) the equioscillation
-    set of the known optimum, where round 1 certifies, and otherwise
+    set of the optimum, where round 1 certifies, and otherwise
     cos(pi j/(degree+1)), j = 1..degree+1.  Otherwise each round solves
     the LP on the active set (``method`` "lp"), starting from the degree+2
     points cos(pi j/(degree+1)), j = 0..degree+1.  Each LP starts from a
@@ -400,8 +399,10 @@ def solve(problem: MinimaxProblem, tol: float = 1e-9) -> MinimaxSolution:
     number of points the round brings into the next set (0 on the last
     round); and ``seconds``, the round's wall time.
 
-    Solutions of the open problems (``laplacian`` and ``operator``) are
-    marked exploratory.
+    Solutions of the open problems, those with no entry of ``KNOWN_OPTIMA``
+    (``MinimaxProblem.optimum``), are marked exploratory: ``laplacian``, and
+    ``operator`` on every stencil but the box's c (1 - z) and the comb's
+    c (1 - z^2), up to a shift.
 
     Raises Stalled with the last iterate when the next set brings no point
     farther than 1e-13 from the current one, when the Remez error loses its

@@ -10,7 +10,12 @@ constant here is that one weighted sup (``_weighted_sup``) for its stencil:
 * second difference, |s| = 2 (1 - x): L(u), sharp lower bound
   4/(n+1)^2, attained (among kernels with nonnegative Fourier transform)
   only by the triangle kernel;
-* any other stencil: ``operator_constant``, with no known sharp bound.
+* any other stencil: ``operator_constant``, whose sharp bound is known
+  only on the stencils c (1 - z)^m (1 + z)^m' z^k with a box or comb
+  entry.
+
+Every sharp bound and extremal kernel is read from ``kernel.KNOWN_OPTIMA``
+(``_kind``).
 
 Both the candidates and |s| come from one factored form of the weight,
 ``OperatorSymbol.weight`` = (m, Q) with |s|^2 = (2 (1 - x))^m Q, where
@@ -40,16 +45,15 @@ from numpy.polynomial import chebyshev as npcheb
 from .chebyshev import ChebPoly, _evaluate, _stationary_points, _top, extrema
 from .kernel import (
     GRAD_STENCIL,
+    KNOWN_OPTIMA,
     LAPLACIAN_STENCIL,
     NONNEG_TOL,
     DiscreteKernel,
     Sequence,
     apply_stencil,
     _nonneg_verdict,
-    box_kernel,
     convolve,
     l2_norm,
-    triangle_kernel,
 )
 
 __all__ = [
@@ -152,8 +156,9 @@ class OperatorSymbol:
     autocorrelation of q, and |s|^2 = (2 (1 - x))^m Q.  ``magnitude``
     evaluates |s| from it and ``chebyshev.extreme_points`` roots it.
     ``vanishes_inside`` tells whether |s| has a zero in (-1, 1).
-    ``model_orders`` is (m, m') when the taps are c (1 - z)^m (1 + z)^m' z^k
-    for constants c and k, and None otherwise.  All are built once, here;
+    ``model_orders`` is (m, m') and ``scale`` is |c| when the taps are
+    c (1 - z)^m (1 + z)^m' z^k for constants c and k; both are None
+    otherwise.  All are built once, here;
     taps that are not finite or whose |s|^2 overflows are rejected by name.
     Two symbols are equal when their taps and offsets are.
     """
@@ -163,6 +168,7 @@ class OperatorSymbol:
     weight: tuple[int, ChebPoly] = field(init=False, repr=False, compare=False)
     vanishes_inside: bool = field(init=False, repr=False, compare=False)
     model_orders: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    scale: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.taps, dtype=float)).copy()
@@ -187,8 +193,9 @@ class OperatorSymbol:
         # divided out, or within _CIRCLE_TOL of a root left, any other root
         # on the unit circle is inside (-1, 1)
         rest, order_minus = _divide_out_root(q, -1.0)
-        object.__setattr__(self, "model_orders", (order, order_minus)
-                           if np.count_nonzero(rest) == 1 else None)
+        model = np.count_nonzero(rest) == 1
+        object.__setattr__(self, "model_orders", (order, order_minus) if model else None)
+        object.__setattr__(self, "scale", float(np.abs(rest).sum()) if model else None)
         z = np.roots(rest[::-1])
         on_circle = np.abs(np.abs(z) - 1.0) <= _CIRCLE_TOL
         inside = on_circle & (np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) > _CIRCLE_TOL)
@@ -265,14 +272,13 @@ def _weighted_sup(c: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
     return _top(xs, np.abs(vals))
 
 
-def _first_deriv(n: int) -> tuple:
-    """(symbol, sharp bound, extremal kernel) of M(u) at radius n."""
-    return _stencil_symbol(GRAD_STENCIL), 2.0 / (2 * n + 1), box_kernel
-
-
-def _laplacian(n: int) -> tuple:
-    """(symbol, sharp bound, extremal kernel) of L(u) at radius n."""
-    return _stencil_symbol(LAPLACIAN_STENCIL), 4.0 / (n + 1) ** 2, triangle_kernel
+def _kind(s: OperatorSymbol, positivity: bool, n: int) -> tuple:
+    """(symbol, sharp bound, extremal kernel) of the constant of stencil s at
+    radius n: with an entry of ``KNOWN_OPTIMA`` for (s.model_orders,
+    positivity), its value scaled by s.scale and its kernel; with none, the
+    trivial bound 0 and no extremal kernel."""
+    entry = KNOWN_OPTIMA.get((s.model_orders, positivity))
+    return (s, 0.0, None) if entry is None else (s, s.scale * entry.value(n), entry.kernel)
 
 
 def _report(u: DiscreteKernel, kind: tuple, constant: float, x: float) -> SmoothnessReport:
@@ -299,7 +305,7 @@ def first_deriv_constants(kernels) -> list:
     """M(u) = max sqrt(2 (1-x)) |p_u(x)| of each of a list of kernels of any
     radii, from one stacked sup, as reports; sharp bound 2/(2n+1),
     attained only by the box kernel."""
-    return _reports(kernels, [_first_deriv(u.n) for u in kernels])
+    return _reports(kernels, [_kind(_stencil_symbol(GRAD_STENCIL), False, u.n) for u in kernels])
 
 
 def laplacian_constants(kernels) -> list:
@@ -310,7 +316,7 @@ def laplacian_constants(kernels) -> list:
     changes sign; the bound (and the extremal flag) are meaningful under
     the nonnegative-transform hypothesis, which verify_theorem2 enforces.
     """
-    return _reports(kernels, [_laplacian(u.n) for u in kernels])
+    return _reports(kernels, [_kind(_stencil_symbol(LAPLACIAN_STENCIL), True, u.n) for u in kernels])
 
 
 def kernel_constants(u: DiscreteKernel, operator: OperatorSymbol | None = None,
@@ -325,9 +331,10 @@ def kernel_constants(u: DiscreteKernel, operator: OperatorSymbol | None = None,
     stencils and share their eigensolve.  Each value is bitwise that of the
     single-kernel call.
     """
-    kinds = [_first_deriv(u.n), _laplacian(u.n)]
+    kinds = [_kind(_stencil_symbol(GRAD_STENCIL), False, u.n),
+             _kind(_stencil_symbol(LAPLACIAN_STENCIL), True, u.n)]
     if operator is not None:
-        kinds.append((operator, 0.0, None))
+        kinds.append(_kind(operator, False, u.n))
     symbols = [s for s, _, _ in kinds] + ([None] if nonneg else [])
     xs, vals = _weighted_values(_symbols([u] * len(symbols)), symbols)
     k = len(kinds)
@@ -353,11 +360,14 @@ def laplacian_constant(u: DiscreteKernel) -> SmoothnessReport:
 def operator_constant(u: DiscreteKernel, s: OperatorSymbol) -> SmoothnessReport:
     """sup over the circle of |s(xi)| * |uhat(xi)| for a general stencil.
 
-    No sharp lower bound is known beyond the first- and second-difference
-    cases, so the trivial bound 0 is reported and the extremal flag stays
-    False.
+    On a stencil c (1 - z)^m (1 + z)^m' z^k with an entry of
+    ``KNOWN_OPTIMA`` for ((m, m'), no positivity), the box's (1, 0) and the
+    comb's (1, 1), the sharp bound is |c| times the entry's value and u is
+    extremal when it is the entry's kernel.  On any other stencil no sharp
+    lower bound is known, so the trivial bound 0 is reported and the
+    extremal flag stays False.
     """
-    return _reports([u], [(s, 0.0, None)])[0]
+    return _reports([u], [_kind(s, False, u.n)])[0]
 
 
 def ratio_witness(u: DiscreteKernel, operator: OperatorSymbol, N: int) -> tuple[Sequence, float]:

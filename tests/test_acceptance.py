@@ -14,8 +14,6 @@ from smoothavg.chebyshev import (
     ChebPoly,
     cheb_eval,
     cheb_mul,
-    make_g,
-    make_h,
     mul_one_minus_x,
     sup_abs,
 )
@@ -29,7 +27,7 @@ from smoothavg.continuum import (
     triangle_hat,
     triangle_profile,
 )
-from smoothavg.kernel import box_kernel, fourier_symbol, triangle_kernel
+from smoothavg.kernel import box_kernel, fourier_symbol, symbol, triangle_kernel
 from smoothavg.minimax import MinimaxProblem, solve
 from smoothavg.smoothness import (
     GRAD_STENCIL,
@@ -98,18 +96,19 @@ class TestCriterion3PolynomialIdentities:
     def test_polynomial_identities(self):
         worst_sq = 0.0
         for n in range(0, 26):
-            sq = cheb_mul(make_h(n), make_h(n))
-            worst_sq = max(worst_sq, float(np.max(np.abs(sq.coeffs - make_g(2 * n).coeffs))))
+            sq = cheb_mul(symbol(box_kernel(n)), symbol(box_kernel(n)))
+            g_2n = symbol(triangle_kernel(2 * n))
+            worst_sq = max(worst_sq, float(np.max(np.abs(sq.coeffs - g_2n.coeffs))))
         worst_fac = 0.0
         for n in range(0, 26):
-            got = mul_one_minus_x(make_g(n)).coeffs
+            got = mul_one_minus_x(symbol(triangle_kernel(n))).coeffs
             expect = np.zeros(n + 2)
             expect[0] = 1.0 / (n + 1) ** 2
             expect[-1] = -1.0 / (n + 1) ** 2
             worst_fac = max(worst_fac, float(np.max(np.abs(got - expect))))
         worst_eq = 0.0
         for n in range(0, 26):
-            q = mul_one_minus_x(make_g(n))
+            q = mul_one_minus_x(symbol(triangle_kernel(n)))
             level = 2.0 / (n + 1) ** 2
             for j in range(0, (n + 1) // 2 + 1):
                 x = math.cos(2 * PI * j / (n + 1))

@@ -1,4 +1,5 @@
-"""Tests for Chebyshev-basis arithmetic and the g_n / h_n families."""
+"""Tests for Chebyshev-basis arithmetic and the g_n / h_n families: g_n is
+the symbol of the triangle kernel of radius n, h_n that of the box."""
 
 import math
 
@@ -9,13 +10,12 @@ from smoothavg.chebyshev import (
     ChebPoly,
     cheb_eval,
     cheb_mul,
-    make_g,
-    make_h,
     mul_one_minus_x,
     signed_max,
     signed_min,
     sup_abs,
 )
+from smoothavg.kernel import box_kernel, symbol, triangle_kernel
 
 
 def eval_by_cosines(coeffs, x):
@@ -80,14 +80,14 @@ class TestChebT:
 
 class TestChebEval:
     def test_h1_at_one(self):
-        assert cheb_eval(make_h(1), 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert cheb_eval(symbol(box_kernel(1)), 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_constant(self):
         assert cheb_eval(ChebPoly([1.0]), -0.7) == 1.0
 
     def test_g2_closed_form(self):
         # g_2(x) = ((2x+1)/3)^2 after factoring (1-x)(2x+1)^2 out of 1 - T_3
-        assert cheb_eval(make_g(2), 0.25) == pytest.approx(0.25, abs=1e-15)
+        assert cheb_eval(symbol(triangle_kernel(2)), 0.25) == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_termwise_sum(self):
         rng = np.random.default_rng(7)
@@ -104,8 +104,8 @@ class TestChebMul:
         assert prod.coeffs.tolist() == [0.5, 0.0, 0.5]
 
     def test_h1_squared_is_g2(self):
-        prod = cheb_mul(make_h(1), make_h(1))
-        np.testing.assert_allclose(prod.coeffs, make_g(2).coeffs, atol=1e-16)
+        prod = cheb_mul(symbol(box_kernel(1)), symbol(box_kernel(1)))
+        np.testing.assert_allclose(prod.coeffs, symbol(triangle_kernel(2)).coeffs, atol=1e-16)
 
     def test_grid_oracle(self):
         rng = np.random.default_rng(11)
@@ -124,7 +124,7 @@ class TestChebMul:
 class TestMulOneMinusX:
     def test_g2_factorization(self):
         # (1-x) g_2 = (1 - T_3)/9
-        out = mul_one_minus_x(make_g(2))
+        out = mul_one_minus_x(symbol(triangle_kernel(2)))
         np.testing.assert_allclose(out.coeffs, [1 / 9, 0.0, 0.0, -1 / 9], atol=1e-16)
 
     def test_constant(self):
@@ -144,7 +144,7 @@ class TestMulOneMinusX:
 
     def test_g_family_factorization(self):
         for n in range(0, 26):
-            out = mul_one_minus_x(make_g(n))
+            out = mul_one_minus_x(symbol(triangle_kernel(n)))
             expect = np.zeros(n + 2)
             expect[0] = 1.0 / (n + 1) ** 2
             expect[n + 1] = -1.0 / (n + 1) ** 2
@@ -153,9 +153,9 @@ class TestMulOneMinusX:
 
 class TestSupAbs:
     def test_weighted_g3(self):
-        val, x = sup_abs(mul_one_minus_x(make_g(3)))
+        val, x = sup_abs(mul_one_minus_x(symbol(triangle_kernel(3))))
         assert val == pytest.approx(2 / 16, abs=1e-14)
-        q = mul_one_minus_x(make_g(3))
+        q = mul_one_minus_x(symbol(triangle_kernel(3)))
         assert cheb_eval(q, x) == pytest.approx(val, abs=1e-13)
 
     def test_chebyshev_attains_one(self):
@@ -193,55 +193,56 @@ class TestSupAbs:
 
 class TestMakeG:
     def test_n0(self):
-        assert make_g(0).coeffs.tolist() == [1.0]
+        assert symbol(triangle_kernel(0)).coeffs.tolist() == [1.0]
 
     def test_n1_long_division(self):
         # (1 - T_2)/(4 (1-x)) = (1 - (2x^2 - 1))/(4(1-x)) = (1+x)/2
-        np.testing.assert_allclose(make_g(1).coeffs, [0.5, 0.5], atol=1e-16)
+        np.testing.assert_allclose(symbol(triangle_kernel(1)).coeffs, [0.5, 0.5], atol=1e-16)
 
     def test_value_at_one(self):
         for n in range(0, 31):
-            assert cheb_eval(make_g(n), 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert cheb_eval(symbol(triangle_kernel(n)), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_form(self):
         # g_n(x) = (1 - T_{n+1}(x)) / ((n+1)^2 (1 - x)) away from x = 1
         xs = np.linspace(-1, 0.999, 200)
         for n in range(0, 31):
-            lhs = np.asarray(cheb_eval(make_g(n), xs))
+            lhs = np.asarray(cheb_eval(symbol(triangle_kernel(n)), xs))
             rhs = (1 - np.cos((n + 1) * np.arccos(xs))) / ((n + 1) ** 2 * (1 - xs))
             np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
     def test_nonnegative(self):
         for n in (1, 4, 9, 20):
-            vmin, _ = signed_min(make_g(n))
+            vmin, _ = signed_min(symbol(triangle_kernel(n)))
             assert vmin >= -1e-13
 
 
 class TestMakeH:
     def test_n0(self):
-        assert make_h(0).coeffs.tolist() == [1.0]
+        assert symbol(box_kernel(0)).coeffs.tolist() == [1.0]
 
     def test_n1(self):
-        np.testing.assert_allclose(make_h(1).coeffs, [1 / 3, 2 / 3], atol=1e-16)
+        np.testing.assert_allclose(symbol(box_kernel(1)).coeffs, [1 / 3, 2 / 3], atol=1e-16)
 
     def test_square_identity(self):
         # h_n^2 = g_{2n}
         for n in range(0, 26):
-            sq = cheb_mul(make_h(n), make_h(n))
-            np.testing.assert_allclose(sq.coeffs, make_g(2 * n).coeffs, atol=1e-13)
+            sq = cheb_mul(symbol(box_kernel(n)), symbol(box_kernel(n)))
+            np.testing.assert_allclose(sq.coeffs, symbol(triangle_kernel(2 * n)).coeffs, atol=1e-13)
 
     def test_dirichlet_ratio(self):
         # h_n(cos xi) (2n+1) sin(xi/2) = sin((n + 1/2) xi)
         xi = np.linspace(1e-3, math.pi - 1e-3, 300)
         for n in (1, 3, 8, 15):
-            lhs = np.asarray(cheb_eval(make_h(n), np.cos(xi))) * (2 * n + 1) * np.sin(xi / 2)
+            h_n = symbol(box_kernel(n))
+            lhs = np.asarray(cheb_eval(h_n, np.cos(xi))) * (2 * n + 1) * np.sin(xi / 2)
             np.testing.assert_allclose(lhs, np.sin((n + 0.5) * xi), atol=1e-11)
 
 
 class TestEquioscillation:
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
     def test_weighted_g_alternates(self, n):
-        q = mul_one_minus_x(make_g(n))
+        q = mul_one_minus_x(symbol(triangle_kernel(n)))
         level = 2.0 / (n + 1) ** 2
         zeros = [math.cos(2 * math.pi * j / (n + 1)) for j in range(0, (n + 1) // 2 + 1)]
         peaks = [math.cos((2 * j + 1) * math.pi / (n + 1)) for j in range(0, (n + 2) // 2)]

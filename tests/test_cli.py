@@ -115,6 +115,34 @@ class TestGenerateAnalyze:
         assert data["first_deriv"]["constant"] == pytest.approx(2 / 9, abs=1e-10)
         assert data["first_deriv"]["is_extremal"] is True
 
+    def test_round_trip_comb(self, tmp_path, capsys):
+        # the comb u(k) = 1/(n+1) at k = n (mod 2) is optimal for 1 - z^2
+        kfile = tmp_path / "comb.json"
+        assert run(["generate", "comb", "-n", 4, "-o", kfile]) == 0
+        assert json.loads(kfile.read_text()) == {"n": 4, "half": [0.2, 0.0, 0.2, 0.0, 0.2]}
+        assert run(["analyze", kfile, "--operator=1,0,-1"]) == 0
+        op = json.loads(capsys.readouterr().out)["operator"]
+        assert op["sharp_bound"] == 2 / 5
+        assert op["constant"] == pytest.approx(2 / 5, rel=1e-14)
+        assert op["is_extremal"] is True
+
+    @pytest.mark.parametrize("stencil,bound,extremal", [
+        ("-2,2", 4 / 15, True),  # 2 (1 - z): twice the box's 2/(2n+1)
+        ("1,-1", 2 / 15, True),
+        ("1,0,-1", 2 / 8, False),  # the comb's 2/(n+1); the box is not the comb
+        ("0,1,0,-1", 2 / 8, False),
+        ("1,-2,1", 0.0, False),  # no entry without positivity
+        ("-1,3,-3,1", 0.0, False),
+    ])
+    def test_operator_report_on_box7(self, tmp_path, capsys, stencil, bound, extremal):
+        kfile = tmp_path / "box7.json"
+        assert run(["generate", "box", "-n", 7, "-o", kfile]) == 0
+        assert run(["analyze", kfile, f"--operator={stencil}"]) == 0
+        op = json.loads(capsys.readouterr().out)["operator"]
+        assert op["sharp_bound"] == bound
+        assert op["gap"] == op["constant"] - bound
+        assert op["is_extremal"] is extremal
+
     def test_generate_n0(self, tmp_path):
         kfile = tmp_path / "id.json"
         assert run(["generate", "triangle", "-n", 0, "-o", kfile]) == 0
@@ -292,7 +320,12 @@ class TestOptimize:
         (["laplacian", "--nonneg"], False),
         (["laplacian"], True),
         (["operator", "--stencil", "1,-2,1"], True),
-    ], ids=["first-deriv", "laplacian-nonneg", "laplacian", "operator"])
+        (["operator", "--stencil=-1,0,1"], False),
+        (["operator", "--stencil=-2,2"], False),
+        (["operator", "--stencil=0,1,0,-1"], False),
+        (["operator", "--stencil=-1,3,-3,1"], True),
+    ], ids=["first-deriv", "laplacian-nonneg", "laplacian", "operator", "operator-comb",
+            "operator-scaled-box", "operator-shifted-comb", "operator-third-difference"])
     def test_exploratory_reported_once(self, tmp_path, argv, exploratory):
         # the problem header and the solver's own flag must agree
         out = tmp_path / "sol.json"

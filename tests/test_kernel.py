@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothavg.chebyshev import cheb_eval, make_g, make_h
+from smoothavg.chebyshev import ChebPoly, cheb_eval
 from smoothavg.kernel import (
     AsymmetricKernel,
     DiscreteKernel,
@@ -64,6 +64,17 @@ class TestFromFull:
             from_full([0.5, 0.5])
 
 
+def dirichlet_coeffs(n):
+    """h_n from its closed form: c_0 = 1/(2n+1), c_k = 2/(2n+1)."""
+    return np.array([1 / (2 * n + 1)] + [2 / (2 * n + 1)] * n)
+
+
+def fejer_coeffs(n):
+    """g_n from its closed form: c_0 = 1/(n+1), c_k = 2(n+1-k)/(n+1)^2."""
+    m = n + 1
+    return np.array([1 / m] + [2 * (m - k) / m**2 for k in range(1, m)])
+
+
 class TestNamedKernels:
     def test_box_n0(self):
         assert box_kernel(0).half.tolist() == [1.0]
@@ -73,9 +84,8 @@ class TestNamedKernels:
 
     def test_box_symbol_is_h(self):
         for n in range(0, 12):
-            np.testing.assert_allclose(
-                symbol(box_kernel(n)).coeffs, make_h(n).coeffs, atol=1e-16
-            )
+            np.testing.assert_allclose(symbol(box_kernel(n)).coeffs, dirichlet_coeffs(n),
+                                       atol=1e-16)
 
     def test_triangle_n0(self):
         assert triangle_kernel(0).half.tolist() == [1.0]
@@ -107,9 +117,8 @@ class TestNamedKernels:
 
     def test_triangle_symbol_is_g(self):
         for n in range(0, 12):
-            np.testing.assert_allclose(
-                symbol(triangle_kernel(n)).coeffs, make_g(n).coeffs, atol=1e-16
-            )
+            np.testing.assert_allclose(symbol(triangle_kernel(n)).coeffs, fejer_coeffs(n),
+                                       atol=1e-16)
 
 
 class TestSymbolMaps:
@@ -136,12 +145,10 @@ class TestSymbolMaps:
         assert np.all(v.half == u.half)
 
     def test_from_symbol_named(self):
-        assert kernel_from_symbol(make_h(2)) == box_kernel(2)
-        assert kernel_from_symbol(make_g(5)) == triangle_kernel(5)
+        assert kernel_from_symbol(ChebPoly(dirichlet_coeffs(2))) == box_kernel(2)
+        assert kernel_from_symbol(ChebPoly(fejer_coeffs(5))) == triangle_kernel(5)
 
     def test_rejects_unnormalized_symbol(self):
-        from smoothavg.chebyshev import ChebPoly
-
         with pytest.raises(NotNormalizedSymbol):
             kernel_from_symbol(ChebPoly([0.5, 0.1]))
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from numpy.polynomial import chebyshev as npcheb
 
 import smoothavg
 import smoothavg.minimax as mm
-from smoothavg.chebyshev import cheb_eval, make_g, make_h
+from smoothavg.chebyshev import cheb_eval
 from smoothavg.cli import N_CAP
-from smoothavg.kernel import box_kernel, kernel_from_symbol, triangle_kernel
+from smoothavg.kernel import KNOWN_OPTIMA, box_kernel, kernel_from_symbol, symbol, triangle_kernel
 from smoothavg.minimax import (
     PROBLEMS,
     MinimaxProblem,
@@ -126,14 +127,14 @@ class TestSolveNamedProblems:
         assert sol.converged
         assert sol.value == pytest.approx(4 / 25, abs=1e-9)
         got = pad_to(sol.coeffs.coeffs, 5)
-        np.testing.assert_allclose(got, make_g(4).coeffs, atol=1e-7)
+        np.testing.assert_allclose(got, symbol(triangle_kernel(4)).coeffs, atol=1e-7)
 
     def test_abs_degree3_recovers_h3(self):
         prob = MinimaxProblem("first-deriv", 3)
         sol = solve(prob, 1e-9)
         assert sol.value**2 == pytest.approx(4 / 49, abs=1e-9)
         got = pad_to(sol.coeffs.coeffs, 4)
-        np.testing.assert_allclose(got, make_h(3).coeffs, atol=1e-7)
+        np.testing.assert_allclose(got, symbol(box_kernel(3)).coeffs, atol=1e-7)
 
     def test_degree0_signed(self):
         prob = MinimaxProblem("laplacian-nonneg", 0)
@@ -235,7 +236,7 @@ class TestExploreOperator:
         sol = solve(MinimaxProblem("operator", 3, [-1.0, 1.0]), 1e-9)
         _, val = recover("first-deriv", 3)
         assert sol.value == pytest.approx(val, abs=1e-8)
-        assert sol.exploratory
+        assert not sol.exploratory
 
     def test_laplacian_stencil_consistency(self):
         sol = solve(MinimaxProblem("operator", 3, [1.0, -2.0, 1.0]), 1e-9)
@@ -703,6 +704,99 @@ class TestRemezStart:
         problem = MinimaxProblem("operator", 7, taps_of(stencil))
         np.testing.assert_array_equal(mm._remez_start(problem),
                                       np.cos(np.pi * np.arange(1, 9) / 8))
+
+
+def comb_half(n):
+    """The comb's half: u(k) = 1/(n+1) at k = n (mod 2), 0 elsewhere."""
+    return [Fraction(1, n + 1) if (n - k) % 2 == 0 else Fraction(0) for k in range(n + 1)]
+
+
+# the proved optima by their own closed forms, exact: (problem, stencil,
+# value, kernel half, reference, whether |s| p alternates in sign there)
+KNOWN = {
+    "box": ("first-deriv", None, lambda n: Fraction(2, 2 * n + 1),
+            lambda n: [Fraction(1, 2 * n + 1)] * (n + 1),
+            lambda n: model_reference((1, 0), n), True),
+    "triangle": ("laplacian-nonneg", None, lambda n: Fraction(4, (n + 1) ** 2),
+                 lambda n: [Fraction(n + 1 - k, (n + 1) ** 2) for k in range(n + 1)],
+                 lambda n: np.sort(np.cos((2 * np.arange(n // 2 + 1) + 1) * math.pi / (n + 1))),
+                 False),
+    "comb": ("operator", [1.0, 0.0, -1.0], lambda n: Fraction(2, n + 1), comb_half,
+             lambda n: model_reference((1, 1), n), True),
+}
+
+
+def known_problem(name, n):
+    problem, stencil = KNOWN[name][:2]
+    return MinimaxProblem(problem, n, stencil)
+
+
+def floats(fractions):
+    return np.array([float(f) for f in fractions])
+
+
+class TestKnownOptima:
+    def test_table(self):
+        names = {key: entry.name for key, entry in KNOWN_OPTIMA.items()}
+        assert names == {((1, 0), False): "box", ((2, 0), True): "triangle",
+                         ((1, 1), False): "comb"}
+
+    @pytest.mark.parametrize("name", KNOWN)
+    def test_entry_meets_its_closed_forms(self, name):
+        _, _, value, half, reference, _ = KNOWN[name]
+        for n in range(N_CAP + 1):
+            entry = known_problem(name, n).optimum
+            assert entry.name == name
+            assert entry.value(n) == float(value(n)), n
+            np.testing.assert_array_equal(entry.kernel(n).half, floats(half(n)))
+            np.testing.assert_allclose(entry.reference(n), reference(n), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", KNOWN)
+    def test_solve_attains_the_optimum_in_round_one(self, name):
+        # measured worst at n <= 64: value 1.9e-14 relative (comb), kernel 3.9e-16
+        _, _, value, half, _, _ = KNOWN[name]
+        for n in range(N_CAP + 1):
+            sol = solve(known_problem(name, n), 1e-9)
+            assert sol.converged and sol.iterations == 1, n
+            assert not sol.exploratory
+            assert sol.value == pytest.approx(float(value(n)), rel=1e-13, abs=0), n
+            np.testing.assert_allclose(sol.kernel.half, floats(half(n)), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", KNOWN)
+    def test_optimum_reaches_the_value_on_the_reference(self, name):
+        # |s| |p| of the exact optimal kernel in 30-digit arithmetic, at the
+        # entry's reference points: the value, with alternating signs of p
+        # for box and comb and p > 0 for the triangle
+        mpmath = pytest.importorskip("mpmath")
+        _, _, value, half, _, alternates = KNOWN[name]
+        with mpmath.workdps(30):
+            exact = lambda f: mpmath.mpf(f.numerator) / f.denominator
+            for n in range(N_CAP + 1):
+                problem = known_problem(name, n)
+                coeffs = [exact(c) for c in [half(n)[0]] + [2 * w for w in half(n)[1:]]]
+                level = exact(value(n))
+                signs = []
+                for x in problem.optimum.reference(n).tolist():
+                    x = mpmath.mpf(x)
+                    xi = mpmath.acos(x)
+                    s = abs(mpmath.fsum(t * mpmath.expj(j * xi)
+                                        for j, t in enumerate(problem.symbol.taps)))
+                    cheb = [mpmath.mpf(1), x]  # T_0(x), T_1(x), ...
+                    while len(cheb) < len(coeffs):
+                        cheb.append(2 * x * cheb[-1] - cheb[-2])
+                    p = mpmath.fsum(c * t for c, t in zip(coeffs, cheb))
+                    assert abs(s * abs(p) - level) <= 1e-15 * level, (n, float(x))
+                    signs.append(mpmath.sign(p))
+                if alternates:
+                    assert all(a == -b for a, b in zip(signs, signs[1:])), n
+                else:
+                    assert all(sign > 0 for sign in signs), n
+
+    @pytest.mark.parametrize("name", ["box", "comb"])
+    def test_remez_start_is_the_reference(self, name):
+        for n in range(N_CAP + 1):
+            problem = known_problem(name, n)
+            np.testing.assert_array_equal(mm._remez_start(problem), problem.optimum.reference(n))
 
 
 class TestSerialization:

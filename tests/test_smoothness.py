@@ -184,6 +184,32 @@ class TestOperatorConstant:
     def test_model_orders(self, taps, orders):
         assert OperatorSymbol(taps).model_orders == orders
 
+    @pytest.mark.parametrize("taps,scale", [
+        ([-1.0, 1.0], 1.0),
+        ([-2.0, 2.0], 2.0),
+        ([3.0, 0.0, -3.0], 3.0),
+        ([0.0, 0.5, -1.0, 0.5], 0.5),
+        ([2.0, -3.0, 1.0], None),
+    ])
+    def test_scale(self, taps, scale):
+        assert OperatorSymbol(taps).scale == scale
+
+    def test_bound_on_model_stencils(self):
+        # |c| times the sharp bound of the model: the box's 2/(2n+1) on
+        # c (1 - z), the comb's 2/(n+1) on c (1 - z^2); none on the others
+        for n in range(0, 9):
+            box = box_kernel(n)
+            comb = DiscreteKernel([1 / (n + 1) if (n - k) % 2 == 0 else 0.0 for k in range(n + 1)])
+            cases = [(box, [-3.0, 3.0], 6 / (2 * n + 1), True),
+                     (comb, [0.0, -2.0, 0.0, 2.0], 4 / (n + 1), True),
+                     (box, [1.0, 0.0, -1.0], 2 / (n + 1), n == 0),
+                     (triangle_kernel(n), [1.0, -2.0, 1.0], 0.0, False),
+                     (box, [-1.0, 3.0, -3.0, 1.0], 0.0, False)]
+            for u, taps, bound, extremal in cases:
+                rep = operator_constant(u, OperatorSymbol(taps))
+                assert rep.sharp_bound == pytest.approx(bound, rel=1e-15, abs=0), (n, taps)
+                assert rep.is_extremal is extremal, (n, taps)
+
 
 def _mp_dirichlet(n):
     """uhat of the box kernel, (T_n - T_{n+1}) / ((2n+1) (1 - x)) at x = cos t."""

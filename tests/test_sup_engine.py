@@ -22,8 +22,6 @@ from smoothavg.chebyshev import (
     cheb_mul,
     extrema,
     extreme_points,
-    make_g,
-    make_h,
     mul_one_minus_x,
     signed_max,
     signed_min,
@@ -54,7 +52,7 @@ N_ORACLE = (0, 1, 2, 3, 7, 16, 31, 64)
 
 
 def _families(n):
-    g, h = make_g(n), make_h(n)
+    g, h = symbol(triangle_kernel(n)), symbol(box_kernel(n))
     return {
         "g": g,
         "h": h,
@@ -194,7 +192,7 @@ def _oracle_polys():
     polys = [ChebPoly(rng.standard_normal(d + 1)) for d in (1, 2, 5, 17, 40, 64, 129)]
     # extrema clustered near x = 1: (1-x)g_64^2, and (1-x)q^2 for a seeded
     # perturbation q of g_64
-    g = make_g(64)
+    g = symbol(triangle_kernel(64))
     q = ChebPoly(g.coeffs * (1.0 + 0.2 * rng.standard_normal(g.coeffs.size)))
     polys += [mul_one_minus_x(cheb_mul(g, g)), mul_one_minus_x(cheb_mul(q, q))]
     return polys
@@ -232,7 +230,8 @@ def _multiple_root_polys():
     # Clenshaw's rounding: -3.7e-16 against the oracle's 1.7e-16 for g_8,
     # beyond 4 deg eps ||c||_1 but within the a priori deg^2 eps ||c||_1
     mag = _magnitude_squared([-1.0, 3.0, -3.0, 1.0])
-    for label, p in (("h_8", make_h(8)), ("g_8", make_g(8)), ("random", ChebPoly(rng.standard_normal(9)))):
+    for label, p in (("h_8", symbol(box_kernel(8))), ("g_8", symbol(triangle_kernel(8))),
+                     ("random", ChebPoly(rng.standard_normal(9)))):
         sq = cheb_mul(mag, cheb_mul(p, p))
         cases.append((f"|s|^2 {label}^2", sq, sq.degree**2 * np.finfo(float).eps * np.abs(sq.coeffs).sum()))
     return cases
