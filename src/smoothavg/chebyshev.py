@@ -1,7 +1,11 @@
 """Polynomials in the Chebyshev-T basis on [-1, 1].
 
 Everything here is plain double-precision arithmetic on coefficient
-vectors ``c_0 + sum_k c_k T_k(x)``.
+vectors ``c_0 + sum_k c_k T_k(x)``.  This is the one module that reads a
+stencil's factored weight (m, Q), W = (2 (1 - x))^m Q: the candidate
+points root (W p^2)' / p (``extreme_points``), ``_sqrt_weight`` evaluates
+sqrt(W), and ``_weighted_values`` gives sqrt(W) p at the candidates of a
+stack of rows, each with its own weight.
 """
 
 from __future__ import annotations
@@ -311,13 +315,43 @@ def _top(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vmax, xs[np.arange(xs.shape[0]), i]
 
 
+def _sqrt_weight(weight: tuple[int, ChebPoly], x) -> np.ndarray:
+    """sqrt(W) at x for the factored weight (m, Q), W = (2 (1 - x))^m Q, as
+    (2 (1 - x))^(m/2) * sqrt(Q(x)): the relative accuracy holds near x = 1,
+    where sqrt(W) vanishes to order m/2 in 1 - x."""
+    x = np.asarray(x, dtype=float)
+    order, quotient = weight
+    q2 = np.clip(npcheb.chebval(x, quotient.coeffs), 0.0, None)
+    return (2.0 * (1.0 - x)) ** (0.5 * order) * np.sqrt(q2)
+
+
+def _weighted_values(c: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, vals) for a (B, L) stack c of coefficient rows of any degrees,
+    each with its own factored weight weights[i] (None for none; ``weights``
+    None for none on every row): row i of xs holds the candidates of
+    ``extreme_points(p, w)`` for its row p and weight w, and row i of vals
+    holds sqrt(W) * p at them (p for None).  Every local maximum of
+    sqrt(W) |p| where p != 0 is among the candidates.  All rows take one
+    stacked pass (``_stationary_points``, ``_evaluate``) and one sqrt(W) per
+    distinct weight, so each row's result is bitwise that of a stack of one.
+    """
+    xs = _stationary_points(c, weights)
+    vals = _evaluate(xs, c)
+    rows_of: dict = {}
+    for i, w in enumerate(weights or ()):
+        if w is not None:
+            rows_of.setdefault(w, []).append(i)
+    for w, rows in rows_of.items():
+        vals[rows] *= _sqrt_weight(w, xs[rows])
+    return xs, vals
+
+
 def extrema(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(maxima, maximizers, minima, minimizers) on [-1, 1] of the rows of a
-    (B, L) stack of coefficients, from one stacked extrema pass, bitwise
-    those of each row on its own; near-ties go to the largest x.  Rows of
-    lower degree are padded with zeros."""
-    xs = _stationary_points(c)
-    vals = _evaluate(xs, c)
+    (B, L) stack of coefficients, from one unweighted ``_weighted_values``
+    pass, bitwise those of each row on its own; near-ties go to the largest
+    x.  Rows of lower degree are padded with zeros."""
+    xs, vals = _weighted_values(c)
     vmax, xmax = _top(xs, vals)
     vneg, xmin = _top(xs, -vals)
     return vmax, xmax, -vneg, xmin

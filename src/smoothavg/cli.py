@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -72,9 +73,10 @@ OPTIMA = {entry.name: entry for entry in KNOWN_OPTIMA.values()}  # generate's ki
 
 
 def _check_args(paths, n=None, tol=None) -> None:
-    """Raise ValueError unless the given paths are distinct, n (a support
-    radius) lies in [0, N_CAP] and tol in TOL_RANGE; None is not checked."""
-    paths = [str(p) for p in paths if p is not None]
+    """Raise ValueError unless the given paths name distinct files (after
+    resolving ``.``, ``..`` and symbolic links), n (a support radius) lies
+    in [0, N_CAP] and tol in TOL_RANGE; None is not checked."""
+    paths = [os.path.realpath(p) for p in paths if p is not None]
     if len(set(paths)) != len(paths):
         raise ValueError("input and output paths must be distinct")
     if n is not None and not 0 <= n <= N_CAP:
@@ -411,9 +413,9 @@ def cmd_verify(args) -> int:
 def _scan_series(path: str) -> np.ndarray:
     """The first column of a CSV series, in one streamed pass that names the
     first bad row: blank rows are skipped, and so is row 1 when it does not
-    parse (a header)."""
+    parse (a header).  A leading UTF-8 byte-order mark is not part of row 1."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for row_no, raw in enumerate(fh, 1):
             cell = raw.split(",", 1)[0].strip()
             if not cell:
@@ -445,13 +447,13 @@ def _read_series(path: str) -> np.ndarray:
     run, to skip those rows or to name the first bad one.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             cell = fh.readline().split(",", 1)[0].strip()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             values = np.loadtxt(path, delimiter=",", usecols=0, comments=None,
                                 skiprows=int(bool(cell) and not _parses(cell)), ndmin=1,
-                                encoding="utf-8")
+                                encoding="utf-8-sig")
     except ValueError:
         return _scan_series(path)
     if values.size and np.all(np.isfinite(values)):

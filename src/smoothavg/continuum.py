@@ -147,7 +147,8 @@ class PerturbationFunction:
     marks ``half`` as exactly that linear interpolant; its knots become
     breakpoints too.
     Node/value samples are cached per doubling level, so repeated
-    integrals against different weights reuse the evaluations.
+    integrals against different weights (``_integrals``) reuse the
+    evaluations.
     """
 
     def __init__(self, half, breakpoints=(), linear_table=None):
@@ -229,14 +230,27 @@ class PerturbationFunction:
                 self._samples[level] = (x, w, np.asarray(self.half(x), dtype=float))
         return self._samples[level]
 
-    def integrate_half(self, weight=None) -> float:
-        """integral over [0, 1] of f(x) * weight(x), node-doubling to _QUAD_TOL."""
 
-        def value_at(level, lo, hi):
-            x, w, fx = self.samples(level)
-            return np.array([np.dot(w, fx if weight is None else fx * weight(x))])
+def _integrals(items) -> list[float]:
+    """[integral over [0, 1] of weight(x) f(x), or of weight(x) |f(x)| when
+    ``absolute``, for each item (f, weight, absolute)], weight None for 1,
+    from the profiles' cached samples in one node-doubling run with an item
+    per integral, each stopping where its own run would."""
+    def value_at(level, lo, hi):
+        out = np.empty(hi - lo)
+        for k, (f, weight, absolute) in enumerate(items[lo:hi]):
+            x, w, fx = f.samples(level)
+            if absolute:
+                fx = np.abs(fx)
+            out[k] = np.dot(w, fx if weight is None else fx * weight(x))
+        return out
 
-        return float(_node_doubling(value_at, np.array([_LEVELS[0]]), np.zeros(1))[0])
+    count = len(items)
+    return _node_doubling(value_at, np.full(count, _LEVELS[0]), np.zeros(count)).tolist()
+
+
+def _square(x):
+    return x * x
 
 
 def triangle_profile() -> PerturbationFunction:
@@ -701,21 +715,11 @@ def _j_window(xi_cutoff: float, grid: int | None) -> int:
 
 def _abs_moments(profiles) -> list[tuple[float, float]]:
     """[(int |u|, int |u| x^2) over [-1, 1] for each u of ``profiles``],
-    from their cached samples, in one node-doubling run with an item per
-    profile and moment, each stopping where its own run would; ZeroMass
+    from one ``_integrals`` run with an item per profile and moment; ZeroMass
     unless each mass is positive relative to the largest |u| at the first
     level's nodes, a test that reads the same at every scale of u."""
-    def value_at(level, lo, hi):
-        items = []
-        for i in range(lo, hi):
-            x, w, values = profiles[i // 2].samples(level)
-            magnitude = np.abs(values)
-            items.append(np.dot(w, magnitude * (x * x) if i % 2 else magnitude))
-        return np.array(items)
-
-    count = 2 * len(profiles)
-    half = _node_doubling(value_at, np.full(count, _LEVELS[0]), np.zeros(count))
-    moments = [tuple(m) for m in (2.0 * half).reshape(-1, 2).tolist()]
+    half = _integrals([(u, weight, True) for u in profiles for weight in (None, _square)])
+    moments = [(2.0 * mass, 2.0 * second) for mass, second in zip(half[::2], half[1::2])]
     for u, (mass, _) in zip(profiles, moments):
         if mass <= _ZERO_MASS_REL * np.max(np.abs(u.samples(_LEVELS[0])[2])):
             raise ZeroMass("function has (numerically) zero L1 mass")
@@ -830,8 +834,7 @@ def _slope_gamma(f: PerturbationFunction, n_max: int) -> float:
 
 
 def _slope_from_gamma(f: PerturbationFunction, gamma: float) -> float:
-    second_moment = 2.0 * f.integrate_half(weight=lambda x: x * x)
-    mass = 2.0 * f.integrate_half()
+    mass, second_moment = (2.0 * v for v in _integrals([(f, None, False), (f, _square, False)]))
     return (
         second_moment / (3.0 * _PI**4)
         + gamma / (18.0 * _PI**2)
@@ -950,7 +953,7 @@ def prop8_sides(f: PerturbationFunction, n_max: int = 1000) -> Prop8Sides:
 
 
 def _prop8_rhs(f: PerturbationFunction) -> float:
-    return (2.0 / _PI**2) * 2.0 * f.integrate_half(weight=lambda x: 1.0 - 3.0 * x * x)
+    return (2.0 / _PI**2) * 2.0 * _integrals([(f, lambda x: 1.0 - 3.0 * x * x, False)])[0]
 
 
 def a_coefficient(j) -> float:

@@ -3,7 +3,7 @@
 The operator norm of f -> D(f * u) on l2(Z), for a difference operator D
 with symbol s(xi), is the sup over the circle of |s(xi)| * |uhat(xi)|.
 With x = cos xi it is the sup of |s(x)| * |p_u(x)| on [-1, 1], and every
-constant here is that one weighted sup (``_weighted_sup``) for its stencil:
+constant here is that one weighted sup for its stencil:
 
 * first difference, |s| = sqrt(2 (1 - x)): M(u), sharp lower bound
   2/(2n+1), attained only by the box kernel;
@@ -19,15 +19,17 @@ Every sharp bound and extremal kernel is read from ``kernel.KNOWN_OPTIMA``
 
 Both the candidates and |s| come from one factored form of the weight,
 ``OperatorSymbol.weight`` = (m, Q) with |s|^2 = (2 (1 - x))^m Q, where
-(1 - z)^m is split off the taps.  The candidate maximizers are the
-endpoints and the real roots of (|s|^2 p_u^2)' / p_u, for m >= 1 with
-its factor (2 (1 - x))^(m-1) divided out (``chebyshev.extreme_points``), and
-``OperatorSymbol.magnitude`` evaluates |s| with its relative accuracy kept
-near x = 1.
+(1 - z)^m is split off the taps, and only ``chebyshev`` reads it: the
+candidate maximizers are the endpoints and the real roots of
+(|s|^2 p_u^2)' / p_u, for m >= 1 with its factor (2 (1 - x))^(m-1)
+divided out (``chebyshev.extreme_points``), and |s| = sqrt(W)
+(``chebyshev._sqrt_weight``, which ``OperatorSymbol.magnitude`` calls)
+keeps its relative accuracy near x = 1.
 Every constant and check takes a list of kernels of any radii, each row
-with its own stencil, in one engine pass (``_weighted_values``): rows
-whose candidate polynomial has one length share one colleague-matrix
-eigensolve, and all are evaluated in one Clenshaw pass.  ``_reports``
+with its own stencil's weight, in one engine pass
+(``chebyshev._weighted_values``): rows whose candidate polynomial has one
+length share one colleague-matrix eigensolve, and all are evaluated in
+one Clenshaw pass.  ``_reports``
 builds the reports, ``verify_theorem*_batch`` the exceptions and
 ``kernel_constants`` every constant of one kernel; each single-kernel
 name is that on a stack of one, so a kernel gets bitwise the same anywhere.
@@ -40,9 +42,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
-from .chebyshev import ChebPoly, _evaluate, _stationary_points, _top, extrema
+from .chebyshev import ChebPoly, _sqrt_weight, _top, _weighted_values, extrema
 from .kernel import (
     GRAD_STENCIL,
     KNOWN_OPTIMA,
@@ -153,13 +154,15 @@ class OperatorSymbol:
 
     ``weight`` is the one form of |s(xi)|^2 in x = cos xi, factored as
     (m, Q): the taps are (1 - z)^m q(z) in z, Q = |q|^2 is exact from the
-    autocorrelation of q, and |s|^2 = (2 (1 - x))^m Q.  ``magnitude``
-    evaluates |s| from it and ``chebyshev.extreme_points`` roots it.
+    autocorrelation of q, and |s|^2 = (2 (1 - x))^m Q.  ``chebyshev``
+    alone reads it: ``magnitude`` evaluates |s| through
+    ``chebyshev._sqrt_weight`` and ``chebyshev.extreme_points`` roots it.
     ``vanishes_inside`` tells whether |s| has a zero in (-1, 1).
     ``model_orders`` is (m, m') and ``scale`` is |c| when the taps are
     c (1 - z)^m (1 + z)^m' z^k for constants c and k; both are None
     otherwise.  All are built once, here;
-    taps that are not finite or whose |s|^2 overflows are rejected by name.
+    taps that are not finite or whose |s|^2 overflows or underflows (sum
+    q_i^2 below the smallest normal double) are rejected by name.
     Two symbols are equal when their taps and offsets are.
     """
 
@@ -187,6 +190,8 @@ class OperatorSymbol:
             quotient = np.concatenate([r[:1], 2.0 * r[1:]])
         if not np.all(np.isfinite(quotient)):
             raise ValueError(f"|s|^2 of the stencil taps {t.tolist()} overflows")
+        if quotient[0] < np.finfo(float).tiny:  # sum q_i^2, the size of Q
+            raise ValueError(f"|s|^2 of the stencil taps {t.tolist()} underflows")
         object.__setattr__(self, "weight", (order, ChebPoly(quotient)))
         # |s| vanishes at x = cos xi exactly where the taps vanish at
         # z = e^{i xi}; with the roots z = 1 and z = -1 (x = 1 and x = -1)
@@ -210,13 +215,9 @@ class OperatorSymbol:
         return hash((self.taps.tobytes(), self.offset))
 
     def magnitude(self, x) -> np.ndarray:
-        """|s| at x = cos xi, as (2 (1 - x))^(m/2) * sqrt(Q(x)) from the
-        factored weight: the relative accuracy holds near x = 1, where |s|
-        vanishes to order m/2 in 1 - x."""
-        x = np.asarray(x, dtype=float)
-        order, quotient = self.weight
-        q2 = np.clip(npcheb.chebval(x, quotient.coeffs), 0.0, None)
-        return (2.0 * (1.0 - x)) ** (0.5 * order) * np.sqrt(q2)
+        """|s| at x = cos xi: sqrt(W) of the factored weight
+        (``chebyshev._sqrt_weight``), relatively accurate near x = 1."""
+        return _sqrt_weight(self.weight, x)
 
 
 @functools.cache
@@ -235,41 +236,6 @@ def _symbols(kernels) -> np.ndarray:
     c = 2.0 * halves
     c[:, 0] = halves[:, 0]
     return c
-
-
-def _weighted_values(c: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, vals) for a (B, L) stack c of symbol rows of any radii, each with
-    its own operator symbols[i] (None for none): row i of xs holds the
-    candidates of ``extreme_points(p, s.weight)`` for its row p and symbol
-    s, and row i of vals holds |s| * p at them (p for None).
-
-    The candidates for the factored weight (m, Q), m >= 1, are the
-    endpoints and the real roots of 4 (1 - x) Q p' + (2 (1 - x) Q' - 2 m Q) p
-    (2 Q p' + Q' p for m = 0), which is (|s|^2 p^2)' / p over
-    (2 (1 - x))^(m-1), so every local maximum of |s| |p| where p != 0 is
-    among them.  All rows take one stacked pass
-    (``chebyshev._stationary_points``, ``_evaluate``) and one |s| per
-    symbol, so each row's result is bitwise that of a stack of one.
-    """
-    xs = _stationary_points(c, [None if s is None else s.weight for s in symbols])
-    vals = _evaluate(xs, c)
-    rows_of: dict = {}
-    for i, s in enumerate(symbols):
-        if s is not None:
-            rows_of.setdefault(s, []).append(i)
-    for s, rows in rows_of.items():
-        vals[rows] *= s.magnitude(xs[rows])
-    return xs, vals
-
-
-def _weighted_sup(c: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
-    """Per row p of a (B, L) stack c of symbol rows of any radii, and its
-    own symbol s = symbols[i]: the sup over [-1, 1] of |s(x)| * |p(x)|
-    (of |p(x)| for None) and one maximizer, as two arrays, from one
-    ``_weighted_values`` pass.  Each row's result is bitwise that of a
-    stack of one; near-ties go to the largest x."""
-    xs, vals = _weighted_values(c, symbols)
-    return _top(xs, np.abs(vals))
 
 
 def _kind(s: OperatorSymbol, positivity: bool, n: int) -> tuple:
@@ -295,10 +261,13 @@ def _report(u: DiscreteKernel, kind: tuple, constant: float, x: float) -> Smooth
 
 def _reports(kernels, kinds) -> list:
     """One ``SmoothnessReport`` per kernel of a list of any radii, for its
-    kind (symbol, bound, extremal), from one stacked ``_weighted_sup``."""
-    constants, xs = _weighted_sup(_symbols(kernels), [s for s, _, _ in kinds])
+    kind (symbol, bound, extremal), from the top of |s| |p_u| in one
+    stacked ``chebyshev._weighted_values`` pass; near-ties go to the
+    largest x."""
+    xs, vals = _weighted_values(_symbols(kernels), [s.weight for s, _, _ in kinds])
+    constants, args = _top(xs, np.abs(vals))
     return [_report(u, kind, constant, x)
-            for u, kind, constant, x in zip(kernels, kinds, constants.tolist(), xs.tolist())]
+            for u, kind, constant, x in zip(kernels, kinds, constants.tolist(), args.tolist())]
 
 
 def first_deriv_constants(kernels) -> list:
@@ -335,8 +304,8 @@ def kernel_constants(u: DiscreteKernel, operator: OperatorSymbol | None = None,
              _kind(_stencil_symbol(LAPLACIAN_STENCIL), True, u.n)]
     if operator is not None:
         kinds.append(_kind(operator, False, u.n))
-    symbols = [s for s, _, _ in kinds] + ([None] if nonneg else [])
-    xs, vals = _weighted_values(_symbols([u] * len(symbols)), symbols)
+    weights = [s.weight for s, _, _ in kinds] + ([None] if nonneg else [])
+    xs, vals = _weighted_values(_symbols([u] * len(weights)), weights)
     k = len(kinds)
     constants, args = _top(xs[:k], np.abs(vals[:k]))
     reports = [_report(u, kind, constant, x)

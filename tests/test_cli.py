@@ -215,7 +215,11 @@ class TestGenerateAnalyze:
         ("nan,1", "stencil taps [nan, 1.0] must be finite"),
         ("1,-inf", "stencil taps [1.0, -inf] must be finite"),
         ("1e308,-1e308", "|s|^2 of the stencil taps [1e+308, -1e+308] overflows"),
-    ], ids=["nan", "inf", "overflow"])
+        # sum q_i^2 rounds to 0: analyze printed the constant 0 below its
+        # bound and optimize found its Remez system singular (exit 4)
+        ("1e-170,-1e-170", "|s|^2 of the stencil taps [1e-170, -1e-170] underflows"),
+        ("1e-300,-1e-300", "|s|^2 of the stencil taps [1e-300, -1e-300] underflows"),
+    ], ids=["nan", "inf", "overflow", "underflow", "deep-underflow"])
     def test_unusable_stencil_exit2(self, tmp_path, capsys, text, message):
         kfile = tmp_path / "box.json"
         write_kernel_file(kfile, box_kernel(2))
@@ -241,6 +245,31 @@ class TestGenerateAnalyze:
         assert run(["analyze", kfile, f"--operator={text}"]) == 0
         operator = json.loads(capsys.readouterr().out)["operator"]
         assert operator["constant"] == pytest.approx(1e154, rel=1e-12)
+
+    def test_tiny_taps_keep_their_constants(self, tmp_path, capsys):
+        # sum q_i^2 = 1e-300 is a normal double: 1e-150 (1 - z) is the
+        # box's stencil scaled, with constant and bound 1e-150 * 2/7 at n = 3
+        kfile = tmp_path / "box.json"
+        write_kernel_file(kfile, box_kernel(3))
+        out = tmp_path / "sol.json"
+        assert run(["optimize", "operator", "--stencil=1e-150,-1e-150", "-n", 3, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["solution"]["converged"] is True
+        assert data["value"] == pytest.approx(2e-150 / 7, rel=1e-12)
+        assert run(["analyze", kfile, "--operator=1e-150,-1e-150"]) == 0
+        operator = json.loads(capsys.readouterr().out)["operator"]
+        assert operator["constant"] == pytest.approx(2e-150 / 7, rel=1e-12)
+        assert operator["sharp_bound"] == pytest.approx(2e-150 / 7, rel=1e-12)
+        assert operator["is_extremal"] is True
+
+    def test_output_aliasing_the_kernel_exit2(self, tmp_path, capsys, monkeypatch):
+        # "k.json" and "./k.json" name one file, which the report replaced
+        monkeypatch.chdir(tmp_path)
+        write_kernel_file(tmp_path / "k.json", box_kernel(2))
+        kernel = (tmp_path / "k.json").read_bytes()
+        assert run(["analyze", "k.json", "-o", "./k.json"]) == 2
+        assert (tmp_path / "k.json").read_bytes() == kernel
+        assert capsys.readouterr().err == "input and output paths must be distinct\n"
 
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         kfile = tmp_path / "box.json"
@@ -627,6 +656,36 @@ class TestSmooth:
         assert lines == [f"{float(line):.17g}" for line in lines]
         expect = np.convolve(series, np.full(5, 0.2), mode="valid")
         np.testing.assert_allclose([float(line) for line in lines], expect, rtol=0, atol=1e-15)
+
+    def test_output_aliasing_the_series_exit2(self, tmp_path, capsys, monkeypatch):
+        # "s.csv", "./s.csv" and a link to it name one file, which the
+        # smoothing replaced
+        monkeypatch.chdir(tmp_path)
+        text = "1.0\n2.0\n3.0\n4.0\n"
+        (tmp_path / "s.csv").write_text(text)
+        os.symlink("s.csv", tmp_path / "link.csv")
+        for output in ("./s.csv", "link.csv", tmp_path / "sub" / ".." / "s.csv"):
+            assert run(["smooth", "s.csv", output, "--box", 1]) == 2
+            assert (tmp_path / "s.csv").read_text() == text
+        assert capsys.readouterr().err == "input and output paths must be distinct\n" * 3
+
+    @pytest.mark.parametrize("text, scans", [("1.0\n2.0\n3.0\n4.0\n", False),
+                                             ("1.0\n  \n2.0\n3.0\n4.0\n", True)],
+                             ids=["loadtxt", "scan"])
+    def test_byte_order_mark_is_not_part_of_row_one(self, tmp_path, monkeypatch, text, scans):
+        # the first cell read "\ufeff1.0", did not parse and was skipped as
+        # a header; the row of blanks sends the numpy reader to the scan
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        scanned = []
+        scan = cli._scan_series
+        monkeypatch.setattr(cli, "_scan_series", lambda path: scanned.append(path) or scan(path))
+        assert cli._read_series(str(src)).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert bool(scanned) == scans
+        assert scan(str(src)).tolist() == [1.0, 2.0, 3.0, 4.0]
+        dst = tmp_path / "out.csv"
+        assert run(["smooth", src, dst, "--box", 1]) == 0
+        assert [float(v) for v in dst.read_text().split()] == pytest.approx([2.0, 3.0])
 
     # rows the C reader accepts, and rows only the row scan can skip or name
     READER_CORPUS = [

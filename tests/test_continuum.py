@@ -474,6 +474,20 @@ class TestLevelBatchedScans:
         assert batched.tolist() == expect
         assert len(runs) <= len(levels)
 
+    def test_integrals_match_their_one_item_runs(self):
+        # a run mixing signed and |f| items under the weights 1, x^2 and
+        # 1 - 3 x^2, on three profiles, gives each item bitwise its own run
+        table = next(f for f in seeded_tables() if np.min(f.linear_table[1]) < 0.0)
+        profiles = [triangle_profile(), table,
+                    autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)]
+        weights = [None, lambda x: x * x, lambda x: 1.0 - 3.0 * x * x]
+        items = [(f, w, absolute) for f in profiles for w in weights for absolute in (False, True)]
+        together = continuum._integrals(items)
+        alone = [continuum._integrals([item])[0] for item in items]
+        assert all(type(v) is float for v in together)
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
+        assert together[8] != together[9]  # the table's signed and |f| moments
+
     # the quadrature sums in another order, within ct_fourier's noise
     # floor 1e-15 (1 + xi); tables meet their oracle in the next test
     @pytest.mark.parametrize("make", [

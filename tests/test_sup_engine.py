@@ -18,6 +18,7 @@ from smoothavg.chebyshev import (
     ChebPoly,
     _stationary_points,
     _top,
+    _weighted_values,
     cheb_eval,
     cheb_mul,
     extrema,
@@ -31,8 +32,6 @@ from smoothavg.kernel import DiscreteKernel, box_kernel, has_nonneg_fourier, sym
 from smoothavg.smoothness import (
     HypothesisViolated,
     OperatorSymbol,
-    _weighted_sup,
-    _weighted_values,
     first_deriv_constant,
     first_deriv_constants,
     kernel_constants,
@@ -347,8 +346,8 @@ def _assert_rows_match(c, symbols):
     weights = [None if s is None else s.weight for s in symbols]
     xs = _stationary_points(c, weights)
     maxima, max_args, minima, min_args = extrema(c)
-    sups, sup_args = _weighted_sup(c, symbols)
-    points, vals = _weighted_values(c, symbols)
+    points, vals = _weighted_values(c, weights)
+    sups, sup_args = _top(points, np.abs(vals))
     neg, neg_args = _top(points, -vals)
     for i, (row, symbol, w) in enumerate(zip(c, symbols, weights)):
         p = ChebPoly(row)
@@ -363,6 +362,43 @@ def _assert_rows_match(c, symbols):
         if symbol is None:
             assert sups[i] == sup_abs(p)[0], i
             assert (-neg[i], neg_args[i]) == signed_min(p), i
+
+
+class TestStackedValues:
+    """The stacked pass's values are bitwise the solver's own formula,
+    ``OperatorSymbol.magnitude(xs) * chebval(xs, p)`` (chebval alone
+    without a weight), on rows of degrees 0-64 in one stack."""
+
+    @staticmethod
+    def _assert_solver_values(symbols, rng):
+        rows = [rng.standard_normal(deg + 1) for deg in range(65)]
+        c = np.zeros((len(rows), 65))
+        for target, row in zip(c, rows):
+            target[: row.size] = row
+        xs, vals = _weighted_values(c, [None if s is None else s.weight for s in symbols])
+        for i, (row, s) in enumerate(zip(rows, symbols)):
+            want = npcheb.chebval(xs[i], ChebPoly(row).coeffs)
+            if s is not None:
+                want = s.magnitude(xs[i]) * want
+            assert want.tobytes() == vals[i].tobytes(), (i, s)
+
+    @pytest.mark.parametrize("weight", _STACK_WEIGHTS, ids=["none", "grad", "laplacian", "third"])
+    def test_stack_weights(self, weight):
+        self._assert_solver_values([weight] * 65, np.random.default_rng(64))
+
+    def test_random_stencils(self):
+        # each row its own stencil; mirrored, negated and shifted taps share
+        # one weight, so their rows share one sqrt(W)
+        rng = np.random.default_rng(2026)
+        for _ in range(4):
+            symbols = []
+            for _ in range(65):
+                taps = rng.standard_normal(int(rng.integers(2, 6)))
+                if rng.random() < 0.5:
+                    taps -= taps.mean()
+                symbols.append(OperatorSymbol(taps))
+            symbols[1::7] = [OperatorSymbol(-s.taps[::-1], offset=3) for s in symbols[:-1:7]]
+            self._assert_solver_values(symbols, rng)
 
 
 class TestStackedEngine:
@@ -392,7 +428,8 @@ class TestStackedEngine:
             assert not np.all(c[:, -1])
             _assert_rows_match(np.vstack([c, np.zeros(n + 1)]), weight)
             if weight is not None:  # the kernel API takes the same zero tails
-                for u, value in zip(kernels, _weighted_sup(c, [weight] * len(c))[0]):
+                points, vals = _weighted_values(c, [weight.weight] * len(c))
+                for u, value in zip(kernels, _top(points, np.abs(vals))[0]):
                     assert operator_constant(u, weight).constant == value
 
     @pytest.mark.parametrize("n", [0, 1])
