@@ -63,9 +63,8 @@ N_CAP = 64
 VERIFY_N_MAX = 30
 # the half-integer scan transforms n_max + 1 frequencies at once; its
 # phase arrays stay within a fixed budget, so its memory grows linearly in
-# n_max only through a few doubles per frequency of its outputs.  Profiles
-# here are tables, which have no resolution limit.  The slope's sup needs
-# at least 50
+# n_max only through a few doubles per frequency of its outputs; no
+# transform has a resolution limit.  The slope's sup needs at least 50
 CONTINUUM_N_MAX_RANGE = (50, 100_000)
 TOL_RANGE = (1e-14, 1e-2)
 SERIES_BLOCK = 4096  # rows per formatted write of ``smooth``'s output
@@ -74,10 +73,13 @@ OPTIMA = {entry.name: entry for entry in KNOWN_OPTIMA.values()}  # generate's ki
 
 def _check_args(paths, n=None, tol=None) -> None:
     """Raise ValueError unless the given paths name distinct files (after
-    resolving ``.``, ``..`` and symbolic links), n (a support radius) lies
-    in [0, N_CAP] and tol in TOL_RANGE; None is not checked."""
+    resolving ``.``, ``..`` and symbolic links, and, for paths that exist,
+    as ``os.path.samefile`` tells, which also sees hard links), n (a support
+    radius) lies in [0, N_CAP] and tol in TOL_RANGE; None is not checked."""
     paths = [os.path.realpath(p) for p in paths if p is not None]
-    if len(set(paths)) != len(paths):
+    existing = [p for p in paths if os.path.exists(p)]
+    if len(set(paths)) != len(paths) or any(
+            os.path.samefile(a, b) for i, a in enumerate(existing) for b in existing[i + 1:]):
         raise ValueError("input and output paths must be distinct")
     if n is not None and not 0 <= n <= N_CAP:
         raise ValueError(f"n must lie in [0, {N_CAP}]")

@@ -21,6 +21,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 __all__ = [
     "PerturbationFunction",
@@ -45,24 +46,22 @@ __all__ = [
 ]
 
 _PI = math.pi
-# nodes per panel; a level of n nodes applies the fixed _RULE_NODES-point
-# Gauss-Legendre rule on n / _RULE_NODES equal sub-panels of each panel
+# nodes per panel of the integrals' composite rule; a level of n nodes
+# applies the fixed _RULE_NODES-point Gauss-Legendre rule on n / _RULE_NODES
+# equal sub-panels of each panel.  A transform's Legendre series takes its
+# sub-panels from the same levels (``_legendre_series``)
 _LEVELS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 _RULE_NODES = 64
 _CONV_NODES = 96  # Gauss-Legendre nodes of an autoconvolution's value at a point
-# agreement between successive node-doubling levels; the half-integer
-# scans multiply transforms by xi^2 up to ~1e6, so the target sits just
-# above the summation roundoff floor
+# agreement between successive node-doubling levels of an integral
 _QUAD_TOL = 2e-14
-# pi xi times a sub-panel's width up to which the 64-node rule is taken
-# to resolve cos(2 pi xi x).  On the cos^2 factor at the top level,
-# against its 40-digit closed form, the error is 0.1 of the transforms'
-# noise floor 1e-15 (1 + |xi|) at 100 and 5.1 times it at 104; but where
-# xi is a multiple of 128, the inverse sub-panel width, the sub-panels'
-# errors add in phase: 0.31 of the floor at 28 pi (88.0), 7.7 times it
-# at 29 pi, 153 at 30 pi and 2500 at 31 pi (97.4).  So the limit is
-# 28 pi, |xi| w <= 3584 on a panel of width w
-_MAX_SUB_PANEL_PHASE = 28.0 * _PI
+# a panel's Legendre series chops where its |c_k| stay below _CHOP_TOL max
+# |c_k|, above the refined coefficients' noise (up to 1e-15 max |c_k| on
+# cos(30 x), 6e-16 on the cos^2, parabola and gaussian factors), by degree
+# _MAX_DEGREE, up to which the 64-node rule resolves the interpolant times
+# e^{-i omega t} for |omega| <= K (``_series_hat``)
+_CHOP_TOL = 16.0 * np.finfo(float).eps
+_MAX_DEGREE = 40
 _J_CUTOFF = 60.0  # default end of J's frequency window
 _POLISH_POINTS = 33  # frequencies of the polish round across J's sweep peak
 # an L1 mass at most this fraction of the largest |u| sample counts as zero
@@ -111,27 +110,25 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _node_doubling(value_at, start: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Node doubling for a row of items, one ``value_at`` call per level.
+def _node_doubling(value_at, count: int) -> np.ndarray:
+    """Node doubling for a row of ``count`` items, one ``value_at`` call per
+    level.
 
-    Item i runs over the doubling levels from start[i] until two
-    successive values agree to _QUAD_TOL (relative) or floor[i], and
-    keeps the value where they first agree, or the last level's.
-    value_at(level, lo, hi) gives items lo..hi-1 at ``level``: the run
-    from the first unconverged item to the last one that has started.
+    Item i runs over the doubling levels until two successive values agree
+    to _QUAD_TOL (relative), and keeps the value where they first agree,
+    or the last level's.  value_at(level, lo, hi) gives items lo..hi-1 at
+    ``level``: the run from the first unconverged item to the last one.
     """
-    value = np.full(start.shape, np.nan)
-    done = np.zeros(start.shape, dtype=bool)
+    value = np.full(count, np.nan)
+    done = np.zeros(count, dtype=bool)
     for level in _LEVELS:
-        fresh = (start <= level) & ~done
-        run = np.flatnonzero(fresh)
+        run = np.flatnonzero(~done)
         if run.size == 0:
-            continue
+            break
         lo, hi = run[0], run[-1] + 1
         val = value_at(level, lo, hi)
-        fresh = fresh[lo:hi]
-        tol = np.maximum(_QUAD_TOL * np.maximum(1.0, np.abs(val)), floor[lo:hi])
-        done[lo:hi] |= fresh & (np.abs(val - value[lo:hi]) <= tol)
+        fresh = ~done[lo:hi]
+        done[lo:hi] |= fresh & (np.abs(val - value[lo:hi]) <= _QUAD_TOL * np.maximum(1.0, np.abs(val)))
         value[lo:hi][fresh] = val[fresh]
     return value
 
@@ -148,14 +145,14 @@ class PerturbationFunction:
     breakpoints too.
     Node/value samples are cached per doubling level, so repeated
     integrals against different weights (``_integrals``) reuse the
-    evaluations.
+    evaluations; a profile without a table builds its transform's
+    Legendre series (``_legendre_series``) from them once.
     """
 
     def __init__(self, half, breakpoints=(), linear_table=None):
         self.half = half
         # (knots, values) when the half is exactly piecewise linear; its
-        # transform then has a closed form immune to the node-placement
-        # noise that limits oscillatory quadrature at large frequencies
+        # transform then has a closed form, the knot sum of ``_table_hat``
         self.linear_table = None
         if linear_table is not None:
             knots, values = (np.array(a, dtype=float) for a in linear_table)
@@ -176,6 +173,8 @@ class PerturbationFunction:
         self._panels = np.array([0.0, *pts, 1.0])
         self._samples: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._sub_panel_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the transform's Legendre series per panel (``_legendre_series``)
+        self._series = None
 
     def _set_drops(self, drops: np.ndarray) -> None:
         """Set the slope drops D_j that weight a table's knot sum (``_table_hat``)."""
@@ -194,10 +193,6 @@ class PerturbationFunction:
             out[inside] = self.half(np.abs(x[inside]))
         return out if out.ndim else float(out)
 
-    @property
-    def max_panel_width(self) -> float:
-        return float(np.max(np.diff(self._panels)))
-
     def _sub_panels(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(centres, radii) of the level / _RULE_NODES equal sub-panels of
         each panel, in the order of ``samples``' nodes; cached per level."""
@@ -214,9 +209,9 @@ class PerturbationFunction:
         the _RULE_NODES-point Gauss-Legendre rule on level / _RULE_NODES
         equal sub-panels of each panel.  Sub-panel s with centre c_s and
         radius r_s holds the nodes fl(c_s + fl(r_s t_k)), for the rule's
-        nodes t_k on [-1, 1], and the weights r_s w_k; ``_cos_sum`` takes
-        each node's phase at the exact sum c_s + fl(r_s t_k) instead, half
-        an ulp at most from the node.  A ``combine`` of two profiles with the
+        nodes t_k on [-1, 1], and the weights r_s w_k; a table's ``_cos_sum``
+        takes each node's phase at the exact sum c_s + fl(r_s t_k) instead,
+        half an ulp at most from the node.  A ``combine`` of two profiles with the
         same panels reads the values off theirs, bitwise what its ``half``
         gives at the same nodes."""
         if level not in self._samples:
@@ -245,8 +240,7 @@ def _integrals(items) -> list[float]:
             out[k] = np.dot(w, fx if weight is None else fx * weight(x))
         return out
 
-    count = len(items)
-    return _node_doubling(value_at, np.full(count, _LEVELS[0]), np.zeros(count)).tolist()
+    return _node_doubling(value_at, len(items)).tolist()
 
 
 def _square(x):
@@ -299,8 +293,8 @@ def autoconvolution_profile(g_half, half_support: float = 0.5) -> PerturbationFu
     Its factor is kept as G(s) = g(a s) on [0, 1], and its transform is
     fhat(xi) = ghat(xi)^2 = (a Ghat(a xi))^2 >= 0 exactly, so these profiles
     satisfy the nonnegative-transform hypothesis by construction.  Ghat
-    comes from G's composite rule, whose node doubling then ends one level
-    past its start.  Values of f itself (its integrals, ``combine``)
+    comes from G's Legendre series (``_series_hat``), at any frequency.
+    Values of f itself (its integrals, ``combine``)
     convolve with the _CONV_NODES-point Gauss-Legendre rule, from the same
     numpy generator as the composite rule's 64 nodes.
     """
@@ -319,7 +313,7 @@ def autoconvolution_profile(g_half, half_support: float = 0.5) -> PerturbationFu
         mid = 0.5 * (hi + lo)
         out = np.empty_like(x)
         # the points run in blocks, so each (points, nodes) temporary holds
-        # at most _PHASE_ELEMENTS doubles, as in _cos_sum
+        # at most _PHASE_ELEMENTS doubles
         block = max(1, _PHASE_ELEMENTS // _CONV_NODES)
         for start in range(0, x.size, block):
             cut = slice(start, start + block)
@@ -371,42 +365,12 @@ def combine(base: PerturbationFunction, f: PerturbationFunction, eps: float) -> 
     return out
 
 
-def _fourier_start_level(f: PerturbationFunction, xis) -> np.ndarray:
-    """The first doubling level for each frequency of ``xis``.
-
-    A level counts nodes per panel: the 64-node rule on level / 64 equal
-    sub-panels.  An autoconvolution starts where its factor does at a xi;
-    a table's knot sum ignores the level, so it starts at the top one and
-    takes one evaluation.  A frequency that even the top level does not
-    resolve raises ValueError naming the largest |xi| it resolves.
-    """
-    xis = np.asarray(xis, dtype=float)
-    scale = 1.0
-    if f._factor is not None:
-        f, scale = f._factor
-    if f.linear_table is not None:
-        return np.full(xis.shape, _LEVELS[-1])
-    # the 64-node rule integrates cos(2 pi xi x) to ~1e-16 while pi xi
-    # times its sub-panel's width stays below ~80 (1.26 pi xi w per node
-    # of the level); one node per pi xi w keeps a 25% margin.  The margin
-    # may shrink at the top level, but not past _MAX_SUB_PANEL_PHASE.
-    phase = _PI * np.abs(scale * xis) * f.max_panel_width
-    top = _MAX_SUB_PANEL_PHASE * (_LEVELS[-1] // _RULE_NODES)
-    if np.any(phase > top):
-        limit = top / (_PI * scale * f.max_panel_width)
-        raise ValueError(
-            f"|xi| = {np.max(np.abs(xis)):.6g} needs more than {_LEVELS[-1]} quadrature "
-            f"nodes per panel; the largest resolvable |xi| is {limit:.6g}")
-    levels = np.array(_LEVELS)
-    return levels[np.minimum(np.searchsorted(levels, phase + 48.0), levels.size - 1)]
-
-
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 # fl(2 pi) = _TWO_PI_H + _TWO_PI_L, halves of 26 bits, and 2 pi - fl(2 pi)
 _TWO_PI_H, _TWO_PI_L = 6.283185362815857, -5.563627070159782e-08
 _TWO_PI_TAIL = 2.4492935982947064e-16
-# elements of each (phase row, node) array that ``_cos_sum`` fills per
-# block of sub-panels
+# elements of each (frequency, node or sub-panel) array per block of a
+# transform, and of each (point, node) array of an autoconvolution's values
 _PHASE_ELEMENTS = 2**14
 
 
@@ -463,110 +427,59 @@ def _sincos_2pi_prod(xi, x: np.ndarray):
     return sin, cos
 
 
-def _cos_sum(centre: np.ndarray, radius: np.ndarray, t: np.ndarray, weight: np.ndarray,
-             xi0: float, h: float, count: int) -> np.ndarray:
-    """sum_{s,k} w_sk cos(2 pi xi_j x_sk) on the grid xi_j = xi0 + j h, j <
-    count, over sub-panels with centres c_s, radii r_s and the nodes x_sk =
-    c_s + d_sk, d_sk = fl(r_s t_k), each the exact sum (``samples`` holds
-    its rounding); ``weight`` holds the w_sk sub-panel by sub-panel.  A
-    table's knot sum is the degenerate case: the knots as centres, radius
-    0 and t = (0,).
+def _phase_rows(xi0: float, h: float, count: int) -> tuple[np.ndarray, int]:
+    """(rows, n_a) that factor the grid xi_j = xi0 + j h, j < count: with
+    m = ceil(sqrt(count)) and j = q m + p, the n_a = ceil(count / m) rows
+    xi0 + q m h, then the m rows p h, e^{2 pi i xi_j x} being the product
+    of rows q and n_a + p's phases."""
+    m = math.isqrt(count - 1) + 1
+    n_a = -(-count // m)
+    return np.concatenate([xi0 + (m * h) * np.arange(n_a), h * np.arange(m)]), n_a
 
-    The phase factorises twice.  With j = q m + p, m = ceil(sqrt(count)),
-    e^{2 pi i xi_j x} = e^{2 pi i (xi0 + q m h) x} e^{2 pi i p h x}, so the
-    real part of one complex matrix product over R = ceil(count / m) + m
-    phase rows gives every frequency.  And for each row xi
+
+def _cos_sum(centre: np.ndarray, offset: np.ndarray, weight: np.ndarray,
+             xi0: float, h: float, count: int) -> np.ndarray:
+    """sum_{s,k} w_sk cos(2 pi xi_j (c_s + d_sk)) on the grid xi_j = xi0 + j
+    h, j < count, over nodes that are the exact sums of centres c_s and
+    their offsets d_sk (``offset`` has a row per centre, ``weight`` holds
+    the w_sk centre by centre).  It is a table's knot sum, with the knots
+    as centres and one zero offset each (``_table_hat``), and the 64-node
+    rule's sum, with the sub-panel centres c_s and offsets fl(r_s t_k)
+    whose rounded sums are the rule's nodes: a table's near xi = 0, and a
+    Legendre series' where the rule resolves its panel (``_series_hat``).
+
+    The phase factorises twice.  Over the R ~ 2 sqrt(count) rows of
+    ``_phase_rows`` the real part of one complex matrix product gives every
+    frequency.  And for each row xi
 
         e^{2 pi i xi (c + d)} = e^{2 pi i xi c} e^{2 pi i xi d},
 
-    so the double-double phases (``_sincos_2pi_prod``) are taken only at
-    the centres and at the offsets of each distinct radius, and each
-    node's is their complex product.  Each of these phases serves many
-    nodes, so its turn is exact: a rounding there would add up over them.
-    The node's rounding fl(c + d) would turn its phase by up to pi xi
-    ulp, an error that grows with xi, while the value ``samples`` gives at
-    it is off by |f'| ulp / 2 at most at any xi; so the sum at the exact
-    sums meets the transform more closely.  On the cos^2 autoconvolution's
-    factor at the top level, over 300 frequencies up to 0.68 of its
-    resolution limit, it is within 2.8e-16 sum |w f| of the closed form
-    (1.1e-14 with the phases at the rounded nodes).  Against 40-digit
-    mpmath at the exact sums it is within 1.7e-16 sum |w f| near xi = 1/2
-    and 1.3e-16 up to 1.14 times the resolution limit, and on the tests'
-    grids at the top level within 2.9e-15 sum |w f| of the per-node sum at
-    the rounded nodes.  A zero offset has phase 1 and is skipped, so a
-    knot, one node of radius 0, takes its own phase, and a knot sum is the
-    per-node sum, bitwise.
-
-    The sub-panels of each radius run in blocks of _PHASE_ELEMENTS // (R
-    K) (at least one), K nodes a sub-panel, so each (row, node) array
-    holds at most max(_PHASE_ELEMENTS, R K) doubles, 128 KB for R K <=
-    2^14: three per block (cosines, sines, work), two of offset phases and
-    five in a ``_sincos_2pi_prod`` call, at most eight at once, besides the
-    weights and a few doubles a frequency.  With one block the sum is the
-    single product over all nodes, value for value.  2^14 is the fastest
-    budget that keeps the cos^2 autoconvolution report's traced peak below
-    that of a sum with one phase per node (1.10 MB against 1.37 MB; its
-    scan to n_max = 8000: 1.57 against 2.12 MB).  On that report (2 vCPU
-    Xeon, 2 MB L2 per core, one BLAS thread, min of 15) 2^10, 2^12, 2^13
-    and one block take 1.28, 1.25, 1.10 and 1.10 times as long, and 1.05,
-    1.04, 1.02 and 1.17 times on the scan (min of 7); 2^15 takes 1.02 and
-    0.87 times as long but peaks at 1.49 MB.
+    each factor a double-double phase with the exact turn
+    (``_sincos_2pi_prod``): the node's rounding fl(c + d) would turn its
+    phase by up to pi xi ulp, while the value at it is off by |f'| ulp / 2
+    at most.  A zero offset has phase 1 exactly, so a knot takes its own
+    phase.  The centres run in blocks of _PHASE_ELEMENTS // (R K) (at least
+    one), K offsets a centre, so each (row, node) array holds at most
+    max(_PHASE_ELEMENTS, R K) doubles.
     """
-    m = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
-    n_a = -(-count // m)
-    # the phase rows: xi0 + q m h for q < n_a, then p h for p < m
-    rows = np.concatenate([xi0 + (m * h) * np.arange(n_a), h * np.arange(m)])[:, None]
-    size = t.size
+    rows, n_a = _phase_rows(xi0, h, count)
+    size = offset.shape[1]
     weight = weight.reshape(centre.size, size)
-    out = np.zeros((n_a, m))
+    out = np.zeros((n_a, rows.size - n_a))
     per_block = min(max(1, _PHASE_ELEMENTS // (rows.size * size)), centre.size)
-    buffers = None
-    # sub-panels of one radius share their offsets
-    if radius.min() == radius.max():
-        groups = [slice(None)]
-    else:
-        order = np.argsort(radius, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(radius[order])) + 1)
-    for group in groups:
-        centres, weights = centre[group], weight[group]
-        d = radius[group][0] * t
-        # a zero offset, as at a knot, has phase 1
-        offsets = d.any()
-        if offsets:
-            sin_d, cos_d = (p[:, None, :] for p in _sincos_2pi_prod(rows, d))
-            if buffers is None:  # after the offsets, whose work arrays are gone
-                buffers = [np.empty(rows.size * per_block * size) for _ in range(3)]
-        for start in range(0, centres.size, per_block):
-            sub = slice(start, start + per_block)
-            sin, cos = _sincos_2pi_prod(rows, centres[sub])
-            if offsets:
-                shape = (rows.size, sin.shape[1], size)
-                sin_c, cos_c = sin[:, :, None], cos[:, :, None]
-                cos, sin, tmp = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-                # e^{2 pi i xi (c + d)} = (cos_c cos_d - sin_c sin_d) + i (sin_c cos_d + cos_c sin_d)
-                np.multiply(cos_c, cos_d, out=cos)
-                cos -= np.multiply(sin_c, sin_d, out=tmp)
-                np.multiply(sin_c, cos_d, out=sin)
-                sin += np.multiply(cos_c, sin_d, out=tmp)
-                cos, sin = (a.reshape(rows.size, -1) for a in (cos, sin))
-            cos_a, cos_b, sin_a, sin_b = cos[:n_a], cos[n_a:], sin[:n_a], sin[n_a:]
-            w = weights[sub].reshape(-1)
-            cos_b *= w
-            sin_b *= w
-            out += cos_a @ cos_b.T
-            out -= sin_a @ sin_b.T
-        if offsets:
-            del sin_d, cos_d
+    for start in range(0, centre.size, per_block):
+        sub = slice(start, start + per_block)
+        sin_c, cos_c = (p[:, :, None] for p in _sincos_2pi_prod(rows[:, None], centre[sub]))
+        shape = (rows.size, sin_c.shape[1], size)
+        sin_d, cos_d = (p.reshape(shape) for p in _sincos_2pi_prod(rows[:, None], offset[sub].ravel()))
+        cos = (cos_c * cos_d - sin_c * sin_d).reshape(rows.size, -1)
+        sin = (sin_c * cos_d + cos_c * sin_d).reshape(rows.size, -1)
+        cos_a, cos_b, sin_a, sin_b = cos[:n_a], cos[n_a:], sin[:n_a], sin[n_a:]
+        cos_b *= weight[sub].reshape(-1)
+        sin_b *= weight[sub].reshape(-1)
+        out += cos_a @ cos_b.T
+        out -= sin_a @ sin_b.T
     return out.ravel()[:count]
-
-
-def _rule_cos_sum(f: PerturbationFunction, level: int, values: np.ndarray,
-                  xi0: float, h: float, count: int) -> np.ndarray:
-    """sum_i w_i values_i cos(2 pi xi x_i) over f's composite rule at ``level``
-    (see ``PerturbationFunction.samples``), on the grid xi0 + j h, j < count."""
-    _, w, _ = f.samples(level)
-    centre, radius = f._sub_panels(level)
-    return _cos_sum(centre, radius, _gauss_legendre(_RULE_NODES)[0], w * values, xi0, h, count)
 
 
 def _sin_2pi(xi: np.ndarray) -> np.ndarray:
@@ -616,8 +529,7 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     far = np.where(near, 1.0, xi)
     # 1/c^2 as (1/(4 pi^2)) / xi^2: a caller's xi^2 weighting then cancels
     # the rounded xi^2 instead of compounding the rounding of c
-    zero = np.zeros(knots.size)
-    knot_sum = _cos_sum(knots, zero, zero[:1], drops, xi0, h, count)
+    knot_sum = _cos_sum(knots, np.zeros((knots.size, 1)), drops, xi0, h, count)
     out = knot_sum * (0.25 / _PI**2) / (far * far)
     if end != 0.0:
         out += end * _sin_2pi(far) / ((2.0 * _PI) * far)
@@ -625,60 +537,153 @@ def _table_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.
     if near.any():
         run = np.flatnonzero(near)
         lo, hi = run[0], run[-1] + 1
-        out[lo:hi] = 2.0 * _rule_cos_sum(f, _LEVELS[0], fx, xi[lo], h, hi - lo)
+        centre, radius = f._sub_panels(_LEVELS[0])
+        offset = radius[:, None] * _gauss_legendre(_RULE_NODES)[0]
+        out[lo:hi] = 2.0 * _cos_sum(centre, offset, w * fx, xi[lo], h, hi - lo)
     return np.ldexp(out, e)
 
 
-def _hat(f: PerturbationFunction, xi0: float, h: float, count: int, level: int) -> np.ndarray:
-    """fhat on the uniform grid xi0 + k h, k < count.
+@functools.cache
+def _legendre_fit() -> tuple[np.ndarray, np.ndarray]:
+    """(V, M) at the nodes t_j of the _RULE_NODES-point rule: V[k, j] =
+    P_k(t_j), and M[k, j] = (k + 1/2) w_j P_k(t_j), the rule's discrete
+    Legendre transform.  M inverts V only to ~1e-14, as the weights belong
+    to the roots, not to their roundings."""
+    t, w = _gauss_legendre(_RULE_NODES)
+    v = legendre.legvander(t, _RULE_NODES - 1).T
+    return v, v * w * (np.arange(_RULE_NODES) + 0.5)[:, None]
 
-    With ``_transform`` and ``_fourier_start_level``, the only code that
-    knows a profile's transform kind: an autoconvolution's squared factor
-    transform (a Ghat(a xi))^2, a table's knot sum (``level`` unused; see
-    ``_table_hat``), or the composite Gauss-Legendre rule with ``level``
-    nodes per panel, 2 sum_i w_i f(x_i) cos(2 pi xi x_i).  Tables and
-    quadrature share one phase-factorised cosine sum, ``_cos_sum``.
+
+def _legendre_series(f: PerturbationFunction) -> list:
+    """[(sub-panel centres, node offsets, weighted values, radius,
+    coefficients)] for each panel of f, built on the first call and cached
+    on f.
+
+    A panel takes the fewest equal sub-panels of the doubling levels, one
+    radius r for all of them and at most _LEVELS[-1] / _RULE_NODES = 128,
+    on which f's Legendre series chop by degree _MAX_DEGREE: past it, every
+    |c_k| of every sub-panel stays below _CHOP_TOL max |c_k|, or the top
+    level's series when no level chops.  Each sub-panel's series
+    interpolates f at the rule's 64 nodes, from the cached samples: the
+    discrete transform M plus two steps of iterative refinement against V
+    (``_legendre_fit``), which take the cos^2 factor's coefficients from
+    1.6e-15 to 2e-16 of their 40-digit values.  The samples sit at fl(c +
+    fl(r_s t_k)), r_s within an ulp of r: a shift of |f'| ulp, below the
+    samples' rounding.  The centres, the offsets fl(r_s t_k) and the
+    samples times the weights give the rule's own cosine sum (``_cos_sum``).
     """
-    if f._factor is not None:
-        g, a = f._factor
-        return (a * _hat(g, a * xi0, a * h, count, level)) ** 2
-    if f.linear_table is not None:
-        return _table_hat(f, xi0, h, count)
-    return 2.0 * _rule_cos_sum(f, level, f.samples(level)[2], xi0, h, count)
+    if f._series is None:
+        v, m = _legendre_fit()
+        f._series = []
+        for p, width in enumerate(np.diff(f._panels)):
+            for level in _LEVELS:
+                count = level // _RULE_NODES
+                _, w, values = (a.reshape(-1, count, _RULE_NODES)[p] for a in f.samples(level))
+                c = values @ m.T
+                for _ in range(2):
+                    c += (values - c @ v) @ m.T
+                envelope = np.max(np.abs(c), axis=0)
+                keep = 1 + np.max(np.flatnonzero(envelope > _CHOP_TOL * np.max(envelope)), initial=0)
+                if keep <= _MAX_DEGREE + 1 or level == _LEVELS[-1]:
+                    break
+            centre, radius = (a.reshape(-1, count)[p] for a in f._sub_panels(level))
+            f._series.append((centre, radius[:, None] * _gauss_legendre(_RULE_NODES)[0], w * values,
+                              0.5 * width / count, c[:, :keep]))
+    return f._series
+
+
+def _grid_sincos(xi0: float, h: float, count: int, x: np.ndarray):
+    """(sin, cos) of 2 pi xi_j x_s on the grid xi_j = xi0 + j h, j < count,
+    of shape (x.size, count): only the ~2 sqrt(count) phases of
+    ``_phase_rows`` are double-double phases with the exact turn
+    (``_sincos_2pi_prod``), each entry one complex product of two of them,
+    a few ulp at any xi."""
+    rows, n_a = _phase_rows(xi0, h, count)
+    sin, cos = _sincos_2pi_prod(rows, x[:, None])
+    sin_a, cos_a, sin_b, cos_b = sin[:, :n_a, None], cos[:, :n_a, None], sin[:, None, n_a:], cos[:, None, n_a:]
+    shape = (x.size, n_a * (rows.size - n_a))
+    return ((sin_a * cos_b + cos_a * sin_b).reshape(shape)[:, :count],
+            (cos_a * cos_b - sin_a * sin_b).reshape(shape)[:, :count])
+
+
+def _series_hat(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:
+    """fhat on the grid xi0 + k h, k < count, from f's Legendre series
+    (``_legendre_series``), one evaluation per frequency.
+
+    On a sub-panel of centre c and radius r with f = sum_k c_k P_k((x -
+    c) / r), DLMF 10.54.2, int_{-1}^{1} P_k(t) e^{-i omega t} dt = 2 (-i)^k
+    j_k(omega), gives
+
+        fhat(xi) = 4 r sum (cos(theta) E - sin(theta) O),  theta = 2 pi xi c,
+
+    summed over sub-panels, with omega = 2 pi xi r, E = sum over even k of
+    (-1)^(k/2) c_k j_k(omega) and O the same over odd k with
+    (-1)^((k-1)/2): a Filon-type rule, exact for the interpolant
+    (Iserles & Norsett, Proc. R. Soc. A 461 (2005)), at O(K) a frequency
+    for any xi.  It runs where |omega| > K, the series' degree, with j_0 =
+    sin(omega) / omega, j_1 = (j_0 - cos(omega)) / omega and j_{k+1} = (2k
+    + 1) j_k / omega - j_{k-1} upward, stable while k < |omega|; the j_k of
+    a panel serve all its sub-panels, and each term is summed as it comes.
+    theta's and omega's sines and cosines come with the exact turn
+    (``_grid_sincos``), as fl(omega) would shift them by ~eps omega.  The
+    frequencies run in blocks whose sines and cosines, of the S sub-panel
+    centres and of the radius, hold at most _PHASE_ELEMENTS doubles: the
+    cos^2 autoconvolution's report then peaks at 0.82 MB traced (1.06 MB
+    with blocks twice as long, 1.10 MB for the composite rule's sums).
+
+    Where |omega| <= K <= _MAX_DEGREE, the interpolant times e^{-i omega t}
+    has Legendre coefficients below eps past degree 127, so the rule's own
+    cosine sum over the panel's nodes (``_cos_sum``) is its integral:
+    that is the crossover, and near xi = 0 the sum rounds to about eps
+    ||f||_1, as a table's does (``_table_hat``).  A series that chops at no
+    level keeps its 64 coefficients, past that degree, and carries the
+    interpolant's own error: a profile needs breakpoints at its kinks.
+    """
+    out = np.zeros(count)
+    for centre, offset, weight, radius, c in _legendre_series(f):
+        top = c.shape[1] - 1
+        # |omega| <= K on one run of the grid
+        low = np.flatnonzero(np.abs(xi0 + h * np.arange(count)) <= top / (2.0 * _PI * radius))
+        lo, hi = (low[0], low[-1] + 1) if low.size else (count, count)
+        if hi > lo:
+            out[lo:hi] += 2.0 * _cos_sum(centre, offset, weight, xi0 + lo * h, h, hi - lo)
+        a = c * np.where(np.arange(top + 1) % 4 < 2, 1.0, -1.0)  # (-1)^(k // 2)
+        block = max(1, _PHASE_ELEMENTS // (2 * centre.size + 2))
+        for start in [*range(0, lo, block), *range(hi, count, block)]:
+            run = slice(start, min(start + block, lo if start < lo else count))
+            sin, cos = _grid_sincos(xi0 + start * h, h, run.stop - start, np.append(centre, radius))
+            inv = 1.0 / ((2.0 * _PI * radius) * (xi0 + h * np.arange(start, run.stop)))
+            prev = sin[-1] * inv
+            j = (prev - cos[-1]) * inv
+            sums = [a[:, :1] * prev, a[:, 1:2] * j if top else 0.0]
+            work = np.empty_like(j)
+            for k in range(1, top):
+                np.subtract((2 * k + 1) * np.multiply(inv, j, out=work), prev, out=work)
+                prev, j, work = j, work, prev
+                sums[(k + 1) % 2] += a[:, k + 1:k + 2] * j
+            out[run] += (4.0 * radius) * np.sum(cos[:-1] * sums[0] - sin[:-1] * sums[1], axis=0)
+    return out
 
 
 def _transform(f: PerturbationFunction, xi0: float, h: float, count: int) -> np.ndarray:
-    """fhat on the uniform grid xi0 + k h, k < count, node-doubled per
-    frequency from a level high enough to resolve its oscillation until
-    two levels agree; each level is one ``_hat`` call (an autoconvolution's
-    on its factor, then squared).  A table's knot sum is exact at every
-    frequency and takes one evaluation.  Raises ValueError past the
-    largest |xi| that the top level resolves."""
-    if f.linear_table is not None:
-        return _hat(f, xi0, h, count, _LEVELS[-1])
-    xis = xi0 + h * np.arange(count)
-    # checked here, so that an error names f's frequencies, not its factor's
-    start = _fourier_start_level(f, xis)
+    """fhat on the uniform grid xi0 + k h, k < count, one evaluation per
+    frequency at any xi; the only code that knows a profile's transform
+    kind: an autoconvolution's squared factor transform (a Ghat(a xi))^2,
+    a table's knot sum (``_table_hat``), or else f's Legendre series
+    (``_series_hat``)."""
     if f._factor is not None:
         g, a = f._factor
         return (a * _transform(g, a * xi0, a * h, count)) ** 2
-    # the phases sit at the exact node sums c + d, but each of them and
-    # each offset fl(r t) still rounds, so two levels can differ by the
-    # sum's roundoff however well both resolve xi: a floor that grows
-    # with xi, kept at 1e-15 (1 + |xi|)
-    return _node_doubling(
-        lambda level, lo, hi: _hat(f, xis[lo], h, hi - lo, level),
-        start,
-        1e-15 * (1.0 + np.abs(xis)),
-    )
+    if f.linear_table is not None:
+        return _table_hat(f, xi0, h, count)
+    return _series_hat(f, xi0, h, count)
 
 
 def ct_fourier(f: PerturbationFunction, xi: float) -> float:
     """fhat(xi) = integral of f(x) e^{-2 pi i xi x} dx = 2 int_0^1 f cos(2 pi xi x).
 
-    Real-valued because f is even.  The one-frequency case of the
-    node-doubled transform; piecewise-linear profiles take one evaluation
-    of their closed form.
+    Real-valued because f is even.  The one-frequency case of
+    ``_transform``: a table's closed form, or f's Legendre series.
     """
     return float(_transform(f, float(xi), 1.0, 1)[0])
 
@@ -727,10 +732,8 @@ def _abs_moments(profiles) -> list[tuple[float, float]]:
 
 
 def _j_sweep(u: PerturbationFunction, xi_cutoff: float, grid: int) -> np.ndarray:
-    """uhat on J's grid xi_k = k xi_cutoff / (grid - 1), k < grid, at the
-    level that resolves the cutoff."""
-    level = int(_fourier_start_level(u, xi_cutoff))
-    return _hat(u, 0.0, xi_cutoff / (grid - 1), grid, level)
+    """uhat on J's grid xi_k = k xi_cutoff / (grid - 1), k < grid."""
+    return _transform(u, 0.0, xi_cutoff / (grid - 1), grid)
 
 
 def _sweep_peak(uhat: np.ndarray, xi_cutoff: float) -> tuple[float, float, float]:
@@ -750,7 +753,8 @@ def _sweep_peak(uhat: np.ndarray, xi_cutoff: float) -> tuple[float, float, float
             TailEstimateWarning,
             stacklevel=3,
         )
-    return float(sweep[i_best]), xis[max(0, i_best - 1)], xis[min(grid - 1, i_best + 1)]
+    return (float(sweep[i_best]), float(xis[max(0, i_best - 1)]),
+            float(xis[min(grid - 1, i_best + 1)]))
 
 
 def _j_polished(peak: tuple[float, float, float], transform,
@@ -773,7 +777,7 @@ def _j_polished(peak: tuple[float, float, float], transform,
     k = int(np.argmax(vals))
     sup = max(sup, float(vals[k]))
     if 0 < k < _POLISH_POINTS - 1:
-        left, mid, right = vals[k - 1:k + 2]
+        left, mid, right = vals[k - 1:k + 2].tolist()
         curvature = left - 2.0 * mid + right
         if curvature < 0.0:
             xi = lo + step * (k + 0.5 * (left - right) / curvature)
@@ -796,8 +800,7 @@ def j_functional(u: PerturbationFunction, xi_cutoff: float = _J_CUTOFF,
     the window may be too short.
     Integrands with |u| are spectrally accurate only when u keeps one
     sign per quadrature panel, which holds for the perturbations studied
-    here.  A cutoff past ``gamma_half_integer``'s resolution limit raises
-    ValueError.
+    here.  The transforms have no resolution limit, so any cutoff works.
     """
     grid = _j_window(xi_cutoff, grid)
     moments = _abs_moments([u])[0]
@@ -813,12 +816,9 @@ def gamma_half_integer(f: PerturbationFunction, n_max: int) -> tuple[float, floa
     merely continuous ones (like the triangle itself) do not decay at
     all, and the sup is then reached already at small n.
 
-    A profile without a linear table resolves xi only while |xi| w <=
-    3584, with w its widest panel (a |xi| w on an autoconvolution's
-    factor): 28 pi for pi |xi| times the width of each of the top level's
-    128 sub-panels.  Past it the scan raises ValueError naming the largest
-    resolvable |xi|, 7168 for the cos^2 autoconvolution.  Tables have no
-    such limit.
+    The scan is one ``_transform`` of the n_max + 1 half-integers: a
+    table's knot sum, or a Legendre series' Bessel sums, at a cost per
+    frequency that does not grow with n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -944,8 +944,7 @@ def prop8_sides(f: PerturbationFunction, n_max: int = 1000) -> Prop8Sides:
     the minimum of those samples is reported rather than enforced, so a
     violated hypothesis shows up as a negative diagnostic instead of an
     error.  Equality holds exactly for multiples of the triangle.
-    Both scans share ``gamma_half_integer``'s resolution limit: past it
-    they raise ValueError.
+    Both scans are one ``_transform`` each, at any n_max.
     """
     lhs, _ = gamma_half_integer(f, n_max)
     min_hat = float(np.min(_transform(f, 1.0, 1.0, n_max)))

@@ -271,6 +271,15 @@ class TestGenerateAnalyze:
         assert (tmp_path / "k.json").read_bytes() == kernel
         assert capsys.readouterr().err == "input and output paths must be distinct\n"
 
+    def test_output_hard_linked_to_the_kernel_exit2(self, tmp_path, capsys):
+        # a hard link is a second name that realpath does not resolve
+        write_kernel_file(tmp_path / "k.json", box_kernel(2))
+        os.link(tmp_path / "k.json", tmp_path / "h.json")
+        kernel = (tmp_path / "k.json").read_bytes()
+        assert run(["analyze", tmp_path / "k.json", "-o", tmp_path / "h.json"]) == 2
+        assert (tmp_path / "k.json").read_bytes() == kernel
+        assert capsys.readouterr().err == "input and output paths must be distinct\n"
+
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         kfile = tmp_path / "box.json"
         write_kernel_file(kfile, box_kernel(3))
@@ -668,6 +677,15 @@ class TestSmooth:
             assert run(["smooth", "s.csv", output, "--box", 1]) == 2
             assert (tmp_path / "s.csv").read_text() == text
         assert capsys.readouterr().err == "input and output paths must be distinct\n" * 3
+
+    def test_output_hard_linked_to_the_series_exit2(self, tmp_path, capsys):
+        # at the parent the four rows of s.csv became the two smoothed ones
+        text = "1.0\n2.0\n3.0\n4.0\n"
+        (tmp_path / "s.csv").write_text(text)
+        os.link(tmp_path / "s.csv", tmp_path / "h.csv")
+        assert run(["smooth", tmp_path / "s.csv", tmp_path / "h.csv", "--box", 1]) == 2
+        assert (tmp_path / "s.csv").read_text() == text
+        assert capsys.readouterr().err == "input and output paths must be distinct\n"
 
     @pytest.mark.parametrize("text, scans", [("1.0\n2.0\n3.0\n4.0\n", False),
                                              ("1.0\n  \n2.0\n3.0\n4.0\n", True)],

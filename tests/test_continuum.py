@@ -66,7 +66,7 @@ class TestCtFourier:
 
     def test_quadrature_path_closed_form(self):
         # same function without the piecewise-linear table: exercises the
-        # node-doubling Gauss-Legendre path
+        # Legendre series path
         tri = PerturbationFunction(lambda x: 1.0 - x)
         for xi in np.linspace(0.1, 50.0, 23):
             assert ct_fourier(tri, xi) == pytest.approx(triangle_hat(xi), abs=1e-11)
@@ -403,7 +403,7 @@ class TestOneTransformPath:
         quad = self.without_table(table)
         xi0, h, count = 0.1, (60.0 - 0.1) / 149, 150  # the grid of np.linspace(0.1, 60.0, 150)
         xis = xi0 + h * np.arange(count)
-        closed = continuum._hat(table, xi0, h, count, 64)  # the level is unused by a table
+        closed = continuum._transform(table, xi0, h, count)
         numeric = np.array([ct_fourier(quad, xi) for xi in xis])
         assert np.max(np.abs(closed - numeric) * xis**2) <= 1e-10
 
@@ -421,31 +421,31 @@ class TestOneTransformPath:
         n_max = 100
         f = half_triangle_profile()
         covering = []
-        inner = continuum._hat
+        inner = continuum._transform
 
-        def counting(g, xi0, h, count, level):
+        def counting(g, xi0, h, count):
             k = (n_max + 0.5 - xi0) / h
             if g is f and k == int(k) and 0 <= k < count:
-                covering.append(level)
-            return inner(g, xi0, h, count, level)
+                covering.append(count)
+            return inner(g, xi0, h, count)
 
-        monkeypatch.setattr(continuum, "_hat", counting)
+        monkeypatch.setattr(continuum, "_transform", counting)
         perturbation_report(f, (1e-2, 1e-3), n_max=n_max)
         assert len(covering) == 1
 
 
 class TestLevelBatchedScans:
-    """Each level of a scan is one evaluation over many frequencies, yet
-    every frequency still stops where its own doubling would stop."""
+    """Each level of a run of integrals is one evaluation over many items,
+    yet every item still stops where its own doubling would stop; each
+    scan is one evaluation over many frequencies."""
 
     @staticmethod
-    def one_item(value_at, start, floor):
+    def one_item(value_at):
         # the per-item doubling loop, kept as the reference
         prev = None
-        for level in continuum._LEVELS[continuum._LEVELS.index(start):]:
+        for level in continuum._LEVELS:
             val = value_at(level)
-            if prev is not None and abs(val - prev) <= max(
-                    continuum._QUAD_TOL * max(1.0, abs(val)), floor):
+            if prev is not None and abs(val - prev) <= continuum._QUAD_TOL * max(1.0, abs(val)):
                 return val
             prev = val
         return prev
@@ -460,17 +460,15 @@ class TestLevelBatchedScans:
         noise = rng.uniform(-1.0, 1.0, (count, len(levels)))
         scale = np.where(np.arange(len(levels)) >= settle[:, None], 1e-15, 1e-9)
         table = base[:, None] + scale * noise
-        start = np.array(levels)[rng.integers(0, len(levels), count)]
-        floor = np.where(rng.random(count) < 0.5, 0.0, 1e-12)
         runs = []
 
         def value_at(level, lo, hi):
             runs.append((level, lo, hi))
             return table[lo:hi, levels.index(level)]
 
-        batched = continuum._node_doubling(value_at, start, floor)
-        expect = [self.one_item(lambda level, i=i: table[i, levels.index(level)], int(start[i]),
-                                floor[i]) for i in range(count)]
+        batched = continuum._node_doubling(value_at, count)
+        expect = [self.one_item(lambda level, i=i: table[i, levels.index(level)])
+                  for i in range(count)]
         assert batched.tolist() == expect
         assert len(runs) <= len(levels)
 
@@ -522,42 +520,22 @@ class TestLevelBatchedScans:
         assert prop8_sides(f, 200).min_integer_hat == np.min(
             continuum._transform(f, 1.0, 1.0, 200))
 
-    def test_autoconvolution_scans_stop_one_level_past_their_start(self, monkeypatch):
-        # with an accurate fixed-order rule, the level after a frequency's
-        # start level already agrees with it, so no frequency climbs further;
-        # each level is one _hat call on the factor
-        f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
-        g, a = f._factor
-        levels = list(continuum._LEVELS)
-        calls = []
-        inner = continuum._hat
-
-        def counting(p, xi0, h, count, level):
-            if p is g:
-                calls.append((level, xi0, count))
-            return inner(p, xi0, h, count, level)
-
-        monkeypatch.setattr(continuum, "_hat", counting)
-        for xi0, count in ((0.5, 1001), (1.0, 1000)):
-            calls.clear()
-            continuum._transform(f, xi0, 1.0, count)
-            start = continuum._fourier_start_level(f, xi0 + np.arange(count))
-            used = [set() for _ in range(count)]
-            for level, lo, n in calls:
-                first = round((lo - a * xi0) / a)
-                for k in range(first, first + n):
-                    used[k].add(level)
-            for k in range(count):
-                after = levels[min(levels.index(start[k]) + 1, len(levels) - 1)]
-                assert start[k] in used[k] <= {start[k], after}
-            per_level = [level for level, _, _ in calls]
-            assert len(per_level) == len(set(per_level))
-
 
 class TestBlockedCosineSum:
-    """The cosine sum factors each node's phase into its sub-panel centre's
-    and its offset's, and runs over blocks of sub-panels, in a working set
-    bounded at any level and frequency count."""
+    """The cosine sum of tables factors each node's phase into its
+    centre's and its offset's, and runs over blocks of centres, in a
+    working set bounded at any level and frequency count; checked on the
+    composite rule's levels too (``rule_sum``)."""
+
+    @staticmethod
+    def rule_sum(f, level, values, xi0, h, count):
+        # the composite rule's cosine sum at ``level``, as a table's near
+        # xi = 0: the sub-panel centres and offsets fl(r t), each node's
+        # phase at their exact sum
+        centre, radius = f._sub_panels(level)
+        offset = radius[:, None] * continuum._gauss_legendre(continuum._RULE_NODES)[0]
+        w = f.samples(level)[1]
+        return continuum._cos_sum(centre, offset, w * values, xi0, h, count)
 
     @staticmethod
     def one_product(x, w, xi0, h, count):
@@ -601,7 +579,7 @@ class TestBlockedCosineSum:
         # factored phases at the exact sums c + d, summed in blocks in
         # another order: measured within 2.9e-15 sum |w| of the per-node
         # sum at the rounded nodes fl(c + d)
-        blocked = continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count)
+        blocked = self.rule_sum(factor, 8192, fx, xi0, h, count)
         assert np.max(np.abs(blocked - ref)) <= bound
         # one block sums as the single factored product does
         centre, radius = factor._sub_panels(8192)
@@ -609,7 +587,7 @@ class TestBlockedCosineSum:
         single = self.factored_product(centre, radius, t, wf, xi0, h, count)
         assert np.max(np.abs(single - ref)) <= bound
         monkeypatch.setattr(continuum, "_PHASE_ELEMENTS", 2**30)
-        assert np.array_equal(continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count), single)
+        assert np.array_equal(self.rule_sum(factor, 8192, fx, xi0, h, count), single)
 
     @pytest.mark.parametrize("xi0, h, count", [
         (0.25, 0.5, 1001), (0.0, 60.0 / 15360, 15361), (3.0, 0.1, 33), (7.5, 1.0, 1),
@@ -622,10 +600,10 @@ class TestBlockedCosineSum:
         factored = [continuum._transform(f, xi0, h, count) for f in tables]
         inner = continuum._cos_sum
 
-        def per_node(centre, radius, t, weight, xi0, h, count):
-            if t.size > 1:  # the rule branch of _table_hat near xi = 0
-                return inner(centre, radius, t, weight, xi0, h, count)
-            assert t.tolist() == [0.0] and not radius.any()
+        def per_node(centre, offset, weight, xi0, h, count):
+            if offset.shape[1] > 1:  # the rule branch of _table_hat near xi = 0
+                return inner(centre, offset, weight, xi0, h, count)
+            assert offset.shape == (centre.size, 1) and not offset.any()
             return self.one_product(centre, weight, xi0, h, count)
 
         monkeypatch.setattr(continuum, "_cos_sum", per_node)
@@ -636,7 +614,7 @@ class TestBlockedCosineSum:
     def exact_rule_sum(f, level, wf, xis):
         """sum_i wf_i cos(2 pi xi x_i) in 40-digit mpmath over f's rule at
         ``level``, with each node the exact sum c + d of its float sub-panel
-        centre c and float offset d = fl(r t), as ``_cos_sum`` takes it."""
+        centre c and float offset d = fl(r t), as ``rule_sum`` takes it."""
         mpmath = pytest.importorskip("mpmath")
         centre, radius = f._sub_panels(level)
         offsets = radius[:, None] * continuum._gauss_legendre(continuum._RULE_NODES)[0]
@@ -654,8 +632,8 @@ class TestBlockedCosineSum:
     @pytest.mark.parametrize("case", ["factor_top_level", "panels_of_many_radii"])
     def test_factored_sum_meets_mpmath(self, factor, case):
         # the same rule in 40 digits, each node the exact sum c + d: the
-        # factor's top level up to a xi = 4074.25, past its resolution limit
-        # 3584 (7168 on the autoconvolution), as the sum is checked here, not
+        # factor's top level up to xi = 4074.25, where the 64-node rule no
+        # longer resolves its sub-panels, as the sum is checked here, not
         # the rule; and a four-panel profile whose sub-panels take 11
         # distinct radii; measured within 1.3e-16 sum |w f|
         if case == "factor_top_level":
@@ -669,9 +647,9 @@ class TestBlockedCosineSum:
         _, w, fx = f.samples(level)
         exact = self.exact_rule_sum(f, level, w * fx, xis)
         bound = 1e-15 * np.sum(np.abs(w * fx))
-        grid = continuum._rule_cos_sum(f, level, fx, xi0, h, xis.size)
+        grid = self.rule_sum(f, level, fx, xi0, h, xis.size)
         assert np.max(np.abs(grid - exact)) <= bound
-        single = [continuum._rule_cos_sum(f, level, fx, xi, 1.0, 1)[0] for xi in xis]
+        single = [self.rule_sum(f, level, fx, xi, 1.0, 1)[0] for xi in xis]
         assert np.max(np.abs(single - exact)) <= bound
 
     @pytest.mark.parametrize("level", [64, 128])
@@ -687,7 +665,7 @@ class TestBlockedCosineSum:
         _, w, fx = u.samples(level)
         xi0, h, count = 0.49609375, 2.0**-12, 33
         exact = self.exact_rule_sum(u, level, w * fx, xi0 + h * np.arange(count))
-        got = continuum._rule_cos_sum(u, level, fx, xi0, h, count)
+        got = self.rule_sum(u, level, fx, xi0, h, count)
         assert np.max(np.abs(got - exact)) <= 2e-16 * np.sum(np.abs(w * fx))
 
     @staticmethod
@@ -702,19 +680,20 @@ class TestBlockedCosineSum:
     def test_factor_sum_meets_the_closed_form(self, factor):
         # G(s) = cos^2(pi s / 2) on [-1, 1] has int_0^1 G(s) cos(2 pi eta s) ds
         # = ghat(2 eta) = sinc(2 eta) / 2 + (sinc(2 eta - 1) + sinc(2 eta + 1)) / 4,
-        # sinc(z) = sin(pi z) / (pi z).  Over 300 frequencies up to 0.68 of
-        # the top level's resolution limit the sum at the exact node sums c + d
-        # was measured within 2.8e-16 sum |w f| of it; with the phases at the
-        # rounded nodes fl(c + d) it missed by 1.1e-14
+        # sinc(z) = sin(pi z) / (pi z).  Over 300 frequencies up to 2445,
+        # where the top level's 64-node rule still resolves its sub-panels,
+        # the sum at the exact node sums c + d was measured within 2.8e-16
+        # sum |w f| of it; with the phases at the rounded nodes fl(c + d) it
+        # missed by 1.1e-14
         count, xi0, h = 300, 0.5, (2445.0 - 0.5) / 299
         _, w, fx = factor.samples(8192)
-        got = continuum._rule_cos_sum(factor, 8192, fx, xi0, h, count)
+        got = self.rule_sum(factor, 8192, fx, xi0, h, count)
         exact = np.array([self.factor_half_hat(eta) for eta in xi0 + h * np.arange(count)])
         assert np.max(np.abs(got - exact)) <= 5e-16 * np.sum(np.abs(w * fx))
 
     def test_scan_working_set(self):
-        # one product over all 8192 nodes of the top level held 66 MB; the
-        # scan runs there up to 7000.5, below the resolution limit 7168
+        # one product over the 8192 nodes of a top-level composite rule held
+        # 66 MB; the Bessel sums run in blocks of frequencies
         f = autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -754,34 +733,30 @@ class TestBlockedCosineSum:
 
 
 class TestResolutionLimit:
-    """A frequency that the top quadrature level cannot resolve raises
-    instead of returning that level's unconverged value."""
-
-    # pi |xi| a w <= 28 pi * 8192 / 64 on the cos^2 factor: a = 1/2, w = 1
-    LIMIT = 28.0 * PI * 128 / (PI * 0.5)
+    """No frequency is out of reach: a profile without a table transforms
+    from its Legendre series at any xi, where the composite rule's top
+    level used to raise past |xi| w = 3584 (w the widest panel)."""
 
     @pytest.fixture(scope="class")
     def f(self):
         return autoconvolution_profile(lambda t: np.cos(PI * t) ** 2)
 
-    def test_scan_past_the_limit_raises(self, f):
-        # at the parent n_max = 10000 gave gamma = 43434, not 4/(9 pi^2)
-        with pytest.raises(ValueError, match=r"largest resolvable \|xi\| is 7168$"):
-            gamma_half_integer(f, 10000)
-        with pytest.raises(ValueError, match="7168$"):
-            gamma_half_integer(f, 7168)
-        with pytest.raises(ValueError, match="7168$"):
-            prop8_sides(f, 8500)
-        with pytest.raises(ValueError, match="7168$"):
-            j_functional(f, xi_cutoff=9000.0)
+    def test_scans_run_past_the_old_limit(self, f):
+        # the scans to 100000, the CLI's cap, raised past 7168 at the parent
+        gamma, last = gamma_half_integer(f, 100000)
+        assert gamma == pytest.approx(4.0 / (9.0 * PI**2), rel=1e-13, abs=0.0)
+        xi = 100000.5  # fhat(xi) xi^2 = 1/(4 pi^2 (1 - xi^2)^2) at half-integers
+        assert last == pytest.approx(1.0 / (4.0 * PI**2 * (1.0 - xi * xi) ** 2), rel=1e-5)
+        assert prop8_sides(f, 8500).min_integer_hat >= 0.0
 
-    def test_limit_is_sharp(self, f):
-        assert ct_fourier(f, self.LIMIT * (1.0 - 1e-12)) >= 0.0
-        with pytest.raises(ValueError, match="7168$"):
-            ct_fourier(f, self.LIMIT * (1.0 + 1e-12))
-        quad = PerturbationFunction(lambda x: 1.0 - x)  # one panel, no factor
-        with pytest.raises(ValueError, match="3584$"):
-            ct_fourier(quad, -3585.0)
+    def test_one_panel_has_no_limit(self):
+        # 1 - x without its table, which raised past |xi| = 3584 at the
+        # parent: the Bessel sum's error is that of the 1/xi terms whose
+        # cancellation leaves the 1/xi^2 transform, measured within
+        # 4.7e-17 / |xi| of the closed form
+        quad = PerturbationFunction(lambda x: 1.0 - x)
+        for xi in (-3585.0, -3585.25, 12345.678, 1e5 + 0.5):
+            assert abs(ct_fourier(quad, xi) - triangle_hat(xi)) <= 1e-16 / abs(xi)
 
     def test_within_the_limit_unchanged(self, f):
         gamma, last = gamma_half_integer(f, 1000)
@@ -791,18 +766,15 @@ class TestResolutionLimit:
         assert last == pytest.approx(1.0 / (4.0 * PI**2 * (1.0 - xi * xi) ** 2), rel=1e-6)
 
     def test_resonant_frequencies_meet_the_closed_form(self, f):
-        # where eta is a multiple of 128, the inverse width of the top
-        # level's sub-panels, their errors add in phase: up to the limit
-        # 3584 the factor's transform is within 0.32 of the floor 1e-15
-        # (1 + eta) of 2 ghat(2 eta); past it, at the next three multiples,
-        # the 64-node rule misses by 7.7, 153 and 2500 times the floor
+        # where eta was a multiple of 128, the inverse width of the top
+        # level's sub-panels, their errors added in phase, up to 0.32 of the
+        # floor 1e-15 (1 + eta) below the old limit 3584 and 2500 times it
+        # past; the factor's Bessel sum meets 2 ghat(2 eta) within 3.4e-20
+        # up to 5120
         g = f._factor[0]
-        for eta in 128.0 * np.arange(29):
+        for eta in 128.0 * np.arange(41):
             exact = 2.0 * TestBlockedCosineSum.factor_half_hat(eta)
-            assert abs(ct_fourier(g, eta) - exact) <= 1e-15 * (1.0 + eta)
-        for eta in (3712.0, 3840.0, 3968.0):
-            with pytest.raises(ValueError, match="3584$"):
-                ct_fourier(g, eta)
+            assert abs(ct_fourier(g, eta) - exact) <= 1e-15
 
     def test_tables_have_no_limit(self):
         # the knot sum is exact at every frequency
@@ -991,10 +963,9 @@ class TestAutoconvolutionOracle:
         self.assert_close(np.array([ct_fourier(f, xi) for xi in xis]), xis)
 
     def test_j_functional_sweep(self, f):
-        # the grid and level j_functional sweeps at its defaults
+        # the grid j_functional sweeps at its defaults
         grid, cutoff = 15361, 60.0
-        level = int(continuum._fourier_start_level(f, cutoff))
-        sweep = continuum._hat(f, 0.0, cutoff / (grid - 1), grid, level)
+        sweep = continuum._transform(f, 0.0, cutoff / (grid - 1), grid)
         xis = np.linspace(0.0, cutoff, grid)
         self.assert_close(sweep[::97], xis[::97])
 
@@ -1038,6 +1009,17 @@ class TestPerturbationReport:
             "prop8_lhs", "prop8_rhs", "epsilons_used",
         }
 
+    @pytest.mark.parametrize("make", [
+        half_triangle_profile,
+        lambda: autoconvolution_profile(lambda t: np.cos(PI * t) ** 2),
+    ], ids=["half_triangle", "cos2_autoconvolution"])
+    def test_to_dict_holds_python_floats(self, make):
+        # c_f_numeric was a numpy float64 at the parent, from the parabolic
+        # vertex taken off the sweep's numpy bracket ends
+        for value in perturbation_report(make(), (1e-2, 1e-3), n_max=100).to_dict().values():
+            items = value if isinstance(value, list) else [value]
+            assert all(type(v) is float for v in items), value
+
 
 def seeded_tables(count=20, seed=2024):
     """Tables of 2 to 6 knots at uniform positions, some nearly coincident,
@@ -1056,6 +1038,64 @@ AUTOCONVOLUTION_FACTORS = {
     "parabola": lambda t: 1.0 - (2.0 * t) ** 2,
     "gaussian": lambda t: np.exp(-8.0 * t * t),
 }
+
+
+class TestFactorOracle:
+    """The autoconvolution factors' transforms, from their Legendre series,
+    against 40-digit closed forms of Ghat(eta) = int_{-1}^{1} G(s)
+    e^{-2 pi i eta s} ds: cos^2(pi s / 2), whose Ghat is sinc(2 eta) +
+    (sinc(2 eta - 1) + sinc(2 eta + 1)) / 2; the parabola 1 - s^2, with
+    Ghat = 4 (sin c / c - cos c) / c^2 exactly, c = 2 pi eta; and
+    exp(-2 s^2), whose Ghat is an erf of complex argument."""
+
+    # eta < 10 is |xi| < 20 on the autoconvolution (a = 1/2)
+    SINGLE = np.concatenate([[0.0, 1e-9, 1e-4, 1.0 / 512.0], np.linspace(0.003, 9.99, 40)])
+    GRID = (0.0, 10.0 / 1280, 1280)
+    LARGE = np.concatenate([np.geomspace(10.0, 1e5, 31), 128.0 * np.arange(28, 32),
+                            [5e4 + 0.25, 1e5 - 0.5]])
+    # the parent's node-doubled quadrature missed by 4, 5 and 6 eps on GRID
+    # (and raised past eta = 3584)
+    PARENT_GRID_ERROR = {"cos2": 4 * 2.0**-52, "parabola": 5 * 2.0**-52, "gaussian": 6 * 2.0**-52}
+
+    @staticmethod
+    def exact(name, etas):
+        mpmath = pytest.importorskip("mpmath")
+        out = []
+        with mpmath.workdps(40):
+            for eta in np.atleast_1d(etas):
+                eta = mpmath.mpf(float(eta))
+                c = 2 * mpmath.pi * eta
+                if name == "cos2":
+                    z = 2 * eta
+                    value = mpmath.sincpi(z) + (mpmath.sincpi(z - 1) + mpmath.sincpi(z + 1)) / 2
+                elif name == "parabola":
+                    value = mpmath.mpf(4) / 3 if eta == 0 else 4 * (mpmath.sin(c) / c - mpmath.cos(c)) / c**2
+                else:
+                    z = mpmath.sqrt(2) * (1 + 1j * c / 4)
+                    value = mpmath.re(mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-c**2 / 8)
+                                      * (mpmath.erf(z) + mpmath.erf(mpmath.conj(z)))) / 2
+                out.append(float(value))
+        return np.array(out)
+
+    @pytest.fixture(scope="class", params=list(AUTOCONVOLUTION_FACTORS))
+    def factor(self, request):
+        return request.param, autoconvolution_profile(AUTOCONVOLUTION_FACTORS[request.param])._factor[0]
+
+    def test_meets_the_closed_form_up_to_1e5(self, factor):
+        # measured within 2.9e-16 max |Ghat| below eta = 10 and 2.3e-17 above
+        name, g = factor
+        etas = np.concatenate([self.SINGLE, self.LARGE])
+        got = np.array([ct_fourier(g, eta) for eta in etas])
+        peak = self.exact(name, 0.0)[0]  # Ghat(0) = max |Ghat|, as G >= 0
+        assert np.max(np.abs(got - self.exact(name, etas))) <= 1e-15 * peak
+
+    def test_small_frequencies_no_worse_than_before(self, factor):
+        # on the grid the scans and sweeps take: 2.8e-16, 5.6e-16 and 3.9e-16
+        name, g = factor
+        xi0, h, count = self.GRID
+        got = continuum._transform(g, xi0, h, count)
+        err = np.max(np.abs(got - self.exact(name, xi0 + h * np.arange(count))))
+        assert err <= self.PARENT_GRID_ERROR[name]
 
 
 @pytest.mark.filterwarnings("ignore::smoothavg.continuum.TailEstimateWarning")
@@ -1146,29 +1186,21 @@ class TestSharedSweepsAndPolish:
         # cold (see fresh_triangle_reference)
         f = make()
         sweeps, polish = [], []
-        depth = {"hat": 0, "transform": 0}
-        inner_hat, inner_transform = continuum._hat, continuum._transform
-
-        def hat(p, xi0, h, count, level):
-            # an autoconvolution's call on its factor runs one level deeper
-            if depth["hat"] == 0 and count == self.GRID:
-                sweeps.append(p)
-            depth["hat"] += 1
-            try:
-                return inner_hat(p, xi0, h, count, level)
-            finally:
-                depth["hat"] -= 1
+        depth = [0]
+        inner = continuum._transform
 
         def transform(p, xi0, h, count):
-            if depth["transform"] == 0 and count <= 33:  # not the half-integer scan
+            # an autoconvolution's call on its factor runs one level deeper
+            if depth[0] == 0 and count == self.GRID:
+                sweeps.append(p)
+            if depth[0] == 0 and count <= 33:  # not the half-integer scan
                 polish.append((p is f, (xi0, h, count)))
-            depth["transform"] += 1
+            depth[0] += 1
             try:
-                return inner_transform(p, xi0, h, count)
+                return inner(p, xi0, h, count)
             finally:
-                depth["transform"] -= 1
+                depth[0] -= 1
 
-        monkeypatch.setattr(continuum, "_hat", hat)
         monkeypatch.setattr(continuum, "_transform", transform)
         for cold in (True, False):
             sweeps.clear()
